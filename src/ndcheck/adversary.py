@@ -54,10 +54,6 @@ DY_GT = "dy-gt"
 ADVERSARY_NAMES = (RELAY, RELAY_BCAST, RELAY_LOCAL, DY_T, DY_GT)
 
 
-class ModelMessageMismatch(ValueError):
-    """An adversarial payload lies outside the model's message space."""
-
-
 @dataclass(frozen=True)
 class AdversaryModel:
     kind: str
@@ -68,10 +64,6 @@ class AdversaryModel:
             raise ValueError(f"unknown adversary model {self.kind!r}")
         if self.delta_relay < 0:
             raise ValueError("delta_relay must be >= 0")
-
-
-def make_adversary(kind: str, delta_relay: Fraction) -> AdversaryModel:
-    return AdversaryModel(kind, delta_relay)
 
 
 def _relay_justified(

@@ -46,7 +46,6 @@ from .adversary import (
 from .core import (
     ADVERSARIAL,
     Bcast,
-    BeaconT,
     BeaconTL,
     CORRECT,
     Dcast,
@@ -54,34 +53,28 @@ from .core import (
     Message,
     Neighbor,
     NodeId,
-    Opaque,
     Point,
     Setting,
     SystemParams,
+    T_FLAVOR,
+    TL_FLAVOR,
     Trace,
     Verdict,
     Violation,
     check_setting_feasible,
     dist,
     induced_receives,
-    link_up_at,
+    link_up_over,
     project_local,
     sq_dist,
 )
 from .protocols import (
     InaccuracyParams,
-    NAIVE,
-    NAIVE_TOKEN_PREFIX,
-    PGT,
     PGT_APPROX,
     PT,
-    check_pgt_feasible,
-    check_protocol_feasible,
-    check_pt_feasible,
-    make_protocol,
-    pgt_accepts,
     pgt_approx_accepts,
-    pt_accepts,
+    protocol_spec,
+    protocol_verdict,
 )
 from .rational import EXACT, Num, exact_sqrt, format_scalar
 
@@ -152,7 +145,7 @@ def check_neighbor_correctness(trace: Trace, setting: Setting) -> Verdict:
             continue
         if setting.node_type.get(e.peer) != CORRECT:
             continue
-        if not link_up_at(setting, e.peer, e.actor, e.peer_time):
+        if not link_up_over(setting, e.peer, e.actor, e.peer_time, e.peer_time):
             violations.append(
                 Violation(
                     "false-neighbor",
@@ -183,39 +176,6 @@ def honest_pair_setting(d: Fraction, a: NodeId = "A", b: NodeId = "B") -> Settin
     )
 
 
-def canonical_beacon(
-    protocol: str, setting: Setting, beaconer: NodeId, at: Fraction, params: SystemParams
-) -> Message:
-    if protocol == PT:
-        return BeaconT(beaconer, at, params.msg_duration_default)
-    if protocol in (PGT, PGT_APPROX):
-        return BeaconTL(beaconer, at, setting.loc[beaconer], params.msg_duration_default)
-    if protocol == NAIVE:
-        return Opaque(NAIVE_TOKEN_PREFIX + beaconer, params.msg_duration_default)
-    raise ValueError(f"unknown protocol {protocol!r}")
-
-
-def _acceptable(
-    protocol: str,
-    params: SystemParams,
-    owner_loc: Point,
-    receive_start: Fraction,
-    msg: Message,
-    inacc: Optional[InaccuracyParams],
-) -> bool:
-    if protocol == PT:
-        return isinstance(msg, BeaconT) and pt_accepts(params, receive_start, msg)
-    if protocol == PGT:
-        return isinstance(msg, BeaconTL) and pgt_accepts(params, owner_loc, receive_start, msg)
-    if protocol == PGT_APPROX:
-        return isinstance(msg, BeaconTL) and pgt_approx_accepts(
-            params, owner_loc, receive_start, msg, inacc or InaccuracyParams()
-        )
-    if protocol == NAIVE:
-        return isinstance(msg, Opaque) and msg.token.startswith(NAIVE_TOKEN_PREFIX)
-    raise ValueError(f"unknown protocol {protocol!r}")
-
-
 def synth_honest_trace(
     setting: Setting,
     protocol: str,
@@ -232,7 +192,8 @@ def synth_honest_trace(
     flight time later and declares the beaconer a neighbor shortly after
     the reception completes.
     """
-    msg = beacon or canonical_beacon(protocol, setting, beaconer, beacon_time, params)
+    spec = protocol_spec(protocol)
+    msg = beacon or spec.beacon(beaconer, beacon_time, setting.loc[beaconer], params)
     sends = [Bcast(beaconer, beacon_time, msg)]
     receives = induced_receives(sends, setting, params)
     arrival = next(
@@ -240,7 +201,8 @@ def synth_honest_trace(
     )
     if arrival is None:
         raise NoWitness(f"{declarer} never hears {beaconer}: link down")
-    if not _acceptable(protocol, params, setting.loc[declarer], arrival.start, msg, inacc):
+    owner_loc = setting.loc[declarer]
+    if spec.accepts(params, owner_loc, arrival, inacc or InaccuracyParams(), EXACT) is None:
         raise NoWitness(f"{protocol} rejects the beacon received at {arrival.start}")
     declaration = Neighbor(
         declarer,
@@ -289,7 +251,7 @@ def default_single_relay_placement(
     The time+location protocols pin B at its claimed position, so there
     the attack-side distance stays d_ab.
     """
-    if protocol in (PGT, PGT_APPROX):
+    if protocol_spec(protocol).flavor == TL_FLAVOR:
         b_x = d_ab
     else:
         b_x = d_ab - params.v * params.delta_relay
@@ -315,7 +277,10 @@ def default_wormhole_placement(
     equal speeds is independent of e and otherwise bounds it.
     """
     if b_x is None:
-        b_x = d_ab if protocol in (PGT, PGT_APPROX) else d_ab - params.v * params.delta_relay
+        if protocol_spec(protocol).flavor == TL_FLAVOR:
+            b_x = d_ab
+        else:
+            b_x = d_ab - params.v * params.delta_relay
     if b_x <= 0:
         raise PlacementInfeasible("attack-side distance must be positive")
     ratio = params.v / params.v_adv
@@ -674,28 +639,6 @@ def plan_relay_attack(
     )
 
 
-def protocol_verdict(
-    trace: Trace,
-    setting: Setting,
-    protocol: str,
-    params: SystemParams,
-    inacc: Optional[InaccuracyParams] = None,
-    num: Num = EXACT,
-) -> Verdict:
-    """Conformance verdict using the dedicated checker for the protocol."""
-    if protocol == PT:
-        return check_pt_feasible(trace, setting, params, num)
-    if protocol == PGT:
-        return check_pgt_feasible(trace, setting, params, None, num)
-    if protocol == PGT_APPROX:
-        return check_pgt_feasible(trace, setting, params, inacc or InaccuracyParams(), num)
-    if protocol == NAIVE:
-        return check_protocol_feasible(
-            trace, setting, make_protocol(NAIVE, params), params, num=num
-        )
-    raise ValueError(f"unknown protocol {protocol!r}")
-
-
 def verify_attack_plan(
     plan: AttackPlan,
     params: SystemParams,
@@ -740,13 +683,11 @@ def verify_attack_plan(
             num,
         ),
     }
-    if plan.protocol == PT:
+    spec = protocol_spec(plan.protocol)
+    if spec.unjustified is not None:  # naive's bare tokens fit no Dolev-Yao model
+        dy = DY_T if spec.flavor == T_FLAVOR else DY_GT
         verdicts["adversary_dy"] = check_adversary_feasible(
-            plan.relay_trace, plan.setting_attack, params, AdversaryModel(DY_T, delta), num
-        )
-    elif plan.protocol in (PGT, PGT_APPROX):
-        verdicts["adversary_dy"] = check_adversary_feasible(
-            plan.relay_trace, plan.setting_attack, params, AdversaryModel(DY_GT, delta), num
+            plan.relay_trace, plan.setting_attack, params, AdversaryModel(dy, delta), num
         )
     verdicts["correctness_honest"] = check_neighbor_correctness(
         plan.base_trace, plan.setting_honest

@@ -428,15 +428,6 @@ def link_up_over(setting: Setting, a: NodeId, b: NodeId, t0: Real, t1: Real) -> 
     return False
 
 
-def link_up_at(setting: Setting, a: NodeId, b: NodeId, t: Real) -> bool:
-    return link_up_over(setting, a, b, t, t)
-
-
-def link_up(setting: Setting, a: NodeId, b: NodeId, interval: tuple[Real, Real]) -> bool:
-    """Closed-interval link coverage; see link_up_over."""
-    return link_up_over(setting, a, b, interval[0], interval[1])
-
-
 _QUARTER_VECTORS = {
     Fraction(0): (Fraction(1), Fraction(0)),
     Fraction(1, 2): (Fraction(0), Fraction(1)),

@@ -43,12 +43,8 @@ from .core import (
     dist,
     induced_receives,
 )
-from .protocols import (
-    PGT,
-    PT,
-    pgt_accepts,
-    pt_accepts,
-)
+from .protocols import InaccuracyParams, PT, protocol_spec
+from .rational import EXACT
 
 NODE_NAMES = ("A", "B", "C", "D", "E")
 
@@ -168,15 +164,13 @@ def random_trace(
     authored_beacons: bool = True,
 ) -> Trace:
     """Honest beaconing, model-conform adversarial activity, justified declarations."""
+    spec = protocol_spec(protocol)
     used_times: dict[NodeId, set[Fraction]] = {n: set() for n in setting.nodes}
     sends: list[Event] = []
     for node in setting.correct_nodes:
         for _ in range(rng.choice([0, 1, 1, 2])):
             t = _fresh_time(rng, used_times[node], Fraction(0), horizon / 2)
-            if protocol == PGT:
-                msg = BeaconTL(node, t, setting.loc[node], params.msg_duration_default)
-            else:
-                msg = BeaconT(node, t, params.msg_duration_default)
+            msg = spec.beacon(node, t, setting.loc[node], params)
             sends.append(Bcast(node, t, msg))
 
     honest_receives = induced_receives(sends, setting, params)
@@ -237,15 +231,8 @@ def random_trace(
         for r in candidates:
             if declared >= 3 or rng.random() < 0.4:
                 continue
-            if protocol == PT and isinstance(r.msg, BeaconT):
-                accepted = pt_accepts(params, r.start, r.msg)
-                peer = r.msg.creator
-            elif protocol == PGT and isinstance(r.msg, BeaconTL):
-                accepted = pgt_accepts(params, owner_loc, r.start, r.msg)
-                peer = r.msg.creator
-            else:
-                continue
-            if accepted:
+            peer = spec.accepts(params, owner_loc, r, InaccuracyParams(), EXACT)
+            if peer is not None:
                 at = r.start + r.msg.duration + rng.choice([Fraction(1, 4), Fraction(1)])
                 declarations.append(Neighbor(node, at, peer, r.start))
                 declared += 1

@@ -14,12 +14,20 @@ Four concrete protocols are provided:
 - pgt-approx: as pgt but with measurement slack, accepting when the two
               estimates are within delta + tau of each other.
 
+``PROTOCOLS`` is the one place where these rules live.  Each entry holds
+the view flavor, the beacon a correct node sends and the acceptance test
+for a reception; decision functions, checkers, attack synthesis and the
+trace generators all read it.
+
 Two checking routes exist.  ``check_protocol_feasible`` is generic: it
 asks the decision function to permit every broadcast and declaration a
 correct node performed, and to permit idling at sampled times.  The
-dedicated ``check_pt_feasible`` / ``check_pgt_feasible`` express the
-same protocols as direct trace predicates and are the authority used by
-the command-line checker.
+direct ``check_pt_feasible`` / ``check_pgt_feasible`` test beacon stamps
+and the backing of declarations on the trace itself; ``protocol_verdict``
+uses them for every protocol with stamped beacons, and the command-line
+checker uses ``protocol_verdict``.  The routes differ on pgt-approx: the
+direct checker admits stamps skewed within the error bounds (delta, tau),
+while the decision function offers exact stamps only.
 """
 
 from __future__ import annotations
@@ -60,8 +68,6 @@ NAIVE = "naive"
 PT = "pt"
 PGT = "pgt"
 PGT_APPROX = "pgt-approx"
-
-PROTOCOL_NAMES = (NAIVE, PT, PGT, PGT_APPROX)
 
 NAIVE_TOKEN_PREFIX = "id-"
 
@@ -114,14 +120,6 @@ class ProtocolModel:
     decide: Callable[[LocalView], frozenset[Action]]
 
 
-def protocol_flavor(name: str) -> str:
-    if name in (NAIVE, PT):
-        return T_FLAVOR
-    if name in (PGT, PGT_APPROX):
-        return TL_FLAVOR
-    raise ValueError(f"unknown protocol {name!r}")
-
-
 # ---------------------------------------------------------------------------
 # acceptance predicates, shared by decision functions and direct checkers
 
@@ -172,101 +170,202 @@ def pgt_approx_accepts(
 
 
 # ---------------------------------------------------------------------------
+# the protocol table
+
+Reception = Union[Receive, LocalReceive]
+
+
+@dataclass(frozen=True)
+class ProtocolSpec:
+    """Everything that tells one protocol from another.
+
+    flavor       view flavor the decision function reads
+    beacon       (creator, time, location, params) -> the beacon a correct
+                 node broadcasts
+    accepts      (params, owner location, reception, inacc, num) -> the
+                 peer a completed reception backs, or None
+    unjustified  detail of a neighbor-unjustified violation, {peer} standing
+                 for the declared peer; None for naive, whose bare tokens
+                 carry no stamps, so it has no direct checker and no
+                 Dolev-Yao model
+    decide       (view, params, inacc) -> the permitted actions
+    verdict      (trace, setting, params, inacc, num) -> the conformance
+                 verdict of protocol_verdict
+
+    decide and verdict call the protocol's decision function and checker
+    through their module-level names at call time, so a rebound name
+    (a profiler's wrapper, say) takes effect.
+    """
+
+    name: str
+    flavor: str
+    beacon: Callable[[NodeId, Fraction, Optional[Point], SystemParams], Message]
+    accepts: Callable[
+        [SystemParams, Optional[Point], Reception, Optional[InaccuracyParams], Num],
+        Optional[NodeId],
+    ]
+    unjustified: Optional[str]
+    decide: Callable[[LocalView, SystemParams, InaccuracyParams], frozenset[Action]]
+    verdict: Callable[
+        [Trace, Setting, SystemParams, Optional[InaccuracyParams], Num], Verdict
+    ]
+
+
+def _tl_beacon(
+    creator: NodeId, at: Fraction, loc: Optional[Point], params: SystemParams
+) -> BeaconTL:
+    return BeaconTL(creator, at, loc, params.msg_duration_default)
+
+
+_DISTANCE_UNJUSTIFIED = "no distance-consistent beacon from {peer} backs this declaration"
+
+PROTOCOLS: dict[str, ProtocolSpec] = {
+    spec.name: spec
+    for spec in (
+        ProtocolSpec(
+            NAIVE,
+            T_FLAVOR,
+            beacon=lambda creator, at, loc, params: Opaque(
+                NAIVE_TOKEN_PREFIX + creator, params.msg_duration_default
+            ),
+            accepts=lambda params, loc, r, inacc, num: (
+                r.msg.token[len(NAIVE_TOKEN_PREFIX):]
+                if isinstance(r.msg, Opaque) and r.msg.token.startswith(NAIVE_TOKEN_PREFIX)
+                else None
+            ),
+            unjustified=None,
+            decide=lambda view, params, inacc: naive_decide(view, params),
+            verdict=lambda trace, setting, params, inacc, num: check_protocol_feasible(
+                trace, setting, make_protocol(NAIVE, params), params
+            ),
+        ),
+        ProtocolSpec(
+            PT,
+            T_FLAVOR,
+            beacon=lambda creator, at, loc, params: BeaconT(
+                creator, at, params.msg_duration_default
+            ),
+            accepts=lambda params, loc, r, inacc, num: (
+                r.msg.creator
+                if isinstance(r.msg, BeaconT) and pt_accepts(params, r.start, r.msg)
+                else None
+            ),
+            unjustified="no fresh completed beacon from {peer} backs this declaration",
+            decide=lambda view, params, inacc: pt_decide(view, params),
+            verdict=lambda trace, setting, params, inacc, num: check_pt_feasible(
+                trace, setting, params, num
+            ),
+        ),
+        ProtocolSpec(
+            PGT,
+            TL_FLAVOR,
+            beacon=_tl_beacon,
+            accepts=lambda params, loc, r, inacc, num: (
+                r.msg.creator
+                if isinstance(r.msg, BeaconTL)
+                and pgt_accepts(params, loc, r.start, r.msg, num)
+                else None
+            ),
+            unjustified=_DISTANCE_UNJUSTIFIED,
+            decide=lambda view, params, inacc: pgt_decide(view, params),
+            verdict=lambda trace, setting, params, inacc, num: check_pgt_feasible(
+                trace, setting, params, None, num
+            ),
+        ),
+        ProtocolSpec(
+            PGT_APPROX,
+            TL_FLAVOR,
+            beacon=_tl_beacon,
+            accepts=lambda params, loc, r, inacc, num: (
+                r.msg.creator
+                if isinstance(r.msg, BeaconTL)
+                and pgt_approx_accepts(params, loc, r.start, r.msg, inacc)
+                else None
+            ),
+            unjustified=_DISTANCE_UNJUSTIFIED,
+            decide=lambda view, params, inacc: pgt_approx_decide(view, params, inacc),
+            verdict=lambda trace, setting, params, inacc, num: check_pgt_feasible(
+                trace, setting, params, inacc or InaccuracyParams(), num
+            ),
+        ),
+    )
+}
+
+PROTOCOL_NAMES = tuple(PROTOCOLS)
+
+
+def protocol_spec(name: str) -> ProtocolSpec:
+    try:
+        return PROTOCOLS[name]
+    except KeyError:
+        raise ValueError(f"unknown protocol {name!r}") from None
+
+
+def make_protocol(
+    name: str, params: SystemParams, inacc: Optional[InaccuracyParams] = None
+) -> ProtocolModel:
+    spec = protocol_spec(name)
+    ia = inacc if inacc is not None else InaccuracyParams()
+    return ProtocolModel(name, spec.flavor, lambda view: spec.decide(view, params, ia))
+
+
+def protocol_verdict(
+    trace: Trace,
+    setting: Setting,
+    protocol: str,
+    params: SystemParams,
+    inacc: Optional[InaccuracyParams] = None,
+    num: Num = EXACT,
+) -> Verdict:
+    """Conformance verdict by the protocol's direct checker (naive: the generic route)."""
+    return protocol_spec(protocol).verdict(trace, setting, params, inacc, num)
+
+
+# ---------------------------------------------------------------------------
 # decision functions
 
+_VIEW_KINDS = {T_FLAVOR: "time-only", TL_FLAVOR: "location-aware"}
 
-def pt_decide(view: LocalView, params: SystemParams) -> frozenset[Action]:
-    if view.flavor != T_FLAVOR:
-        raise FlavorMismatch("pt decides on time-only views")
+
+def _decide(
+    spec: ProtocolSpec,
+    view: LocalView,
+    params: SystemParams,
+    inacc: Optional[InaccuracyParams] = None,
+) -> frozenset[Action]:
+    """Idle, broadcast the node's own beacon, or declare a peer a reception backs."""
+    if view.flavor != spec.flavor or (spec.flavor == TL_FLAVOR and view.owner_loc is None):
+        raise FlavorMismatch(f"{spec.name} decides on {_VIEW_KINDS[spec.flavor]} views")
     actions: set[Action] = {EPSILON}
     if view.as_of is not None:
-        actions.add(
-            BcastAction(BeaconT(view.owner, view.as_of, params.msg_duration_default))
-        )
+        actions.add(BcastAction(spec.beacon(view.owner, view.as_of, view.owner_loc, params)))
     # view censoring admits only fully completed receptions, so any
     # declaration offered here is automatically strictly later than the
     # end of its justifying reception
     for r in view.receives():
-        if isinstance(r.msg, BeaconT) and pt_accepts(params, r.start, r.msg):
-            actions.add(NeighborAction(r.msg.creator, r.start))
-    return frozenset(actions)
-
-
-def pgt_decide(
-    view: LocalView, params: SystemParams, num: Num = EXACT
-) -> frozenset[Action]:
-    if view.flavor != TL_FLAVOR or view.owner_loc is None:
-        raise FlavorMismatch("pgt decides on location-aware views")
-    actions: set[Action] = {EPSILON}
-    if view.as_of is not None:
-        actions.add(
-            BcastAction(
-                BeaconTL(view.owner, view.as_of, view.owner_loc, params.msg_duration_default)
-            )
-        )
-    for r in view.receives():
-        if isinstance(r.msg, BeaconTL) and pgt_accepts(
-            params, view.owner_loc, r.start, r.msg, num
-        ):
-            actions.add(NeighborAction(r.msg.creator, r.start))
-    return frozenset(actions)
-
-
-def pgt_approx_decide(
-    view: LocalView, params: SystemParams, inacc: InaccuracyParams
-) -> frozenset[Action]:
-    if view.flavor != TL_FLAVOR or view.owner_loc is None:
-        raise FlavorMismatch("pgt-approx decides on location-aware views")
-    actions: set[Action] = {EPSILON}
-    if view.as_of is not None:
-        actions.add(
-            BcastAction(
-                BeaconTL(view.owner, view.as_of, view.owner_loc, params.msg_duration_default)
-            )
-        )
-    for r in view.receives():
-        if isinstance(r.msg, BeaconTL) and pgt_approx_accepts(
-            params, view.owner_loc, r.start, r.msg, inacc
-        ):
-            actions.add(NeighborAction(r.msg.creator, r.start))
+        peer = spec.accepts(params, view.owner_loc, r, inacc, EXACT)
+        if peer is not None:
+            actions.add(NeighborAction(peer, r.start))
     return frozenset(actions)
 
 
 def naive_decide(view: LocalView, params: SystemParams) -> frozenset[Action]:
     """Identity-token baseline: accepts every received identity, replayed or not."""
-    if view.flavor != T_FLAVOR:
-        raise FlavorMismatch("naive decides on time-only views")
-    actions: set[Action] = {EPSILON}
-    if view.as_of is not None:
-        actions.add(
-            BcastAction(
-                Opaque(NAIVE_TOKEN_PREFIX + view.owner, params.msg_duration_default)
-            )
-        )
-    for r in view.receives():
-        if isinstance(r.msg, Opaque) and r.msg.token.startswith(NAIVE_TOKEN_PREFIX):
-            actions.add(NeighborAction(r.msg.token[len(NAIVE_TOKEN_PREFIX):], r.start))
-    return frozenset(actions)
+    return _decide(PROTOCOLS[NAIVE], view, params)
 
 
-def make_protocol(
-    name: str,
-    params: SystemParams,
-    inacc: Optional[InaccuracyParams] = None,
-    num: Num = EXACT,
-) -> ProtocolModel:
-    if name == NAIVE:
-        return ProtocolModel(NAIVE, T_FLAVOR, lambda view: naive_decide(view, params))
-    if name == PT:
-        return ProtocolModel(PT, T_FLAVOR, lambda view: pt_decide(view, params))
-    if name == PGT:
-        return ProtocolModel(PGT, TL_FLAVOR, lambda view: pgt_decide(view, params, num))
-    if name == PGT_APPROX:
-        ia = inacc if inacc is not None else InaccuracyParams()
-        return ProtocolModel(
-            PGT_APPROX, TL_FLAVOR, lambda view: pgt_approx_decide(view, params, ia)
-        )
-    raise ValueError(f"unknown protocol {name!r}")
+def pt_decide(view: LocalView, params: SystemParams) -> frozenset[Action]:
+    return _decide(PROTOCOLS[PT], view, params)
+
+
+def pgt_decide(view: LocalView, params: SystemParams) -> frozenset[Action]:
+    return _decide(PROTOCOLS[PGT], view, params)
+
+
+def pgt_approx_decide(
+    view: LocalView, params: SystemParams, inacc: InaccuracyParams
+) -> frozenset[Action]:
+    return _decide(PROTOCOLS[PGT_APPROX], view, params, inacc)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +398,6 @@ def check_protocol_feasible(
     protocol: ProtocolModel,
     params: SystemParams,
     epsilon_samples: Optional[Iterable[Fraction]] = None,
-    num: Num = EXACT,
 ) -> Verdict:
     """Generic conformance of every correct node's behavior to a protocol model.
 
@@ -309,7 +407,6 @@ def check_protocol_feasible(
     of one of the node's own broadcasts or declarations.  The trace is
     assumed physically consistent.
     """
-    del num  # comparisons happen inside the decision functions
     violations: list[Violation] = []
     for node in setting.correct_nodes:
         complete = project_local(trace, node, None, protocol.flavor, setting)
@@ -363,17 +460,53 @@ def check_protocol_feasible(
 # direct trace predicates
 
 
-def check_pt_feasible(
-    trace: Trace, setting: Setting, params: SystemParams, num: Num = EXACT
-) -> Verdict:
-    """Direct conformance to the time-stamped beacon protocol.
+def _stamp_violation(
+    e: Bcast,
+    setting: Setting,
+    params: SystemParams,
+    inacc: Optional[InaccuracyParams],
+    num: Num,
+) -> Optional[Violation]:
+    """The first stamp of a correct node's own beacon that misstates its transmission."""
+    msg = e.msg
+    if inacc is None:
+        if not num.eq(msg.beacon_time, e.start):
+            return Violation(
+                "beacon-time-mismatch", (e,), "beacon time differs from transmission start"
+            )
+        if isinstance(msg, BeaconTL) and msg.beacon_loc != setting.loc[e.actor]:
+            return Violation(
+                "beacon-location-mismatch",
+                (e,),
+                "beacon location differs from the node's location",
+            )
+        return None
+    if abs(msg.beacon_time - e.start) > inacc.delta:
+        return Violation(
+            "beacon-time-mismatch",
+            (e,),
+            "beacon time off by more than the time error bound",
+        )
+    loc_bound = inacc.tau * params.v
+    if sq_dist(msg.beacon_loc, setting.loc[e.actor]) > loc_bound * loc_bound:
+        return Violation(
+            "beacon-location-mismatch",
+            (e,),
+            "beacon location off by more than the location error bound",
+        )
+    return None
 
-    Correct nodes may broadcast only beacons they created themselves,
-    stamped with the transmission start time.  Every declaration must be
-    backed by a reception, starting at the declared peer time, of a
-    fresh beacon created by the declared peer, completed strictly before
-    the declaration.
-    """
+
+def _check_stamped(
+    spec: ProtocolSpec,
+    trace: Trace,
+    setting: Setting,
+    params: SystemParams,
+    inacc: Optional[InaccuracyParams],
+    num: Num,
+) -> Verdict:
+    """Direct conformance to a protocol whose correct nodes send stamped beacons."""
+    stamped = BeaconTL if spec.flavor == TL_FLAVOR else BeaconT
     violations: list[Violation] = []
     correct = set(setting.correct_nodes)
     receives_by_actor: dict[NodeId, list[Receive]] = {}
@@ -384,7 +517,7 @@ def check_pt_feasible(
         if e.actor not in correct:
             continue
         if isinstance(e, Bcast):
-            if not isinstance(e.msg, BeaconT):
+            if not isinstance(e.msg, stamped):
                 violations.append(
                     Violation(
                         "bcast-not-a-beacon", (e,), "correct nodes broadcast beacons only"
@@ -398,36 +531,39 @@ def check_pt_feasible(
                         f"beacon claims creator {e.msg.creator}",
                     )
                 )
-            elif not num.eq(e.msg.beacon_time, e.start):
-                violations.append(
-                    Violation(
-                        "beacon-time-mismatch",
-                        (e,),
-                        "beacon time differs from transmission start",
-                    )
-                )
+            else:
+                stamp = _stamp_violation(e, setting, params, inacc, num)
+                if stamp is not None:
+                    violations.append(stamp)
         elif isinstance(e, Neighbor):
-            justified = False
-            for r in receives_by_actor.get(e.actor, ()):
-                if (
-                    isinstance(r.msg, BeaconT)
-                    and r.msg.creator == e.peer
-                    and r.sender in setting.loc
-                    and num.eq(r.start, e.peer_time)
-                    and pt_accepts(params, r.start, r.msg)
-                    and e.start > event_end(r)
-                ):
-                    justified = True
-                    break
-            if not justified:
+            owner_loc = setting.loc[e.actor]
+            if not any(
+                r.sender in setting.loc
+                and num.eq(r.start, e.peer_time)
+                and e.start > event_end(r)
+                and spec.accepts(params, owner_loc, r, inacc, num) == e.peer
+                for r in receives_by_actor.get(e.actor, ())
+            ):
                 violations.append(
                     Violation(
-                        "neighbor-unjustified",
-                        (e,),
-                        f"no fresh completed beacon from {e.peer} backs this declaration",
+                        "neighbor-unjustified", (e,), spec.unjustified.format(peer=e.peer)
                     )
                 )
     return Verdict(tuple(violations))
+
+
+def check_pt_feasible(
+    trace: Trace, setting: Setting, params: SystemParams, num: Num = EXACT
+) -> Verdict:
+    """Direct conformance to the time-stamped beacon protocol.
+
+    Correct nodes may broadcast only beacons they created themselves,
+    stamped with the transmission start time.  Every declaration must be
+    backed by a reception, starting at the declared peer time, of a
+    fresh beacon created by the declared peer, completed strictly before
+    the declaration.
+    """
+    return _check_stamped(PROTOCOLS[PT], trace, setting, params, None, num)
 
 
 def check_pgt_feasible(
@@ -446,95 +582,5 @@ def check_pgt_feasible(
     tau times the signal speed in location, and the estimates must agree
     within delta + tau.
     """
-    violations: list[Violation] = []
-    correct = set(setting.correct_nodes)
-    receives_by_actor: dict[NodeId, list[Receive]] = {}
-    for r in trace.of_kind(Receive):
-        receives_by_actor.setdefault(r.actor, []).append(r)
-
-    for e in trace:
-        if e.actor not in correct:
-            continue
-        if isinstance(e, Bcast):
-            if not isinstance(e.msg, BeaconTL):
-                violations.append(
-                    Violation(
-                        "bcast-not-a-beacon", (e,), "correct nodes broadcast beacons only"
-                    )
-                )
-                continue
-            if e.msg.creator != e.actor:
-                violations.append(
-                    Violation(
-                        "beacon-foreign-creator",
-                        (e,),
-                        f"beacon claims creator {e.msg.creator}",
-                    )
-                )
-                continue
-            true_loc = setting.loc[e.actor]
-            if inacc is None:
-                if not num.eq(e.msg.beacon_time, e.start):
-                    violations.append(
-                        Violation(
-                            "beacon-time-mismatch",
-                            (e,),
-                            "beacon time differs from transmission start",
-                        )
-                    )
-                elif e.msg.beacon_loc != true_loc:
-                    violations.append(
-                        Violation(
-                            "beacon-location-mismatch",
-                            (e,),
-                            "beacon location differs from the node's location",
-                        )
-                    )
-            else:
-                time_ok = abs(e.msg.beacon_time - e.start) <= inacc.delta
-                loc_bound = inacc.tau * params.v
-                loc_ok = sq_dist(e.msg.beacon_loc, true_loc) <= loc_bound * loc_bound
-                if not time_ok:
-                    violations.append(
-                        Violation(
-                            "beacon-time-mismatch",
-                            (e,),
-                            "beacon time off by more than the time error bound",
-                        )
-                    )
-                elif not loc_ok:
-                    violations.append(
-                        Violation(
-                            "beacon-location-mismatch",
-                            (e,),
-                            "beacon location off by more than the location error bound",
-                        )
-                    )
-        elif isinstance(e, Neighbor):
-            owner_loc = setting.loc[e.actor]
-            justified = False
-            for r in receives_by_actor.get(e.actor, ()):
-                if not (
-                    isinstance(r.msg, BeaconTL)
-                    and r.msg.creator == e.peer
-                    and r.sender in setting.loc
-                    and num.eq(r.start, e.peer_time)
-                    and e.start > event_end(r)
-                ):
-                    continue
-                if inacc is None:
-                    accepted = pgt_accepts(params, owner_loc, r.start, r.msg, num)
-                else:
-                    accepted = pgt_approx_accepts(params, owner_loc, r.start, r.msg, inacc)
-                if accepted:
-                    justified = True
-                    break
-            if not justified:
-                violations.append(
-                    Violation(
-                        "neighbor-unjustified",
-                        (e,),
-                        f"no distance-consistent beacon from {e.peer} backs this declaration",
-                    )
-                )
-    return Verdict(tuple(violations))
+    spec = PROTOCOLS[PGT if inacc is None else PGT_APPROX]
+    return _check_stamped(spec, trace, setting, params, inacc, num)

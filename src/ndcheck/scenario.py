@@ -78,7 +78,7 @@ from .core import (
     Trace,
     sq_dist,
 )
-from .protocols import InaccuracyParams, PGT_APPROX, PROTOCOL_NAMES
+from .protocols import InaccuracyParams, PGT_APPROX, PROTOCOL_NAMES, PROTOCOLS
 from .rational import format_scalar, is_rational_square, parse_scalar
 
 
@@ -210,7 +210,7 @@ def parse_scenario(text: str, exact: bool = True) -> Scenario:
                     )
 
     protocol = parser["protocol"].get("name", "").strip()
-    if protocol not in PROTOCOL_NAMES:
+    if protocol not in PROTOCOLS:
         raise ScenarioError(f"[protocol] name must be one of {PROTOCOL_NAMES}")
     inaccuracy = None
     if protocol == PGT_APPROX:

@@ -22,7 +22,6 @@ from ndcheck import (
     dist,
     induced_receives,
     inrange,
-    link_up,
     link_up_over,
     project_local,
     time_of_flight,
@@ -119,16 +118,16 @@ def test_time_of_flight_radio_thresholds():
 
 def test_self_link_always_up():
     s = pair_setting(schedule=())
-    assert link_up(s, "A", "A", (F(0), F(10**6)))
+    assert link_up_over(s, "A", "A", F(0), F(10**6))
 
 
 def test_link_interval_coverage():
     s = pair_setting(schedule=((F(0), F(10)),))
-    assert link_up(s, "A", "B", (F(2), F(5)))
-    assert not link_up(s, "A", "B", (F(9), F(11)))
-    assert not link_up(s, "A", "B", (F(10), F(10)))  # end is excluded
-    assert link_up(s, "A", "B", (F(0), F(0)))
-    assert not link_up(s, "B", "A", (F(11), F(12)))
+    assert link_up_over(s, "A", "B", F(2), F(5))
+    assert not link_up_over(s, "A", "B", F(9), F(11))
+    assert not link_up_over(s, "A", "B", F(10), F(10))  # end is excluded
+    assert link_up_over(s, "A", "B", F(0), F(0))
+    assert not link_up_over(s, "B", "A", F(11), F(12))
 
 
 def test_link_adjacent_phases_merge():

@@ -14,7 +14,6 @@ from ndcheck import (
     Trace,
     check_setting_feasible,
     inrange,
-    link_up_at,
     link_up_over,
 )
 from ndcheck.generators import random_params, random_setting, random_trace
@@ -74,7 +73,7 @@ def test_link_coverage_matches_point_sampling(raw_phases, t0, span):
 
     expected = all(point_up(t) for t in samples)
     assert link_up_over(setting, "A", "B", t0, t1) == expected
-    assert link_up_at(setting, "A", "B", t0) == point_up(t0)
+    assert link_up_over(setting, "A", "B", t0, t0) == point_up(t0)
 
 
 @settings(max_examples=120)

@@ -1,3 +1,5 @@
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,21 +16,27 @@ from ndcheck import (
     NeighborAction,
     Opaque,
     PGT,
+    PGT_APPROX,
     PT,
+    SystemParams,
     T_FLAVOR,
     TL_FLAVOR,
+    Trace,
     availability_witness,
     check_pgt_feasible,
     check_protocol_feasible,
     check_pt_feasible,
+    honest_pair_setting,
     make_protocol,
     naive_decide,
     pgt_approx_decide,
     pgt_decide,
+    plan_relay_attack,
+    protocol_verdict,
     pt_decide,
 )
 from ndcheck.core import Bcast, Neighbor
-from ndcheck.generators import random_tl_views
+from ndcheck.generators import random_params, random_setting, random_tl_views, random_trace
 
 F = Fraction
 
@@ -300,3 +308,86 @@ def test_generic_route_custom_epsilon_samples(unit_params):
     assert check_protocol_feasible(
         trace, setting, model, unit_params, epsilon_samples=samples
     ).ok
+
+
+# ---------------------------------------------------------------------------
+# the generic and the direct route agree
+
+
+def routes_agree(trace, setting, protocol, params, inacc=None):
+    """Both routes give the same ok/not-ok verdict; returns that verdict."""
+    generic = check_protocol_feasible(
+        trace, setting, make_protocol(protocol, params, inacc), params
+    )
+    direct = protocol_verdict(trace, setting, protocol, params, inacc)
+    assert generic.ok == direct.ok, (generic.rules(), direct.rules())
+    return direct.ok
+
+
+@pytest.mark.parametrize("protocol", ["naive", "pt", "pgt"])
+@pytest.mark.parametrize("d", [F(1, 3), F(5), F(10)])
+def test_routes_agree_on_witnesses(protocol, d, unit_params):
+    setting, trace = availability_witness(protocol, d, unit_params)
+    assert routes_agree(trace, setting, protocol, unit_params)
+
+
+def shift_declaration(trace, setting):
+    correct = set(setting.correct_nodes)
+    for e in trace:
+        if isinstance(e, Neighbor) and e.actor in correct:
+            return Trace(
+                [x for x in trace if x != e] + [replace(e, peer_time=e.peer_time + F(1, 16))]
+            )
+    return None
+
+
+def shift_stamp(trace, setting):
+    correct = set(setting.correct_nodes)
+    for e in trace:
+        if isinstance(e, Bcast) and e.actor in correct:
+            msg = replace(e.msg, beacon_time=e.msg.beacon_time + F(1, 16))
+            return Trace([x for x in trace if x != e] + [replace(e, msg=msg)])
+    return None
+
+
+@pytest.mark.parametrize("protocol, adversary, seed", [("pt", "dy-t", 11), ("pgt", "dy-gt", 12)])
+def test_routes_agree_on_generated_traces_and_mutants(protocol, adversary, seed):
+    rng = random.Random(seed)
+    horizon = F(40)
+    verdicts = []
+    for index in range(50):
+        params = random_params(rng, protocol == "pt", protocol == "pgt")
+        setting = random_setting(rng, horizon)
+        trace = random_trace(rng, setting, params, protocol, adversary, horizon)
+        assert routes_agree(trace, setting, protocol, params)
+        mutations = [shift_declaration, shift_stamp]
+        if index % 2:
+            mutations.reverse()
+        mutant = mutations[0](trace, setting) or mutations[1](trace, setting)
+        if mutant is not None:
+            verdicts.append(routes_agree(mutant, setting, protocol, params))
+    # the mutants are not vacuous: most are rejected by both routes
+    assert verdicts.count(False) > len(verdicts) // 2
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="F1, ROADMAP item 2")
+def test_routes_agree_on_skewed_pgt_approx_stamps():
+    params = SystemParams(F(1), F(1), F(10), F(1, 10), F(1))
+    inacc = InaccuracyParams(F(1, 10), F(1, 10))
+    plan = plan_relay_attack(F(8), params, PGT_APPROX, inacc=inacc)
+    routes_agree(plan.base_trace, plan.setting_honest, PGT_APPROX, params, inacc)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda params: make_protocol("bogus", params),
+        lambda params: protocol_verdict(Trace([]), honest_pair_setting(F(5)), "bogus", params),
+        lambda params: availability_witness("bogus", F(5), params),
+        lambda params: plan_relay_attack(F(5), params, "bogus"),
+    ],
+    ids=["make_protocol", "protocol_verdict", "availability_witness", "plan_relay_attack"],
+)
+def test_unknown_protocol_rejected(entry, unit_params):
+    with pytest.raises(ValueError, match="unknown protocol 'bogus'"):
+        entry(unit_params)
