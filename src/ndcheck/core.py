@@ -27,8 +27,10 @@ Conventions baked in here:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .rational import EXACT, Num, Real
@@ -252,14 +254,25 @@ class Trace:
 
     Construction deduplicates and sorts, so two traces built from the
     same events in any order compare (and serialize) identically.
+
+    Two indexes are built on first use and kept for the life of the
+    trace, which never changes, so they never go stale.  The first call
+    of ``by_actor`` (or ``project_local``) groups the events by actor in
+    one pass, holding one more reference per event.  The first
+    projection of a node at a cutoff sorts that node's broadcasts,
+    receptions and declarations by the time they become visible, in
+    O(k log k) for k such events; it holds one local event and one time
+    per such event, plus the node's last view at a cutoff.
     """
 
-    __slots__ = ("events", "_set")
+    __slots__ = ("events", "_set", "_by_actor", "_views")
 
     def __init__(self, events: Iterable[Event] = ()):
         ordered = sorted(set(events), key=lambda e: e.sort_key())
         self.events: tuple[Event, ...] = tuple(ordered)
         self._set: frozenset[Event] = frozenset(ordered)
+        self._by_actor: Optional[dict[NodeId, tuple[Event, ...]]] = None
+        self._views: Optional[dict[NodeId, _ViewIndex]] = None
 
     def __iter__(self) -> Iterator[Event]:
         return iter(self.events)
@@ -285,8 +298,22 @@ class Trace:
     def of_kind(self, kind: type) -> Iterator[Event]:
         return (e for e in self.events if isinstance(e, kind))
 
-    def by_actor(self, node: NodeId) -> Iterator[Event]:
-        return (e for e in self.events if e.actor == node)
+    def by_actor(self, node: NodeId) -> tuple[Event, ...]:
+        """The node's own events, in canonical order."""
+        if self._by_actor is None:
+            grouped: dict[NodeId, list[Event]] = {}
+            for e in self.events:
+                grouped.setdefault(e.actor, []).append(e)
+            self._by_actor = {n: tuple(own) for n, own in grouped.items()}
+        return self._by_actor.get(node, ())
+
+    def _view_index(self, node: NodeId) -> _ViewIndex:
+        if self._views is None:
+            self._views = {}
+        index = self._views.get(node)
+        if index is None:
+            index = self._views[node] = _ViewIndex(self.by_actor(node))
+        return index
 
     def mentioned_nodes(self) -> set[NodeId]:
         nodes: set[NodeId] = set()
@@ -517,6 +544,54 @@ class LocalView:
         return (e for e in self.events if isinstance(e, LocalReceive))
 
 
+def _local_event(e: Event) -> Optional[LocalEvent]:
+    """What the actor of an event records of it: no sender, and nothing of
+    a directional cast."""
+    if isinstance(e, Bcast):
+        return LocalBcast(e.start, e.msg)
+    if isinstance(e, Receive):
+        return LocalReceive(e.start, e.msg)
+    if isinstance(e, Neighbor):
+        return LocalNeighbor(e.start, e.peer, e.peer_time)
+    return None
+
+
+class _ViewIndex:
+    """One node's local events in a trace, sorted for censored projection.
+
+    keys[i] is the instant from which local[i] is visible: the start of
+    an own broadcast or declaration, the end of a reception.  Under the
+    strict cutoff the view as of t is therefore local[:bisect_left(keys, t)].
+    last holds the size and events of the last view built, so a view at
+    a later cutoff extends it by a set union, which reuses the hashes it
+    already stores; an earlier cutoff builds its view from scratch.
+    """
+
+    __slots__ = ("keys", "local", "last")
+
+    def __init__(self, own: tuple[Event, ...]):
+        visible: list[tuple[Fraction, LocalEvent]] = []
+        for e in own:
+            local = _local_event(e)
+            if local is not None:
+                visible.append((event_end(e) if isinstance(e, Receive) else e.start, local))
+        visible.sort(key=itemgetter(0))
+        self.keys = [key for key, _ in visible]
+        self.local = [local for _, local in visible]
+        self.last: tuple[int, frozenset[LocalEvent]] = (0, frozenset())
+
+    def visible(self, as_of: Fraction) -> frozenset[LocalEvent]:
+        count = bisect_left(self.keys, as_of)
+        # one read and one write of `last`, so it always pairs a size with its set
+        seen, events = self.last
+        if count > seen:
+            events = events.union(self.local[seen:count])
+        elif count < seen:
+            events = frozenset(self.local[:count])
+        self.last = (count, events)
+        return events
+
+
 def project_local(
     trace: Trace,
     node: NodeId,
@@ -529,6 +604,15 @@ def project_local(
     Own transmissions and declarations are visible once started;
     receptions only once fully completed (start + duration strictly
     before the cutoff).  Receptions lose their sender field.
+
+    The view is built from the trace's indexes (see ``Trace``), never by
+    a scan of the whole trace.  The complete view (as_of=None) takes all
+    of the node's events.  A cutoff is one bisection into the node's
+    sorted local events; a cutoff at or after the node's last one copies
+    that view, reusing its stored hashes, and adds the events that
+    became visible in between, while an earlier cutoff builds the view
+    anew.  Either way the cost grows with the node's own events, not
+    with the trace.
     """
     if flavor not in (T_FLAVOR, TL_FLAVOR):
         raise ValueError(f"unknown view flavor {flavor!r}")
@@ -536,21 +620,13 @@ def project_local(
         raise FlavorMismatch("location-aware views require a setting")
     if setting is not None and node not in setting.loc:
         raise UnknownNode(f"node {node!r} not in setting")
-    visible: list[LocalEvent] = []
-    for e in trace:
-        if e.actor != node:
-            continue
-        if isinstance(e, Bcast):
-            if as_of is None or e.start < as_of:
-                visible.append(LocalBcast(e.start, e.msg))
-        elif isinstance(e, Receive):
-            if as_of is None or e.start + e.msg.duration < as_of:
-                visible.append(LocalReceive(e.start, e.msg))
-        elif isinstance(e, Neighbor):
-            if as_of is None or e.start < as_of:
-                visible.append(LocalNeighbor(e.start, e.peer, e.peer_time))
+    if as_of is None:
+        own = map(_local_event, trace.by_actor(node))
+        events = frozenset(local for local in own if local is not None)
+    else:
+        events = trace._view_index(node).visible(as_of)
     owner_loc = setting.loc[node] if (flavor == TL_FLAVOR and setting) else None
-    return LocalView(flavor, node, as_of, owner_loc, frozenset(visible))
+    return LocalView(flavor, node, as_of, owner_loc, events)
 
 
 # ---------------------------------------------------------------------------

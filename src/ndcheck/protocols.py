@@ -376,8 +376,13 @@ def _epsilon_sample_times(view: LocalView) -> list[Fraction]:
     """Event boundaries of the owner, midpoints between them, zero, and one
     point past the last boundary.
 
-    The decision functions above are constant between boundaries of the
-    owner's local events, so this sample set is exhaustive for them.
+    Between consecutive boundaries the owner's view is constant: an own
+    broadcast or declaration enters it at its start, a reception at its
+    end.  The decision functions are not constant there, since the
+    beacon they offer is stamped with the cutoff, but whether they permit
+    idling and which declarations they offer depend on the view alone.
+    So for idling this sample set meets every view the owner passes
+    through.
     """
     bounds: set[Fraction] = {Fraction(0)}
     for e in view.events:
@@ -467,8 +472,18 @@ def _stamp_violation(
     inacc: Optional[InaccuracyParams],
     num: Num,
 ) -> Optional[Violation]:
-    """The first stamp of a correct node's own beacon that misstates its transmission."""
+    """The first field of a correct node's own beacon that misstates its transmission.
+
+    The duration must be the default one, with or without measurement
+    slack, as in the beacons the decision functions offer.
+    """
     msg = e.msg
+    if msg.duration != params.msg_duration_default:
+        return Violation(
+            "beacon-duration-mismatch",
+            (e,),
+            "beacon duration differs from the default message duration",
+        )
     if inacc is None:
         if not num.eq(msg.beacon_time, e.start):
             return Violation(
@@ -557,11 +572,11 @@ def check_pt_feasible(
 ) -> Verdict:
     """Direct conformance to the time-stamped beacon protocol.
 
-    Correct nodes may broadcast only beacons they created themselves,
-    stamped with the transmission start time.  Every declaration must be
-    backed by a reception, starting at the declared peer time, of a
-    fresh beacon created by the declared peer, completed strictly before
-    the declaration.
+    Correct nodes may broadcast only beacons they created themselves, of
+    the default duration and stamped with the transmission start time.
+    Every declaration must be backed by a reception, starting at the
+    declared peer time, of a fresh beacon created by the declared peer,
+    completed strictly before the declaration.
     """
     return _check_stamped(PROTOCOLS[PT], trace, setting, params, None, num)
 
@@ -575,12 +590,13 @@ def check_pgt_feasible(
 ) -> Verdict:
     """Direct conformance to the time- and location-stamped beacon protocol.
 
-    Without measurement slack, correct nodes must stamp beacons with
-    their exact transmission time and true location, and declarations
-    require exact agreement of the two distance estimates.  With slack
-    (delta, tau), beacon stamps may be off by up to delta in time and
-    tau times the signal speed in location, and the estimates must agree
-    within delta + tau.
+    Correct nodes broadcast their own beacons of the default duration.
+    Without measurement slack, they must stamp beacons with their exact
+    transmission time and true location, and declarations require exact
+    agreement of the two distance estimates.  With slack (delta, tau),
+    beacon stamps may be off by up to delta in time and tau times the
+    signal speed in location, and the estimates must agree within
+    delta + tau.
     """
     spec = PROTOCOLS[PGT if inacc is None else PGT_APPROX]
     return _check_stamped(spec, trace, setting, params, inacc, num)

@@ -3,18 +3,30 @@
 import math
 import random
 from fractions import Fraction
+from itertools import zip_longest
 
 from hypothesis import given, settings, strategies as st
 
 from ndcheck import (
     CORRECT,
     DY_T,
+    Bcast,
+    BeaconT,
+    Dcast,
+    LocalBcast,
+    LocalNeighbor,
+    LocalReceive,
+    LocalView,
+    Neighbor,
     Receive,
     Setting,
+    T_FLAVOR,
     Trace,
     check_setting_feasible,
+    event_end,
     inrange,
     link_up_over,
+    project_local,
 )
 from ndcheck.generators import random_params, random_setting, random_trace
 
@@ -121,3 +133,67 @@ def test_feasibility_checker_is_mutation_sensitive():
     assert ghost not in trace
     mutated = trace.union([ghost])
     assert not check_setting_feasible(mutated, setting, params).ok
+
+
+# half-unit starts and durations, so reception ends often fall exactly on
+# other events' starts and on the cutoffs drawn from them
+_nodes = st.sampled_from(("A", "B", "C"))
+_times = st.integers(min_value=0, max_value=16).map(lambda k: F(k, 2))
+_beacons = st.builds(BeaconT, _nodes, _times, st.sampled_from((F(1, 2), F(1), F(3, 2))))
+_events = st.one_of(
+    st.builds(Bcast, _nodes, _times, _beacons),
+    st.builds(Dcast, _nodes, _times, st.just(F(0)), st.just(F(1)), _beacons),
+    st.builds(Receive, _nodes, _times, _nodes, _beacons),
+    st.builds(Neighbor, _nodes, _times, _nodes, _times),
+)
+
+
+def _scanned_view(trace, node, as_of):
+    """The censored projection by definition: one pass over the whole trace."""
+    visible = set()
+    for e in trace:
+        if e.actor != node:
+            continue
+        if isinstance(e, Bcast):
+            if as_of is None or e.start < as_of:
+                visible.add(LocalBcast(e.start, e.msg))
+        elif isinstance(e, Receive):
+            if as_of is None or e.start + e.msg.duration < as_of:
+                visible.add(LocalReceive(e.start, e.msg))
+        elif isinstance(e, Neighbor):
+            if as_of is None or e.start < as_of:
+                visible.add(LocalNeighbor(e.start, e.peer, e.peer_time))
+    return LocalView(T_FLAVOR, node, as_of, None, frozenset(visible))
+
+
+def _queries(trace):
+    """Every node (plus one absent from the trace) at every cutoff: None,
+    event starts, reception ends and the midpoints between them."""
+    points = {e.start for e in trace} | {event_end(e) for e in trace if isinstance(e, Receive)}
+    ordered = sorted(points)
+    points |= {(left + right) / 2 for left, right in zip(ordered, ordered[1:])}
+    cutoffs = [None] + sorted(points)
+    return [(node, t) for node in ("A", "B", "C", "Z") for t in cutoffs]
+
+
+@settings(max_examples=150)
+@given(st.lists(_events, max_size=14), st.lists(_events, max_size=10), st.randoms())
+def test_indexed_projection_matches_scan(items, other_items, rng):
+    """The per-actor index answers every cutoff exactly as a full scan,
+    whatever order the calls come in on one Trace object."""
+    trace, other = Trace(items), Trace(other_items)
+    for node in ("A", "B", "C", "Z"):
+        assert trace.by_actor(node) == tuple(e for e in trace.events if e.actor == node)
+
+    def check(t, query):
+        if query is not None:
+            node, as_of = query
+            assert project_local(t, node, as_of) == _scanned_view(t, node, as_of)
+
+    shuffled = _queries(trace)
+    rng.shuffle(shuffled)
+    for query in shuffled:
+        check(trace, query)
+    for query, other_query in zip_longest(_queries(trace), _queries(other)):
+        check(trace, query)
+        check(other, other_query)

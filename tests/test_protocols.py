@@ -37,6 +37,7 @@ from ndcheck import (
 )
 from ndcheck.core import Bcast, Neighbor
 from ndcheck.generators import random_params, random_setting, random_tl_views, random_trace
+from ndcheck.protocols import PROTOCOLS
 
 F = Fraction
 
@@ -267,6 +268,19 @@ def test_pgt_slack_relaxes_stamps(unit_params):
     assert not check_pgt_feasible(too_skewed, setting, unit_params, inacc).ok
 
 
+@pytest.mark.parametrize("protocol", [PT, PGT, PGT_APPROX])
+def test_both_routes_reject_nondefault_beacon_duration(protocol, unit_params):
+    inacc = InaccuracyParams(F(1, 10), F(1, 10)) if protocol == PGT_APPROX else None
+    setting, trace = witness_trace(protocol, unit_params)
+    beacon = PROTOCOLS[protocol].beacon("A", F(20), setting.loc["A"], unit_params)
+    stretched = trace.union([Bcast("A", F(20), replace(beacon, duration=F(2)))])
+    direct = protocol_verdict(stretched, setting, protocol, unit_params, inacc)
+    assert direct.rules() == {"beacon-duration-mismatch"}
+    model = make_protocol(protocol, unit_params, inacc)
+    generic = check_protocol_feasible(stretched, setting, model, unit_params)
+    assert generic.rules() == {"bcast-not-permitted"}
+
+
 def test_unjustified_declaration(unit_params):
     setting, trace = witness_trace(PT, unit_params)
     invented = trace.union([Neighbor("B", F(20), "A", F(15))])
@@ -341,13 +355,22 @@ def shift_declaration(trace, setting):
     return None
 
 
-def shift_stamp(trace, setting):
+def mutate_first_beacon(trace, setting, change):
     correct = set(setting.correct_nodes)
     for e in trace:
         if isinstance(e, Bcast) and e.actor in correct:
-            msg = replace(e.msg, beacon_time=e.msg.beacon_time + F(1, 16))
-            return Trace([x for x in trace if x != e] + [replace(e, msg=msg)])
+            return Trace([x for x in trace if x != e] + [replace(e, msg=change(e.msg))])
     return None
+
+
+def shift_stamp(trace, setting):
+    return mutate_first_beacon(
+        trace, setting, lambda msg: replace(msg, beacon_time=msg.beacon_time + F(1, 16))
+    )
+
+
+def stretch_beacon(trace, setting):
+    return mutate_first_beacon(trace, setting, lambda msg: replace(msg, duration=msg.duration * 2))
 
 
 @pytest.mark.parametrize("protocol, adversary, seed", [("pt", "dy-t", 11), ("pgt", "dy-gt", 12)])
@@ -366,6 +389,9 @@ def test_routes_agree_on_generated_traces_and_mutants(protocol, adversary, seed)
         mutant = mutations[0](trace, setting) or mutations[1](trace, setting)
         if mutant is not None:
             verdicts.append(routes_agree(mutant, setting, protocol, params))
+        stretched = stretch_beacon(trace, setting)
+        if stretched is not None:
+            assert not routes_agree(stretched, setting, protocol, params)
     # the mutants are not vacuous: most are rejected by both routes
     assert verdicts.count(False) > len(verdicts) // 2
 
