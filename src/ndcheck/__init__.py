@@ -9,11 +9,9 @@ boundaries that separate attackable from safe parameter regions.
 """
 
 from .adversary import (
-    ADVERSARY_NAMES,
     AdversaryModel,
     DY_GT,
     DY_T,
-    OrderingReport,
     RELAY,
     RELAY_BCAST,
     RELAY_LOCAL,
@@ -23,15 +21,12 @@ from .adversary import (
     weaker_on_corpus,
 )
 from .analysis import (
-    BoundaryReport,
-    SweepRow,
     compute_boundaries,
     render_table,
     sweep,
     sweep_values,
 )
 from .attacks import (
-    AttackPlan,
     NoWitness,
     OutOfRange,
     PlacementInfeasible,
@@ -42,13 +37,10 @@ from .attacks import (
     availability_witness,
     build_attack_settings,
     check_neighbor_correctness,
-    default_single_relay_placement,
-    default_wormhole_placement,
     honest_pair_setting,
     local_views_equal,
     plan_relay_attack,
     protocol_verdict,
-    synth_honest_trace,
     synth_relay_trace,
     verify_attack_plan,
 )
@@ -59,13 +51,11 @@ from .core import (
     BeaconTL,
     CORRECT,
     Dcast,
-    Event,
     FlavorMismatch,
     LocalBcast,
     LocalNeighbor,
     LocalReceive,
     LocalView,
-    Message,
     Neighbor,
     Opaque,
     Receive,
@@ -75,8 +65,6 @@ from .core import (
     TL_FLAVOR,
     Trace,
     UnknownNode,
-    Verdict,
-    Violation,
     check_setting_feasible,
     dist,
     event_end,
@@ -88,18 +76,14 @@ from .core import (
     time_of_flight,
 )
 from .protocols import (
-    Action,
     BcastAction,
     EPSILON,
-    EpsilonAction,
     InaccuracyParams,
     NAIVE,
     NeighborAction,
     PGT,
     PGT_APPROX,
-    PROTOCOL_NAMES,
     PT,
-    ProtocolModel,
     check_pgt_feasible,
     check_protocol_feasible,
     check_pt_feasible,
@@ -112,7 +96,6 @@ from .protocols import (
 from .rational import (
     EXACT,
     IrrationalDistance,
-    Num,
     approx_num,
     exact_sqrt,
     format_scalar,

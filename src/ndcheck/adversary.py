@@ -109,29 +109,15 @@ def check_adversary_feasible(
     """
     violations: list[Violation] = []
     beacon_type = {DY_T: BeaconT, DY_GT: BeaconTL}.get(model.kind)
+    # a relayed copy needs an early enough reception: at the casting node
+    # itself under relay-local, at any adversarial node otherwise
+    same_node_only = model.kind == RELAY_LOCAL
 
     for e in trace:
         if isinstance(e, Bcast):
-            if model.kind == RELAY_BCAST:
-                if setting.is_adversarial(e.actor) and not _relay_justified(
-                    e.actor,
-                    e.start,
-                    e.msg,
-                    trace,
-                    setting,
-                    params,
-                    model.delta_relay,
-                    num,
-                    same_node_only=False,
-                ):
-                    violations.append(
-                        Violation(
-                            "relay-unjustified",
-                            (e,),
-                            "no sufficiently early adversarial reception of this message",
-                        )
-                    )
-            elif setting.is_adversarial(e.actor):
+            if not setting.is_adversarial(e.actor):
+                continue
+            if model.kind != RELAY_BCAST:
                 violations.append(
                     Violation(
                         "adversarial-bcast",
@@ -139,67 +125,47 @@ def check_adversary_feasible(
                         "this model restricts adversarial nodes to directional casts",
                     )
                 )
-        elif isinstance(e, Dcast):
-            if model.kind == RELAY_BCAST:
-                if setting.is_adversarial(e.actor):
-                    violations.append(
-                        Violation(
-                            "adversarial-dcast",
-                            (e,),
-                            "this model restricts adversarial nodes to broadcasts",
-                        )
-                    )
                 continue
-            if model.kind in (DY_T, DY_GT):
-                if not isinstance(e.msg, beacon_type):
-                    violations.append(
-                        Violation(
-                            "message-outside-model",
-                            (e,),
-                            "adversarial payload is not a beacon of this model",
-                        )
-                    )
-                    continue
-                if setting.is_adversarial(e.msg.creator):
-                    continue  # self-authored by the adversary's own identities
-                if not _relay_justified(
-                    e.actor,
-                    e.start,
-                    e.msg,
-                    trace,
-                    setting,
-                    params,
-                    model.delta_relay,
-                    num,
-                    same_node_only=False,
-                ):
-                    violations.append(
-                        Violation(
-                            "relay-unjustified",
-                            (e,),
-                            "beacon of a correct creator was never received early enough",
-                        )
-                    )
-                continue
-            # plain relay models
-            if not _relay_justified(
-                e.actor,
-                e.start,
-                e.msg,
-                trace,
-                setting,
-                params,
-                model.delta_relay,
-                num,
-                same_node_only=(model.kind == RELAY_LOCAL),
-            ):
+            detail = "no sufficiently early adversarial reception of this message"
+        elif not isinstance(e, Dcast):
+            continue
+        elif model.kind == RELAY_BCAST:
+            if setting.is_adversarial(e.actor):
                 violations.append(
                     Violation(
-                        "relay-unjustified",
+                        "adversarial-dcast",
                         (e,),
-                        "no sufficiently early reception of this message",
+                        "this model restricts adversarial nodes to broadcasts",
                     )
                 )
+            continue
+        elif beacon_type is not None:
+            if not isinstance(e.msg, beacon_type):
+                violations.append(
+                    Violation(
+                        "message-outside-model",
+                        (e,),
+                        "adversarial payload is not a beacon of this model",
+                    )
+                )
+                continue
+            if setting.is_adversarial(e.msg.creator):
+                continue  # self-authored by the adversary's own identities
+            detail = "beacon of a correct creator was never received early enough"
+        else:
+            detail = "no sufficiently early reception of this message"
+        if not _relay_justified(
+            e.actor,
+            e.start,
+            e.msg,
+            trace,
+            setting,
+            params,
+            model.delta_relay,
+            num,
+            same_node_only,
+        ):
+            violations.append(Violation("relay-unjustified", (e,), detail))
     return Verdict(tuple(violations))
 
 

@@ -31,7 +31,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .rational import EXACT, Num, Real
 
@@ -659,6 +659,39 @@ class Verdict:
 # physical consistency
 
 
+def _flight_times(
+    setting: Setting, params: SystemParams, num: Num
+) -> Callable[[NodeId, NodeId], Real]:
+    """Time of flight between two nodes, computed once per unordered pair."""
+    cache: dict[tuple[NodeId, NodeId], Real] = {}
+
+    def tof(a: NodeId, b: NodeId) -> Real:
+        key = (a, b) if a <= b else (b, a)
+        if key not in cache:
+            cache[key] = time_of_flight(setting, params, a, b, num)
+        return cache[key]
+
+    return tof
+
+
+def _coverage(
+    e: Union[Bcast, Dcast], setting: Setting, tof: Callable[[NodeId, NodeId], Real]
+) -> Iterator[tuple[NodeId, Real]]:
+    """(node, arrival) for every node a transmission must reach, in node order.
+
+    A broadcast covers every node, the sender included; a directional
+    cast covers the nodes its sector holds.  A covered node receives one
+    flight time after the start if its link from the sender is up over
+    the whole reception window.
+    """
+    for dest in setting.nodes:
+        if isinstance(e, Dcast) and not inrange(setting, e.actor, e.direction, e.angle, dest):
+            continue
+        arrival = e.start + tof(e.actor, dest)
+        if link_up_over(setting, e.actor, dest, arrival, arrival + e.msg.duration):
+            yield dest, arrival
+
+
 def check_setting_feasible(
     trace: Trace, setting: Setting, params: SystemParams, num: Num = EXACT
 ) -> Verdict:
@@ -689,13 +722,7 @@ def check_setting_feasible(
         elif isinstance(e, Receive):
             receives_by_pair.setdefault((e.actor, e.sender), []).append(e)
 
-    tof_cache: dict[tuple[NodeId, NodeId], Real] = {}
-
-    def tof(a: NodeId, b: NodeId) -> Real:
-        key = (a, b) if a <= b else (b, a)
-        if key not in tof_cache:
-            tof_cache[key] = time_of_flight(setting, params, a, b, num)
-        return tof_cache[key]
+    tof = _flight_times(setting, params, num)
 
     def receive_present(dest: NodeId, sender: NodeId, at: Real, msg: Message) -> bool:
         for r in receives_by_pair.get((dest, sender), ()):
@@ -753,41 +780,24 @@ def check_setting_feasible(
                     )
                 )
 
-        elif isinstance(e, Bcast):
-            for dest in setting.nodes:
-                arrival = e.start + tof(e.actor, dest)
-                if link_up_over(setting, e.actor, dest, arrival, arrival + e.msg.duration):
-                    if not receive_present(dest, e.actor, arrival, e.msg):
-                        violations.append(
-                            Violation(
-                                "bcast-missing-receive",
-                                (e,),
-                                f"{dest} has the link up but no matching reception",
-                            )
+        elif isinstance(e, (Bcast, Dcast)):
+            if isinstance(e, Bcast):
+                rule, reach = "bcast-missing-receive", "has the link up"
+            else:
+                rule, reach = "dcast-missing-receive", "is covered with the link up"
+                if not setting.is_adversarial(e.actor):
+                    violations.append(
+                        Violation(
+                            "dcast-by-correct-node",
+                            (e,),
+                            "directional transmission is reserved to adversarial nodes",
                         )
-
-        elif isinstance(e, Dcast):
-            if not setting.is_adversarial(e.actor):
-                violations.append(
-                    Violation(
-                        "dcast-by-correct-node",
-                        (e,),
-                        "directional transmission is reserved to adversarial nodes",
                     )
-                )
-            for dest in setting.nodes:
-                if not inrange(setting, e.actor, e.direction, e.angle, dest):
-                    continue
-                arrival = e.start + tof(e.actor, dest)
-                if link_up_over(setting, e.actor, dest, arrival, arrival + e.msg.duration):
-                    if not receive_present(dest, e.actor, arrival, e.msg):
-                        violations.append(
-                            Violation(
-                                "dcast-missing-receive",
-                                (e,),
-                                f"{dest} is covered with the link up but no matching reception",
-                            )
-                        )
+            for dest, arrival in _coverage(e, setting, tof):
+                if not receive_present(dest, e.actor, arrival, e.msg):
+                    violations.append(
+                        Violation(rule, (e,), f"{dest} {reach} but no matching reception")
+                    )
 
     return Verdict(tuple(violations))
 
@@ -800,24 +810,14 @@ def induced_receives(
 ) -> list[Receive]:
     """All receptions that the given transmissions force to exist.
 
-    Uses the same coverage predicates as check_setting_feasible, so a
-    trace assembled from sends plus their induced receives passes the
-    physical-consistency check by construction.
+    Uses the same coverage rule (``_coverage``) as check_setting_feasible,
+    so a trace assembled from sends plus their induced receives passes
+    the physical-consistency check by construction.
     """
-    out: list[Receive] = []
-    for e in sends:
-        if isinstance(e, Bcast):
-            covered = setting.nodes
-        elif isinstance(e, Dcast):
-            covered = tuple(
-                dest
-                for dest in setting.nodes
-                if inrange(setting, e.actor, e.direction, e.angle, dest)
-            )
-        else:
-            continue
-        for dest in covered:
-            arrival = e.start + time_of_flight(setting, params, e.actor, dest, num)
-            if link_up_over(setting, e.actor, dest, arrival, arrival + e.msg.duration):
-                out.append(Receive(dest, arrival, e.actor, e.msg))
-    return out
+    tof = _flight_times(setting, params, num)
+    return [
+        Receive(dest, arrival, e.actor, e.msg)
+        for e in sends
+        if isinstance(e, (Bcast, Dcast))
+        for dest, arrival in _coverage(e, setting, tof)
+    ]

@@ -35,7 +35,7 @@ from ndcheck import (
     protocol_verdict,
     pt_decide,
 )
-from ndcheck.core import Bcast, Neighbor
+from ndcheck.core import ADVERSARIAL, Bcast, Dcast, Neighbor, Setting, induced_receives
 from ndcheck.generators import random_params, random_setting, random_tl_views, random_trace
 from ndcheck.protocols import PROTOCOLS
 
@@ -315,13 +315,29 @@ def test_generic_route_flags_unjustified_declaration(unit_params):
     assert "neighbor-not-permitted" in verdict.rules()
 
 
-def test_generic_route_custom_epsilon_samples(unit_params):
-    setting, trace = witness_trace(PT, unit_params)
+def test_generic_route_decides_once_per_own_action(unit_params):
+    # the pt witness (B beacons at 0, A declares B at 10) with a relay C
+    # between them: C recasts B's beacon, and A declares B again from it
+    witness, _ = witness_trace(PT, unit_params)
+    setting = Setting(
+        ("A", "B", "C"),
+        {**witness.loc, "C": (F(4), F(0))},
+        {**witness.node_type, "C": ADVERSARIAL},
+        {(a, b): ((F(0), None),) for a in "ABC" for b in "ABC" if a != b},
+    )
+    beacon = BeaconT("B", F(0), F(1))
+    sends = [
+        Bcast("B", F(0), beacon),
+        Bcast("A", F(2), BeaconT("A", F(2), F(1))),
+        Dcast("C", F(5), F(0), F(2), beacon),
+    ]
+    declarations = [Neighbor("A", F(10), "B", F(8)), Neighbor("A", F(11), "B", F(9))]
+    trace = Trace(sends + induced_receives(sends, setting, unit_params) + declarations)
     model = make_protocol(PT, unit_params)
-    samples = [F(0), F(1, 2), F(4), F(50)]
-    assert check_protocol_feasible(
-        trace, setting, model, unit_params, epsilon_samples=samples
-    ).ok
+    decided = []
+    counting = replace(model, decide=lambda view: decided.append(view.as_of) or model.decide(view))
+    assert check_protocol_feasible(trace, setting, counting, unit_params).ok
+    assert sorted(decided) == [F(0), F(2), F(10), F(11)]
 
 
 # ---------------------------------------------------------------------------
