@@ -35,7 +35,6 @@ from .core import (
     Event,
     FULL_TURN,
     NodeId,
-    Receive,
     Setting,
     SystemParams,
     Trace,
@@ -78,9 +77,7 @@ def _relay_justified(
     same_node_only: bool,
 ) -> bool:
     """Some qualifying earlier reception of the same message exists."""
-    for r in trace.of_kind(Receive):
-        if r.msg != msg:
-            continue
+    for r in trace.receptions_of(msg):
         if same_node_only:
             if r.actor != send_actor:
                 continue
@@ -127,17 +124,16 @@ def check_adversary_feasible(
                 )
                 continue
             detail = "no sufficiently early adversarial reception of this message"
-        elif not isinstance(e, Dcast):
-            continue
+        elif not isinstance(e, Dcast) or not setting.is_adversarial(e.actor):
+            continue  # a correct node's cast is a physics violation, not the adversary's
         elif model.kind == RELAY_BCAST:
-            if setting.is_adversarial(e.actor):
-                violations.append(
-                    Violation(
-                        "adversarial-dcast",
-                        (e,),
-                        "this model restricts adversarial nodes to broadcasts",
-                    )
+            violations.append(
+                Violation(
+                    "adversarial-dcast",
+                    (e,),
+                    "this model restricts adversarial nodes to broadcasts",
                 )
+            )
             continue
         elif beacon_type is not None:
             if not isinstance(e.msg, beacon_type):

@@ -30,6 +30,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -255,23 +256,26 @@ class Trace:
     Construction deduplicates and sorts, so two traces built from the
     same events in any order compare (and serialize) identically.
 
-    Two indexes are built on first use and kept for the life of the
+    Three indexes are built on first use and kept for the life of the
     trace, which never changes, so they never go stale.  The first call
     of ``by_actor`` (or ``project_local``) groups the events by actor in
-    one pass, holding one more reference per event.  The first
-    projection of a node at a cutoff sorts that node's broadcasts,
-    receptions and declarations by the time they become visible, in
-    O(k log k) for k such events; it holds one local event and one time
-    per such event, plus the node's last view at a cutoff.
+    one pass, holding one more reference per event.  The first call of
+    ``receptions_of`` groups the receptions by message in one pass,
+    holding one more reference per reception.  The first projection of
+    a node at a cutoff sorts that node's broadcasts, receptions and
+    declarations by the time they become visible, in O(k log k) for k
+    such events; it holds one local event and one time per such event,
+    plus the node's last view at a cutoff.
     """
 
-    __slots__ = ("events", "_set", "_by_actor", "_views")
+    __slots__ = ("events", "_set", "_by_actor", "_by_msg", "_views")
 
     def __init__(self, events: Iterable[Event] = ()):
         ordered = sorted(set(events), key=lambda e: e.sort_key())
         self.events: tuple[Event, ...] = tuple(ordered)
         self._set: frozenset[Event] = frozenset(ordered)
         self._by_actor: Optional[dict[NodeId, tuple[Event, ...]]] = None
+        self._by_msg: Optional[dict[Message, tuple[Receive, ...]]] = None
         self._views: Optional[dict[NodeId, _ViewIndex]] = None
 
     def __iter__(self) -> Iterator[Event]:
@@ -307,6 +311,16 @@ class Trace:
             self._by_actor = {n: tuple(own) for n, own in grouped.items()}
         return self._by_actor.get(node, ())
 
+    def receptions_of(self, msg: Message) -> tuple[Receive, ...]:
+        """The receptions of a message, in canonical order."""
+        if self._by_msg is None:
+            grouped: dict[Message, list[Receive]] = {}
+            for e in self.events:
+                if isinstance(e, Receive):
+                    grouped.setdefault(e.msg, []).append(e)
+            self._by_msg = {m: tuple(own) for m, own in grouped.items()}
+        return self._by_msg.get(msg, ())
+
     def _view_index(self, node: NodeId) -> _ViewIndex:
         if self._views is None:
             self._views = {}
@@ -337,9 +351,16 @@ class Setting:
 
     Undeclared directed links are permanently down; self-links are
     implicitly up forever and may not be declared.
+
+    Construction also indexes the link graph: ``reachable[n]`` holds n
+    itself and every node with a declared link from n, in node order.
+    These are the only nodes a transmission by n can ever reach, so
+    coverage is worked out over them alone.  The index is built once
+    from the declared links, in O(n + links log links), and holds one
+    reference per node and per link.
     """
 
-    __slots__ = ("nodes", "loc", "node_type", "link_schedule")
+    __slots__ = ("nodes", "loc", "node_type", "link_schedule", "reachable")
 
     def __init__(
         self,
@@ -371,6 +392,14 @@ class Setting:
             if merged:
                 normalized[(a, b)] = merged
         self.link_schedule: dict[tuple[NodeId, NodeId], tuple[Interval, ...]] = normalized
+        reach: dict[NodeId, list[NodeId]] = {node: [node] for node in self.nodes}
+        for a, b in normalized:
+            if a in reach and b in reach:
+                reach[a].append(b)
+        # node names sort as self.nodes does
+        self.reachable: dict[NodeId, tuple[NodeId, ...]] = {
+            node: tuple(sorted(dests)) for node, dests in reach.items()
+        }
 
     @property
     def correct_nodes(self) -> tuple[NodeId, ...]:
@@ -472,6 +501,18 @@ def _direction_vector(units: Fraction) -> tuple[Real, Real]:
     return (math.cos(radians), math.sin(radians))
 
 
+@lru_cache(maxsize=256)
+def _sector_rays(
+    direction: Fraction, angle: Fraction
+) -> tuple[tuple[Real, Real], tuple[Real, Real]]:
+    """The opening and closing ray vectors of a sector.
+
+    Kept for the last 256 sectors, so the nodes tested against one cast
+    share one computation of its rays.
+    """
+    return _direction_vector(direction), _direction_vector(direction + angle)
+
+
 def _cross(a: tuple[Real, Real], b: tuple[Real, Real]) -> Real:
     return a[0] * b[1] - a[1] * b[0]
 
@@ -491,8 +532,7 @@ def inrange(
         setting.loc[b][0] - setting.loc[a][0],
         setting.loc[b][1] - setting.loc[a][1],
     )
-    e0 = _direction_vector(direction)
-    e1 = _direction_vector(direction + angle)
+    e0, e1 = _sector_rays(direction, angle)
     if angle <= 1:
         return _cross(e0, u) >= 0 and _cross(u, e1) >= 0
     # reflex sector: everything except the strict interior of the complement
@@ -682,9 +722,13 @@ def _coverage(
     A broadcast covers every node, the sender included; a directional
     cast covers the nodes its sector holds.  A covered node receives one
     flight time after the start if its link from the sender is up over
-    the whole reception window.
+    the whole reception window.  An undeclared link is never up, so only
+    the nodes in ``setting.reachable`` are visited.
     """
-    for dest in setting.nodes:
+    reach = setting.reachable.get(e.actor)
+    if reach is None:
+        raise UnknownNode(f"node {e.actor!r} not in setting")
+    for dest in reach:
         if isinstance(e, Dcast) and not inrange(setting, e.actor, e.direction, e.angle, dest):
             continue
         arrival = e.start + tof(e.actor, dest)

@@ -10,11 +10,13 @@ from ndcheck import (
     DY_T,
     Dcast,
     Opaque,
+    PT,
     RELAY,
     RELAY_BCAST,
     RELAY_LOCAL,
     Setting,
     Trace,
+    availability_witness,
     check_adversary_feasible,
     check_setting_feasible,
     induced_receives,
@@ -23,6 +25,7 @@ from ndcheck import (
     rename_dcast_to_bcast,
     weaker_on_corpus,
 )
+from ndcheck.adversary import ADVERSARY_NAMES
 from ndcheck.generators import authored_beacon_trace, make_ordering_corpus
 
 F = Fraction
@@ -168,6 +171,15 @@ def test_dolev_yao_rejects_foreign_payload_kind(unit_params):
         trace, setting, unit_params, AdversaryModel(DY_GT, unit_params.delta_relay)
     )
     assert "message-outside-model" in verdict.rules()
+
+
+def test_correct_node_dcast_left_to_physics(unit_params):
+    setting, witness = availability_witness(PT, F(8), unit_params)
+    trace = witness.union([Dcast("A", F(20), F(0), F(2), BeaconT("A", F(20), F(1)))])
+    assert "dcast-by-correct-node" in check_setting_feasible(trace, setting, unit_params).rules()
+    for kind in ADVERSARY_NAMES:
+        model = AdversaryModel(kind, unit_params.delta_relay)
+        assert check_adversary_feasible(trace, setting, unit_params, model).ok, kind
 
 
 def test_silence_feasible_under_every_model(unit_params):

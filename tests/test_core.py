@@ -26,6 +26,7 @@ from ndcheck import (
     project_local,
     time_of_flight,
 )
+from ndcheck import core
 
 F = Fraction
 ALWAYS = ((F(0), None),)
@@ -356,6 +357,46 @@ def test_ambiguous_source_flagged(unit_params):
     trace = Trace(sends + induced_receives(sends, s, unit_params))
     verdict = check_setting_feasible(trace, s, unit_params)
     assert "receive-ambiguous-source" in verdict.rules()
+
+
+def test_coverage_visits_only_linked_receivers(unit_params, monkeypatch):
+    # eight nodes along a line; the caster D has declared links to C and E only
+    names = "ABCDEFGH"
+    chain = {(a, b): ALWAYS for a, b in zip(names, names[1:]) if "D" not in (a, b)}
+    s = Setting(
+        names,
+        {n: (F(3 * i), F(0)) for i, n in enumerate(names)},
+        {n: ADVERSARIAL if n == "D" else CORRECT for n in names},
+        {**chain, ("D", "C"): ALWAYS, ("D", "E"): ((F(0), F(2)),)},
+    )
+    visited = []
+
+    def counting(setting, a, direction, angle, b):
+        visited.append(b)
+        return inrange(setting, a, direction, angle, b)
+
+    monkeypatch.setattr(core, "inrange", counting)
+    msg = Opaque("x", F(1))
+    cast = Dcast("D", F(0), F(1, 3), F(3, 2), msg)  # reflex: covers C, not E
+    assert induced_receives([cast], s, unit_params) == [
+        Receive("C", F(3), "D", msg),
+        Receive("D", F(0), "D", msg),
+    ]
+    assert sorted(visited) == ["C", "D", "E"]
+    visited.clear()
+    verdict = check_setting_feasible(Trace([cast]), s, unit_params)
+    assert sorted(visited) == ["C", "D", "E"]
+    assert [v.detail for v in verdict.violations] == [
+        f"{n} is covered with the link up but no matching reception" for n in "CD"
+    ]
+
+
+def test_induced_receives_rejects_unknown_sender(unit_params):
+    s = pair_setting()
+    msg = Opaque("x", F(1))
+    for send in (Bcast("Z", F(0), msg), Dcast("Z", F(0), F(0), F(1), msg)):
+        with pytest.raises(UnknownNode):
+            induced_receives([send], s, unit_params)
 
 
 def test_unknown_actor_flagged(unit_params):

@@ -8,26 +8,42 @@ from itertools import zip_longest
 from hypothesis import given, settings, strategies as st
 
 from ndcheck import (
+    ADVERSARIAL,
     CORRECT,
+    DY_GT,
     DY_T,
+    EXACT,
+    RELAY_BCAST,
+    RELAY_LOCAL,
+    AdversaryModel,
     Bcast,
     BeaconT,
+    BeaconTL,
     Dcast,
     LocalBcast,
     LocalNeighbor,
     LocalReceive,
     LocalView,
     Neighbor,
+    Opaque,
     Receive,
     Setting,
+    SystemParams,
     T_FLAVOR,
     Trace,
+    approx_num,
+    check_adversary_feasible,
     check_setting_feasible,
+    dist,
     event_end,
+    induced_receives,
     inrange,
     link_up_over,
     project_local,
+    time_of_flight,
 )
+from ndcheck.adversary import ADVERSARY_NAMES
+from ndcheck.core import Verdict, Violation
 from ndcheck.generators import random_params, random_setting, random_trace
 
 F = Fraction
@@ -197,3 +213,181 @@ def test_indexed_projection_matches_scan(items, other_items, rng):
     for query, other_query in zip_longest(_queries(trace), _queries(other)):
         check(trace, query)
         check(other, other_query)
+
+
+# sparse worlds: few declared links, some of them down part of the time,
+# and directional casts over every kind of sector the coverage rule meets
+_PARAMS = SystemParams(
+    v=F(1), v_adv=F(2), nd_range=F(10), delta_relay=F(1), msg_duration_default=F(1)
+)
+_SECTORS = (
+    (F(0), F(1, 2)),  # quarter-turn rays
+    (F(1, 2), F(1)),
+    (F(3, 2), F(1, 2)),
+    (F(1, 3), F(1, 4)),  # other rays
+    (F(5, 6), F(1, 3)),
+    (F(7, 4), F(1, 2)),
+    (F(1, 4), F(3, 2)),  # reflex
+    (F(1, 2), F(5, 3)),
+    (F(0), F(3, 2)),
+    (F(0), F(2)),  # full turn
+    (F(1, 3), F(2)),
+)
+# undeclared most often, then always up, or up for one or two phases
+_PHASES = (
+    None,
+    None,
+    None,
+    ((F(0), None),),
+    ((F(0), F(3)),),
+    ((F(2), None),),
+    ((F(0), F(2)), (F(4), F(9))),
+)
+
+
+@st.composite
+def _sparse_worlds(draw):
+    """A setting with sparse, partly down links, and the comparison its distances allow."""
+    n = draw(st.integers(min_value=3, max_value=6))
+    names = "ABCDEF"[:n]
+    if draw(st.booleans()):
+        # along the 3-4-5 slope every distance is rational
+        steps = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n, unique=True))
+        points = [(F(3 * k), F(4 * k)) for k in steps]
+        num = EXACT
+    else:
+        grid = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+        cells = draw(st.lists(grid, min_size=n, max_size=n, unique=True))
+        points = [(F(x), F(y)) for x, y in cells]
+        num = approx_num(F(1, 1000))
+    schedule = {}
+    for a in names:
+        for b in names:
+            phases = draw(st.sampled_from(_PHASES)) if a != b else None
+            if phases is not None:
+                schedule[(a, b)] = phases
+    setting = Setting(
+        names,
+        dict(zip(names, points)),
+        {name: draw(st.sampled_from((CORRECT, ADVERSARIAL))) for name in names},
+        schedule,
+    )
+    return setting, num
+
+
+def _sends(draw, setting, messages):
+    """Broadcasts and casts by any node of the setting, each carrying the message drawn for it."""
+    sectors = st.none() | st.sampled_from(_SECTORS)
+    drawn = draw(st.lists(st.tuples(st.sampled_from(setting.nodes), _times, sectors), max_size=8))
+    return [
+        Bcast(actor, start, messages(i))
+        if sector is None
+        else Dcast(actor, start, *sector, messages(i))
+        for i, (actor, start, sector) in enumerate(drawn)
+    ]
+
+
+def _scanned_coverage(e, setting, num):
+    """Coverage by definition: every node of the setting, tested with inrange."""
+    for dest in setting.nodes:
+        if isinstance(e, Dcast) and not inrange(setting, e.actor, e.direction, e.angle, dest):
+            continue
+        arrival = e.start + time_of_flight(setting, _PARAMS, e.actor, dest, num)
+        if link_up_over(setting, e.actor, dest, arrival, arrival + e.msg.duration):
+            yield dest, arrival
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_linked_coverage_matches_scan_of_every_node(data):
+    """Visiting only linked receivers changes no induced reception and no
+    physics violation, their order included."""
+    setting, num = data.draw(_sparse_worlds())
+    # one message per send, so a kept reception matches its own send alone
+    sends = _sends(data.draw, setting, lambda i: Opaque(str(i), F(1)))
+    covered = {e: list(_scanned_coverage(e, setting, num)) for e in sends}
+    expected = [Receive(dest, at, e.actor, e.msg) for e in sends for dest, at in covered[e]]
+    assert induced_receives(sends, setting, _PARAMS, num) == expected
+
+    trace = Trace(sends + [r for r in expected if data.draw(st.booleans())])
+    violations = []
+    for e in trace.of_kind((Bcast, Dcast)):
+        if isinstance(e, Bcast):
+            rule, reach = "bcast-missing-receive", "has the link up"
+        else:
+            rule, reach = "dcast-missing-receive", "is covered with the link up"
+            if not setting.is_adversarial(e.actor):
+                violations.append(
+                    Violation(
+                        "dcast-by-correct-node",
+                        (e,),
+                        "directional transmission is reserved to adversarial nodes",
+                    )
+                )
+        for dest, at in covered[e]:
+            if Receive(dest, at, e.actor, e.msg) not in trace:
+                detail = f"{dest} {reach} but no matching reception"
+                violations.append(Violation(rule, (e,), detail))
+    assert check_setting_feasible(trace, setting, _PARAMS, num) == Verdict(tuple(violations))
+
+
+def _scanned_adversary(trace, setting, model, num):
+    """(rule, event) of each adversary violation by definition, justifying
+    a relay from a scan of every reception in the trace."""
+    local = model.kind == RELAY_LOCAL
+    beacon = {DY_T: BeaconT, DY_GT: BeaconTL}.get(model.kind)
+    found = []
+    for e in trace:
+        if not isinstance(e, (Bcast, Dcast)) or not setting.is_adversarial(e.actor):
+            continue
+        if isinstance(e, Bcast) != (model.kind == RELAY_BCAST):
+            found.append(("adversarial-bcast" if isinstance(e, Bcast) else "adversarial-dcast", e))
+            continue
+        if beacon is not None:
+            if not isinstance(e.msg, beacon):
+                found.append(("message-outside-model", e))
+                continue
+            if setting.is_adversarial(e.msg.creator):
+                continue
+        justified = False
+        for r in trace:
+            if not isinstance(r, Receive) or r.msg != e.msg:
+                continue
+            if local:
+                if r.actor == e.actor and num.ge(e.start - r.start, model.delta_relay):
+                    justified = True
+            elif setting.is_adversarial(r.actor):
+                channel = dist(setting, e.actor, r.actor, num) / _PARAMS.v_adv
+                if num.ge(e.start - r.start, model.delta_relay + channel):
+                    justified = True
+        if not justified:
+            found.append(("relay-unjustified", e))
+    return found
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_indexed_relay_rule_matches_scan_of_every_reception(data):
+    """Finding relay sources by message changes no adversary verdict under any model."""
+    setting, num = data.draw(_sparse_worlds())
+    creators = st.sampled_from(setting.nodes)
+    pool = data.draw(
+        st.lists(
+            st.one_of(
+                st.builds(BeaconT, creators, _times, st.just(F(1))),
+                st.builds(BeaconTL, creators, _times, st.just((F(0), F(0))), st.just(F(1))),
+                st.builds(Opaque, st.sampled_from("xy"), st.just(F(1))),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    picks = data.draw(st.lists(st.sampled_from(pool), min_size=8, max_size=8))
+    sends = _sends(data.draw, setting, picks.__getitem__)
+    trace = Trace(sends + induced_receives(sends, setting, _PARAMS, num))
+    delta = data.draw(st.sampled_from((F(0), F(1), F(3))))
+    for kind in ADVERSARY_NAMES:
+        model = AdversaryModel(kind, delta)
+        verdict = check_adversary_feasible(trace, setting, _PARAMS, model, num)
+        found = [(v.rule, v.events[0]) for v in verdict.violations]
+        assert found == _scanned_adversary(trace, setting, model, num)
