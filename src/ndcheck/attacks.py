@@ -11,12 +11,19 @@ which is now false: the declared neighbor is not linked.
 Geometry of the re-staging (all placements on the x axis, A at the
 origin, so every distance is rational and the arithmetic exact):
 
-- single relay C: the beacon travels sender -> C -> victim; the relay
-  margin is the honest flight time minus the detour flight time and
-  must cover the adversary's minimum processing delay;
 - wormhole C near A, D near B: the beacon enters at one end, crosses
   the adversary channel at its own speed, and exits at the other end;
-  the margin must additionally cover the channel flight time.
+  the relay margin is the honest flight time minus the flight times of
+  the two end offsets and must cover the adversary's minimum processing
+  delay plus the channel flight time, i.e.
+  |A,C| + |D,B| + (v/v_adv)*|C,D| + v*delta_relay <= |A,B|;
+- single relay C: a wormhole whose two ends coincide (C = D), so the
+  channel term vanishes and the end offsets add up to the detour
+  sender -> C -> victim.
+
+Both variants are built by one construction over the relay chain
+(C,) or (C, D); only the placement and the wording of an infeasibility
+message differ between them.
 
 For the exact time+location protocol the beacon pins B's position, so
 the victim-side distance cannot be shortened and the construction fails
@@ -314,9 +321,11 @@ def build_attack_settings(
     """Honest reference setting plus the attack setting for one variant.
 
     In the attack setting the declarer-beaconer link is permanently
-    down and the relays sit on the segment between them; the timing
-    inequality for the variant is validated here and reported with its
-    margin when violated.
+    down and the relay chain, (C,) or (C, D), sits on the segment
+    between them: the declarer is linked to the chain's first relay and
+    the beaconer to its last.  The wormhole timing inequality, which a
+    single relay meets with C = D, is validated here and reported with
+    its margin when violated.
     """
     if not 0 < d_ab <= params.nd_range:
         raise PlacementInfeasible(
@@ -328,92 +337,64 @@ def build_attack_settings(
 
     if variant == SINGLE_RELAY:
         place = placement or default_single_relay_placement(d_ab, params, protocol)
-        relay_ids = _free_relay_ids({declarer, beaconer}, 1)
-        relay = relay_ids[0]
-        locs = {
-            declarer: (zero, zero),
-            beaconer: (place.b_x, zero),
-            relay: (place.relay_x, zero),
-        }
-        if len({p for p in locs.values()}) != 3:
-            raise PlacementInfeasible("placement collapses two nodes onto one point")
-        attack = Setting(
-            nodes=(declarer, beaconer, relay),
-            loc=locs,
-            node_type={declarer: CORRECT, beaconer: CORRECT, relay: ADVERSARIAL},
-            link_schedule={
-                (declarer, relay): ALWAYS,
-                (relay, declarer): ALWAYS,
-                (beaconer, relay): ALWAYS,
-                (relay, beaconer): ALWAYS,
-            },
-        )
-        detour = dist(attack, declarer, relay) + dist(attack, relay, beaconer)
-        if protocol == PGT_APPROX:
-            window = (inacc or InaccuracyParams()).window
-            budget = 2 * window - (detour - dist(attack, declarer, beaconer)) / params.v
-            if params.delta_relay > budget:
-                raise PlacementInfeasible(
-                    "slack window exhausted: delta_relay "
-                    f"({format_scalar(params.delta_relay)}) > 2*(delta+tau) - detour "
-                    f"({format_scalar(budget)})"
-                )
-        else:
-            lhs = detour + params.v * params.delta_relay
-            if lhs > d_ab:
-                raise PlacementInfeasible(
-                    f"detour + v*delta_relay = {format_scalar(lhs)} exceeds the honest "
-                    f"distance {format_scalar(d_ab)} (margin {format_scalar(d_ab - lhs)})"
-                )
-        return honest, attack, place
-
-    if variant == WORMHOLE:
+        relay_xs = (place.relay_x,)
+        terms = "detour"
+    elif variant == WORMHOLE:
         if protocol == PGT_APPROX:
             raise ValueError("the wormhole variant is not supported for pgt-approx")
         place = placement or default_wormhole_placement(d_ab, params, protocol)
         if not place.c_x < place.d_x:
             raise PlacementInfeasible("wormhole ends out of order")
-        relay_ids = _free_relay_ids({declarer, beaconer}, 2)
-        near_a, near_b = relay_ids
-        locs = {
-            declarer: (zero, zero),
-            beaconer: (place.b_x, zero),
-            near_a: (place.c_x, zero),
-            near_b: (place.d_x, zero),
-        }
-        if len({p for p in locs.values()}) != 4:
-            raise PlacementInfeasible("placement collapses two nodes onto one point")
-        attack = Setting(
-            nodes=(declarer, beaconer, near_a, near_b),
-            loc=locs,
-            node_type={
-                declarer: CORRECT,
-                beaconer: CORRECT,
-                near_a: ADVERSARIAL,
-                near_b: ADVERSARIAL,
-            },
-            link_schedule={
-                (declarer, near_a): ALWAYS,
-                (near_a, declarer): ALWAYS,
-                (beaconer, near_b): ALWAYS,
-                (near_b, beaconer): ALWAYS,
-            },
-        )
-        lhs = (
-            dist(attack, declarer, near_a)
-            + dist(attack, near_b, beaconer)
-            + (params.v / params.v_adv) * dist(attack, near_a, near_b)
-            + params.v * params.delta_relay
-        )
+        relay_xs = (place.c_x, place.d_x)
+        terms = "end offsets + scaled channel flight"
+    else:
+        raise ValueError(f"unknown attack variant {variant!r}")
+
+    relays = tuple(_free_relay_ids({declarer, beaconer}, len(relay_xs)))
+    near_a, near_b = relays[0], relays[-1]
+    locs = {
+        declarer: (zero, zero),
+        beaconer: (place.b_x, zero),
+        **{relay: (x, zero) for relay, x in zip(relays, relay_xs)},
+    }
+    if len(set(locs.values())) != 2 + len(relays):
+        raise PlacementInfeasible("placement collapses two nodes onto one point")
+    attack = Setting(
+        nodes=(declarer, beaconer) + relays,
+        loc=locs,
+        node_type={
+            declarer: CORRECT, beaconer: CORRECT, **dict.fromkeys(relays, ADVERSARIAL)
+        },
+        link_schedule={
+            (declarer, near_a): ALWAYS,
+            (near_a, declarer): ALWAYS,
+            (beaconer, near_b): ALWAYS,
+            (near_b, beaconer): ALWAYS,
+        },
+    )
+    # the channel term vanishes for a single relay, whose two ends coincide
+    path = (
+        dist(attack, declarer, near_a)
+        + dist(attack, near_b, beaconer)
+        + (params.v / params.v_adv) * dist(attack, near_a, near_b)
+    )
+    if protocol == PGT_APPROX:
+        window = (inacc or InaccuracyParams()).window
+        budget = 2 * window - (path - dist(attack, declarer, beaconer)) / params.v
+        if params.delta_relay > budget:
+            raise PlacementInfeasible(
+                "slack window exhausted: delta_relay "
+                f"({format_scalar(params.delta_relay)}) > 2*(delta+tau) - detour "
+                f"({format_scalar(budget)})"
+            )
+    else:
+        lhs = path + params.v * params.delta_relay
         if lhs > d_ab:
             raise PlacementInfeasible(
-                f"end offsets + scaled channel flight + v*delta_relay = "
-                f"{format_scalar(lhs)} exceeds the honest distance "
-                f"{format_scalar(d_ab)} (margin {format_scalar(d_ab - lhs)})"
+                f"{terms} + v*delta_relay = {format_scalar(lhs)} exceeds the honest "
+                f"distance {format_scalar(d_ab)} (margin {format_scalar(d_ab - lhs)})"
             )
-        return honest, attack, place
-
-    raise ValueError(f"unknown attack variant {variant!r}")
+    return honest, attack, place
 
 
 # ---------------------------------------------------------------------------
@@ -490,9 +471,7 @@ def synth_relay_trace(
         entry_time = e.start + dist(setting_attack, e.actor, entry) / params.v
         cast_time = e.start + honest_flight - dist(setting_attack, exit_, victim) / params.v
         gap = cast_time - entry_time
-        bound = params.delta_relay
-        if entry != exit_:
-            bound += dist(setting_attack, entry, exit_) / params.v_adv
+        bound = params.delta_relay + dist(setting_attack, entry, exit_) / params.v_adv
         if gap < bound:
             raise PlacementInfeasible(
                 f"relay margin {format_scalar(gap)} below the required "
@@ -609,14 +588,9 @@ def plan_relay_attack(
         )
     else:
         base = synth_honest_trace(honest, protocol, params, declarer, beaconer)
-        if variant == SINGLE_RELAY:
-            relay = attack.adversarial_nodes[0]
-            route = {declarer: (relay, relay), beaconer: (relay, relay)}
-        else:
-            near_a, near_b = sorted(
-                attack.adversarial_nodes, key=lambda n: attack.loc[n][0]
-            )
-            route = {declarer: (near_a, near_b), beaconer: (near_b, near_a)}
+        relays = sorted(attack.adversarial_nodes, key=lambda n: attack.loc[n][0])
+        near_a, near_b = relays[0], relays[-1]
+        route = {declarer: (near_a, near_b), beaconer: (near_b, near_a)}
         relay_trace, deltas = synth_relay_trace(
             base, honest, attack, params, declarer, beaconer, route
         )

@@ -11,9 +11,10 @@ Commands:
            corpus directory of .scn/.trc pairs
 
 Exit codes: 0 success / inclusion holds / no violation; 1 parse or
-validation failure; 2 feasibility violation (or ordering counterexample);
-3 feasible trace with a false neighbor declaration; 4 requested
-construction infeasible (placement or distance).
+validation failure, or an unreadable input or unwritable output path;
+2 feasibility violation (or ordering counterexample); 3 feasible trace
+with a false neighbor declaration; 4 requested construction infeasible
+(placement or distance).
 
 All output is deterministic: identical inputs give byte-identical
 reports.
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -124,11 +126,7 @@ def _load_pair(args, num: Num) -> tuple[Scenario, Trace]:
 
 def cmd_check(args) -> int:
     num = _numerics(args)
-    try:
-        scenario, trace = _load_pair(args, num)
-    except (ScenarioError, OSError, IrrationalDistance) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    scenario, trace = _load_pair(args, num)
     setting_verdict = check_setting_feasible(trace, scenario.setting, scenario.params, num)
     proto_verdict = protocol_verdict(
         trace, scenario.setting, scenario.protocol, scenario.params, scenario.inaccuracy, num
@@ -210,19 +208,15 @@ def _plan_summary(plan: AttackPlan, verdicts: dict) -> dict:
 
 def cmd_attack(args) -> int:
     num = _numerics(args)
-    try:
-        scenario = load_scenario(args.scenario, exact=num.exact)
-        correct = scenario.setting.correct_nodes
-        if len(correct) != 2:
-            raise ScenarioError(
-                f"attack synthesis needs exactly two correct nodes, found {len(correct)}"
-            )
-        declarer, beaconer = correct
-        d_ab = dist(scenario.setting, declarer, beaconer)
-        placement = _placement_from_flags(args, args.variant)
-    except (ScenarioError, OSError, IrrationalDistance, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    scenario = load_scenario(args.scenario, exact=num.exact)
+    correct = scenario.setting.correct_nodes
+    if len(correct) != 2:
+        raise ScenarioError(
+            f"attack synthesis needs exactly two correct nodes, found {len(correct)}"
+        )
+    declarer, beaconer = correct
+    d_ab = dist(scenario.setting, declarer, beaconer)
+    placement = _placement_from_flags(args, args.variant)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -243,28 +237,8 @@ def cmd_attack(args) -> int:
         return EXIT_NO_CONSTRUCTION
 
     verdicts = verify_attack_plan(plan, scenario.params, scenario.inaccuracy, num)
-    save_scenario(
-        out_dir / "honest.scn",
-        Scenario(
-            scenario.params,
-            plan.setting_honest,
-            scenario.protocol,
-            scenario.adversary,
-            scenario.inaccuracy,
-            scenario.horizon,
-        ),
-    )
-    save_scenario(
-        out_dir / "attack.scn",
-        Scenario(
-            scenario.params,
-            plan.setting_attack,
-            scenario.protocol,
-            scenario.adversary,
-            scenario.inaccuracy,
-            scenario.horizon,
-        ),
-    )
+    save_scenario(out_dir / "honest.scn", replace(scenario, setting=plan.setting_honest))
+    save_scenario(out_dir / "attack.scn", replace(scenario, setting=plan.setting_attack))
     save_trace(out_dir / "base.trc", plan.base_trace)
     save_trace(out_dir / "relay.trc", plan.relay_trace)
     report = _plan_summary(plan, verdicts)
@@ -284,20 +258,13 @@ def _write_summary(report: dict, args, out_dir: Path) -> None:
 
 def cmd_witness(args) -> int:
     num = _numerics(args)
-    try:
-        scenario = load_scenario(args.scenario, exact=num.exact)
-        d = parse_scalar(args.distance)
-    except (ScenarioError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    scenario = load_scenario(args.scenario, exact=num.exact)
+    d = parse_scalar(args.distance)
     try:
         setting, trace = availability_witness(
             scenario.protocol, d, scenario.params, scenario.inaccuracy
         )
-    except OutOfRange as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONSTRUCTION
-    except (NoWitness, IrrationalDistance) as exc:
+    except (OutOfRange, NoWitness, IrrationalDistance) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONSTRUCTION
 
@@ -314,17 +281,7 @@ def cmd_witness(args) -> int:
         return EXIT_INFEASIBLE
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_scenario(
-        out_dir / "witness.scn",
-        Scenario(
-            scenario.params,
-            setting,
-            scenario.protocol,
-            scenario.adversary,
-            scenario.inaccuracy,
-            scenario.horizon,
-        ),
-    )
+    save_scenario(out_dir / "witness.scn", replace(scenario, setting=setting))
     save_trace(out_dir / "witness.trc", trace)
     report = {
         "distance": format_scalar(d),
@@ -338,15 +295,11 @@ def cmd_witness(args) -> int:
 
 def cmd_sweep(args) -> int:
     num = _numerics(args)
-    try:
-        scenario = load_scenario(args.scenario, exact=num.exact)
-        values = sweep_values(
-            parse_scalar(args.start), parse_scalar(args.stop), parse_scalar(args.step)
-        )
-        rows = sweep(scenario.params, args.vary, values, scenario.inaccuracy)
-    except (ScenarioError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    scenario = load_scenario(args.scenario, exact=num.exact)
+    values = sweep_values(
+        parse_scalar(args.start), parse_scalar(args.stop), parse_scalar(args.step)
+    )
+    rows = sweep(scenario.params, args.vary, values, scenario.inaccuracy)
     table = render_table(rows)
     if args.out:
         Path(args.out).write_text(table, encoding="utf-8")
@@ -365,27 +318,21 @@ def cmd_order(args) -> int:
     corpus = []
     stems = []
     shared_params = None
-    try:
-        for scn_path in entries:
-            trc_path = scn_path.with_suffix(".trc")
-            if not trc_path.exists():
-                raise ScenarioError(f"{scn_path.stem}: missing matching .trc file")
-            scenario = load_scenario(scn_path, exact=num.exact)
-            trace = load_trace(trc_path)
-            if shared_params is None:
-                shared_params = scenario.params
-            elif scenario.params != shared_params:
-                raise ScenarioError(f"{scn_path.stem}: corpus parameters differ")
-            verdict = check_setting_feasible(trace, scenario.setting, scenario.params, num)
-            if not verdict.ok:
-                raise ScenarioError(
-                    f"{scn_path.stem}: trace is not feasible for its setting"
-                )
-            corpus.append((trace, scenario.setting))
-            stems.append(scn_path.stem)
-    except (ScenarioError, OSError, IrrationalDistance) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    for scn_path in entries:
+        trc_path = scn_path.with_suffix(".trc")
+        if not trc_path.exists():
+            raise ScenarioError(f"{scn_path.stem}: missing matching .trc file")
+        scenario = load_scenario(scn_path, exact=num.exact)
+        trace = load_trace(trc_path)
+        if shared_params is None:
+            shared_params = scenario.params
+        elif scenario.params != shared_params:
+            raise ScenarioError(f"{scn_path.stem}: corpus parameters differ")
+        verdict = check_setting_feasible(trace, scenario.setting, scenario.params, num)
+        if not verdict.ok:
+            raise ScenarioError(f"{scn_path.stem}: trace is not feasible for its setting")
+        corpus.append((trace, scenario.setting))
+        stems.append(scn_path.stem)
 
     weaker = AdversaryModel(args.weaker, shared_params.delta_relay)
     stronger = AdversaryModel(args.stronger, shared_params.delta_relay)
@@ -488,7 +435,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, KeysView, Mapping, Optional, Sequence, Union
 
 from .rational import EXACT, Num, Real
 
@@ -254,7 +254,10 @@ class Trace:
     """Immutable finite event set, stored in canonical order.
 
     Construction deduplicates and sorts, so two traces built from the
-    same events in any order compare (and serialize) identically.
+    same events in any order compare (and serialize) identically.  It
+    hashes each event once: a dict deduplicates the events, its keys are
+    sorted (sort keys are injective, so the order is canonical whatever
+    the input order), and its keys view answers membership.
 
     Three indexes are built on first use and kept for the life of the
     trace, which never changes, so they never go stale.  The first call
@@ -268,12 +271,13 @@ class Trace:
     plus the node's last view at a cutoff.
     """
 
-    __slots__ = ("events", "_set", "_by_actor", "_by_msg", "_views")
+    __slots__ = ("events", "_members", "_by_actor", "_by_msg", "_views")
 
     def __init__(self, events: Iterable[Event] = ()):
-        ordered = sorted(set(events), key=lambda e: e.sort_key())
+        unique = dict.fromkeys(events)
+        ordered = sorted(unique, key=lambda e: e.sort_key())
         self.events: tuple[Event, ...] = tuple(ordered)
-        self._set: frozenset[Event] = frozenset(ordered)
+        self._members: KeysView[Event] = unique.keys()
         self._by_actor: Optional[dict[NodeId, tuple[Event, ...]]] = None
         self._by_msg: Optional[dict[Message, tuple[Receive, ...]]] = None
         self._views: Optional[dict[NodeId, _ViewIndex]] = None
@@ -285,7 +289,7 @@ class Trace:
         return len(self.events)
 
     def __contains__(self, event: Event) -> bool:
-        return event in self._set
+        return event in self._members
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Trace) and self.events == other.events
@@ -328,16 +332,6 @@ class Trace:
         if index is None:
             index = self._views[node] = _ViewIndex(self.by_actor(node))
         return index
-
-    def mentioned_nodes(self) -> set[NodeId]:
-        nodes: set[NodeId] = set()
-        for e in self.events:
-            nodes.add(e.actor)
-            if isinstance(e, Receive):
-                nodes.add(e.sender)
-            elif isinstance(e, Neighbor):
-                nodes.add(e.peer)
-        return nodes
 
 
 # ---------------------------------------------------------------------------

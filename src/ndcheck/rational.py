@@ -20,11 +20,33 @@ class IrrationalDistance(ValueError):
     """A squared length has no exact rational square root."""
 
 
+# Largest exponent magnitude accepted in scientific notation.  Fraction
+# builds 10**exponent in full, so one unbounded token such as "1e999999999"
+# would take minutes before any check ran; 1e1000 is far beyond any
+# physical quantity and still cheap to build.
+MAX_SCALAR_EXPONENT = 1000
+
+
 def parse_scalar(text: str) -> Fraction:
-    """Parse "p/q", integer, decimal or scientific notation into a Fraction."""
+    """Parse "p/q", integer, decimal or scientific notation into a Fraction.
+
+    A scientific-notation exponent beyond MAX_SCALAR_EXPONENT in
+    magnitude is rejected from the text alone, before any number is
+    built.
+    """
     text = text.strip()
     if not text:
         raise ValueError("empty scalar")
+    if "e" in text or "E" in text:
+        digits = text.lower().rpartition("e")[2].lstrip("+-").replace("_", "").lstrip("0")
+        # the length test keeps int() off an exponent of any size
+        if digits.isdecimal() and (
+            len(digits) > len(str(MAX_SCALAR_EXPONENT)) or int(digits) > MAX_SCALAR_EXPONENT
+        ):
+            raise ValueError(
+                f"invalid scalar {text!r}: "
+                f"exponent beyond {MAX_SCALAR_EXPONENT} in magnitude"
+            )
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

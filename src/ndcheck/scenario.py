@@ -31,8 +31,10 @@ run horizon:
     [run]
     horizon = 100
 
-Rationals are written as "p/q" or integers (decimals are accepted on
-input).  Link phases are half-open "start:end" intervals, comma
+Rationals are written as "p/q" or integers (decimals and scientific
+notation are accepted on input; an exponent beyond
+``rational.MAX_SCALAR_EXPONENT``, 1000, in magnitude is rejected before
+any number is built).  Link phases are half-open "start:end" intervals, comma
 separated, with "inf" for an open end; "A <-> B" declares both
 directions, and undeclared links are down.  The adversary section may
 carry its own delta_relay to override the shared parameter.

@@ -71,12 +71,47 @@ def test_build_settings_example_geometry(unit_params):
     assert ("A", "B") not in attack.link_schedule
 
 
-def test_build_settings_rejects_exhausted_margin():
-    params = SystemParams(F(1), F(1), F(10), F(3), F(1))
-    with pytest.raises(PlacementInfeasible):
-        build_attack_settings(
-            F(10), SINGLE_RELAY, params, SingleRelayPlacement(F(4), F(8))
-        )
+@pytest.mark.parametrize(
+    "variant, v_adv, delta_relay, placement, protocol, inacc, message",
+    [
+        (
+            SINGLE_RELAY,
+            F(1),
+            F(3),
+            SingleRelayPlacement(F(4), F(8)),
+            PT,
+            None,
+            "detour + v*delta_relay = 11 exceeds the honest distance 10 (margin -1)",
+        ),
+        (
+            WORMHOLE,
+            F(2),
+            F(6),
+            WormholePlacement(F(1), F(7), F(8)),
+            PT,
+            None,
+            "end offsets + scaled channel flight + v*delta_relay = 11 exceeds the "
+            "honest distance 10 (margin -1)",
+        ),
+        (
+            SINGLE_RELAY,
+            F(1),
+            F(3),
+            SingleRelayPlacement(F(9), F(8)),
+            PGT_APPROX,
+            InaccuracyParams(F(1), F(1, 2)),
+            "slack window exhausted: delta_relay (3) > 2*(delta+tau) - detour (1)",
+        ),
+    ],
+    ids=["single-relay", "wormhole", "slack-window"],
+)
+def test_build_settings_rejects_exhausted_margin(
+    variant, v_adv, delta_relay, placement, protocol, inacc, message
+):
+    params = SystemParams(F(1), v_adv, F(10), delta_relay, F(1))
+    with pytest.raises(PlacementInfeasible) as caught:
+        build_attack_settings(F(10), variant, params, placement, protocol, inacc)
+    assert str(caught.value) == message
 
 
 def test_build_settings_rejects_out_of_range_distance(unit_params):

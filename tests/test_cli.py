@@ -226,6 +226,38 @@ def test_order_missing_trace_exit_1(tmp_path, radio_scenario, capsys):
     )
 
 
+@pytest.mark.parametrize("command", ["check", "sweep", "order", "attack", "witness"])
+def test_unwritable_output_path_exit_1(tmp_path, radio_scenario, capsys, command):
+    wit = tmp_path / "wit"
+    run(["witness", radio_scenario, "--distance", "80", "--out-dir", wit])
+    missing = tmp_path / "missing" / "report.txt"
+    a_file = tmp_path / "a-file"
+    a_file.write_text("")
+    argv = {
+        "check": ["--out", missing, "check", wit / "witness.scn", wit / "witness.trc"],
+        "sweep": [
+            "--out",
+            missing,
+            "sweep",
+            radio_scenario,
+            "--from",
+            "0",
+            "--to",
+            "1/10000000",
+            "--step",
+            "1/10000000",
+        ],
+        "order": ["--out", missing, "order", wit, "--weaker", "relay", "--stronger", "dy-t"],
+        "attack": ["attack", radio_scenario, "--out-dir", a_file],
+        "witness": ["witness", radio_scenario, "--distance", "80", "--out-dir", a_file],
+    }[command]
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not missing.parent.exists()
+
+
 def test_outputs_byte_identical_across_runs(tmp_path, radio_scenario, capsys):
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     run(["--format", "structured", "attack", radio_scenario, "--out-dir", out1])

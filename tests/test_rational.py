@@ -12,6 +12,7 @@ from ndcheck import (
     is_rational_square,
     parse_scalar,
 )
+from ndcheck.rational import MAX_SCALAR_EXPONENT
 
 
 def test_parse_forms():
@@ -26,6 +27,15 @@ def test_parse_forms():
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
         parse_scalar(bad)
+
+
+def test_parse_bounds_the_exponent():
+    assert parse_scalar(f"1e-{MAX_SCALAR_EXPONENT}") == Fraction(1, 10**MAX_SCALAR_EXPONENT)
+    assert parse_scalar("25e+0000000001") == Fraction(250)
+    too_large = ["1e1001", "2.5E-1001", "1e+00001001", "1e999999999", "1e" + "9" * 5000]
+    for text in too_large:
+        with pytest.raises(ValueError, match="exponent beyond 1000 in magnitude"):
+            parse_scalar(text)
 
 
 @given(st.fractions())

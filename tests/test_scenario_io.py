@@ -162,3 +162,17 @@ def test_trace_parse_rejects_bad_lines(line):
 def test_trace_error_carries_line_number():
     with pytest.raises(ScenarioError, match="line 2"):
         parse_trace("bcast B 0 beacon-t:B:0:1\nbcast B 0\n")
+
+
+def test_oversized_exponent_names_line_and_field():
+    # rejected from the text alone: no oversized number is ever built
+    with pytest.raises(ScenarioError) as caught:
+        parse_trace("bcast B 0 beacon-t:B:0:1\nbcast A 1e999999999 beacon-t:A:0:1\n")
+    assert str(caught.value) == (
+        "line 2: invalid scalar '1e999999999': exponent beyond 1000 in magnitude"
+    )
+    with pytest.raises(ScenarioError) as caught:
+        parse_scenario(MINIMAL.replace("x = 8", "x = 8E-1001"))
+    assert str(caught.value) == (
+        "[node B] x: invalid scalar '8E-1001': exponent beyond 1000 in magnitude"
+    )
