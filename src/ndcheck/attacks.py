@@ -190,18 +190,17 @@ def synth_honest_trace(
     declarer: NodeId,
     beaconer: NodeId,
     beacon: Optional[Message] = None,
-    beacon_time: Fraction = Fraction(0),
     inacc: Optional[InaccuracyParams] = None,
 ) -> Trace:
     """One beacon, its forced receptions, and one justified declaration.
 
-    The beaconer transmits at beacon_time, the declarer receives one
+    The beaconer transmits at time 0, the declarer receives one
     flight time later and declares the beaconer a neighbor shortly after
     the reception completes.
     """
     spec = protocol_spec(protocol)
-    msg = beacon or spec.beacon(beaconer, beacon_time, setting.loc[beaconer], params)
-    sends = [Bcast(beaconer, beacon_time, msg)]
+    msg = beacon or spec.beacon(beaconer, Fraction(0), setting.loc[beaconer], params)
+    sends = [Bcast(beaconer, Fraction(0), msg)]
     receives = induced_receives(sends, setting, params)
     arrival = next(
         (r for r in receives if r.actor == declarer and r.sender == beaconer), None

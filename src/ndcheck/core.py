@@ -682,9 +682,6 @@ class Verdict:
     def ok(self) -> bool:
         return not self.violations
 
-    def merged(self, other: "Verdict") -> "Verdict":
-        return Verdict(self.violations + other.violations)
-
     def rules(self) -> set[str]:
         return {v.rule for v in self.violations}
 

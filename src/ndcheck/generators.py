@@ -121,7 +121,6 @@ def random_setting(
     rng: random.Random,
     horizon: Fraction,
     n_nodes: Optional[int] = None,
-    min_correct: int = 2,
 ) -> Setting:
     count = n_nodes if n_nodes is not None else rng.randint(2, 5)
     names = NODE_NAMES[:count]
@@ -129,7 +128,7 @@ def random_setting(
     types = {name: (ADVERSARIAL if rng.random() < 0.4 else CORRECT) for name in names}
     correct = [n for n in names if types[n] == CORRECT]
     for name in names:
-        if len(correct) >= min_correct:
+        if len(correct) >= 2:
             break
         if types[name] == ADVERSARIAL:
             types[name] = CORRECT

@@ -26,12 +26,19 @@ class IrrationalDistance(ValueError):
 # physical quantity and still cheap to build.
 MAX_SCALAR_EXPONENT = 1000
 
+# Longest scalar text accepted, in characters.  Every scalar that the
+# benchmark, the demos and the tests read or write is under 100 characters;
+# 1000 stays far above that and far below CPython's 4300-digit int
+# conversion limit, and it keeps a runaway token out of error messages.
+MAX_SCALAR_LENGTH = 1000
+
 
 def parse_scalar(text: str) -> Fraction:
     """Parse "p/q", integer, decimal or scientific notation into a Fraction.
 
-    A scientific-notation exponent beyond MAX_SCALAR_EXPONENT in
-    magnitude is rejected from the text alone, before any number is
+    Text longer than MAX_SCALAR_LENGTH characters, or with a
+    scientific-notation exponent beyond MAX_SCALAR_EXPONENT in
+    magnitude, is rejected from the text alone, before any number is
     built.
     """
     text = text.strip()
@@ -47,6 +54,8 @@ def parse_scalar(text: str) -> Fraction:
                 f"invalid scalar {text!r}: "
                 f"exponent beyond {MAX_SCALAR_EXPONENT} in magnitude"
             )
+    if len(text) > MAX_SCALAR_LENGTH:
+        raise ValueError(f"invalid scalar: {len(text)} characters, over {MAX_SCALAR_LENGTH}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

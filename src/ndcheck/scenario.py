@@ -32,12 +32,13 @@ run horizon:
     horizon = 100
 
 Rationals are written as "p/q" or integers (decimals and scientific
-notation are accepted on input; an exponent beyond
-``rational.MAX_SCALAR_EXPONENT``, 1000, in magnitude is rejected before
-any number is built).  Link phases are half-open "start:end" intervals, comma
-separated, with "inf" for an open end; "A <-> B" declares both
-directions, and undeclared links are down.  The adversary section may
-carry its own delta_relay to override the shared parameter.
+notation are accepted on input; a scalar longer than
+``rational.MAX_SCALAR_LENGTH``, 1000 characters, or with an exponent
+beyond ``rational.MAX_SCALAR_EXPONENT``, 1000, in magnitude is rejected
+before any number is built).  Link phases are half-open "start:end"
+intervals, comma separated, with "inf" for an open end; "A <-> B"
+declares both directions, and undeclared links are down.  The adversary
+section may carry its own delta_relay to override the shared parameter.
 
 A trace file holds one event per line in canonical order:
 
@@ -46,9 +47,12 @@ A trace file holds one event per line in canonical order:
     dcast C 6 3/2 1 opaque:tok:1
     neighbor A 10 B 8
 
-Messages are "opaque:TOKEN:DUR", "beacon-t:CREATOR:TIME:DUR" or
-"beacon-tl:CREATOR:TIME:X,Y:DUR"; directional casts carry direction and
-angle in units of pi.  Writing a parsed file back is byte-identical.
+A line is the event kind, then the event's fields in declaration order,
+separated by spaces; a message is its tag, then its fields in
+declaration order, joined by ":" (a location is "x,y").  So messages are
+"opaque:TOKEN:DUR", "beacon-t:CREATOR:TIME:DUR" or
+"beacon-tl:CREATOR:TIME:X,Y:DUR", and directional casts carry direction
+and angle in units of pi.  Writing a parsed file back is byte-identical.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from __future__ import annotations
 import configparser
 import io
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -74,6 +78,7 @@ from .core import (
     Neighbor,
     NodeId,
     Opaque,
+    Point,
     Receive,
     Setting,
     SystemParams,
@@ -101,7 +106,7 @@ class Scenario:
     horizon: Fraction
 
 
-def _check_name(name: str, what: str) -> str:
+def _check_name(name: str, what: str = "node id") -> str:
     if not _NAME_RE.match(name):
         raise ScenarioError(f"invalid {what} {name!r}: use [A-Za-z0-9_.-] only")
     return name
@@ -145,16 +150,9 @@ def parse_scenario(text: str, exact: bool = True) -> Scenario:
             raise ScenarioError(f"missing [{required}] section")
 
     p = parser["params"]
+    values = {f.name: _scalar("params", f.name, p.get(f.name, "")) for f in fields(SystemParams)}
     try:
-        params = SystemParams(
-            v=_scalar("params", "v", p.get("v", "")),
-            v_adv=_scalar("params", "v_adv", p.get("v_adv", "")),
-            nd_range=_scalar("params", "nd_range", p.get("nd_range", "")),
-            delta_relay=_scalar("params", "delta_relay", p.get("delta_relay", "")),
-            msg_duration_default=_scalar(
-                "params", "msg_duration_default", p.get("msg_duration_default", "")
-            ),
-        )
+        params = SystemParams(**values)
     except ValueError as exc:
         raise ScenarioError(f"[params]: {exc}") from None
 
@@ -251,16 +249,9 @@ def parse_scenario(text: str, exact: bool = True) -> Scenario:
 def dump_scenario(scenario: Scenario) -> str:
     """Canonical scenario rendering; parse(dump(s)) == s and dump is stable."""
     out = io.StringIO()
-    p = scenario.params
     out.write("[params]\n")
-    for key, value in (
-        ("v", p.v),
-        ("v_adv", p.v_adv),
-        ("nd_range", p.nd_range),
-        ("delta_relay", p.delta_relay),
-        ("msg_duration_default", p.msg_duration_default),
-    ):
-        out.write(f"{key} = {format_scalar(value)}\n")
+    for f in fields(SystemParams):
+        out.write(f"{f.name} = {format_scalar(getattr(scenario.params, f.name))}\n")
     for node in scenario.setting.nodes:
         x, y = scenario.setting.loc[node]
         out.write(f"\n[node {node}]\n")
@@ -288,76 +279,74 @@ def dump_scenario(scenario: Scenario) -> str:
 
 # ---------------------------------------------------------------------------
 # trace files
+#
+# Each layout maps a tag to its class and to one codec per dataclass field,
+# in declaration order; a codec is a (read, write) pair.  Reading and
+# writing both walk the same layout, so they cannot disagree.
 
 
-def _format_message(msg: Message) -> str:
-    if isinstance(msg, Opaque):
-        return f"opaque:{msg.token}:{format_scalar(msg.duration)}"
-    if isinstance(msg, BeaconT):
-        return (
-            f"beacon-t:{msg.creator}:{format_scalar(msg.beacon_time)}"
-            f":{format_scalar(msg.duration)}"
-        )
-    if isinstance(msg, BeaconTL):
-        x, y = msg.beacon_loc
-        return (
-            f"beacon-tl:{msg.creator}:{format_scalar(msg.beacon_time)}"
-            f":{format_scalar(x)},{format_scalar(y)}:{format_scalar(msg.duration)}"
-        )
-    raise TypeError(f"unknown message {msg!r}")
+def _parse_point(text: str) -> Point:
+    x_text, _, y_text = text.partition(",")
+    if not y_text:
+        raise ValueError("location must be x,y")
+    return (parse_scalar(x_text), parse_scalar(y_text))
 
 
-def _parse_message(text: str, where: str) -> Message:
-    parts = text.split(":")
+_NODE = (_check_name, str)
+_TOKEN = (lambda text: _check_name(text, "token"), str)
+_SCALAR = (parse_scalar, format_scalar)
+_POINT = (_parse_point, lambda p: f"{format_scalar(p[0])},{format_scalar(p[1])}")
+
+_MESSAGES = {
+    "opaque": (Opaque, (_TOKEN, _SCALAR)),
+    "beacon-t": (BeaconT, (_NODE, _SCALAR, _SCALAR)),
+    "beacon-tl": (BeaconTL, (_NODE, _SCALAR, _POINT, _SCALAR)),
+}
+
+
+def _index(layouts: dict) -> tuple[dict, dict]:
+    """Readers by tag and writers by class for one layout table."""
+    readers, writers = {}, {}
+    for tag, (cls, codecs) in layouts.items():
+        names = [f.name for f in fields(cls)]
+        assert len(codecs) == len(names), cls
+        readers[tag] = (cls, tuple(read for read, _ in codecs))
+        writers[cls] = (tag, tuple((name, write) for name, (_, write) in zip(names, codecs)))
+    return readers, writers
+
+
+def _format(obj, writers: dict, sep: str) -> str:
+    tag, named_writes = writers[type(obj)]
+    return sep.join([tag] + [write(getattr(obj, name)) for name, write in named_writes])
+
+
+_MESSAGE_READERS, _MESSAGE_WRITERS = _index(_MESSAGES)
+
+
+def _parse_message(text: str) -> Message:
+    tag, *parts = text.split(":")
+    cls, reads = _MESSAGE_READERS.get(tag, (None, ()))
+    if cls is None or len(parts) != len(reads):
+        raise ValueError(f"unknown message form {text!r}")
     try:
-        if parts[0] == "opaque" and len(parts) == 3:
-            return Opaque(_check_name(parts[1], "token"), parse_scalar(parts[2]))
-        if parts[0] == "beacon-t" and len(parts) == 4:
-            return BeaconT(
-                _check_name(parts[1], "node id"),
-                parse_scalar(parts[2]),
-                parse_scalar(parts[3]),
-            )
-        if parts[0] == "beacon-tl" and len(parts) == 5:
-            x_text, _, y_text = parts[3].partition(",")
-            if not y_text:
-                raise ValueError("location must be x,y")
-            loc = (parse_scalar(x_text), parse_scalar(y_text))
-            return BeaconTL(
-                _check_name(parts[1], "node id"),
-                parse_scalar(parts[2]),
-                loc,
-                parse_scalar(parts[4]),
-            )
+        return cls(*[read(part) for read, part in zip(reads, parts)])
     except ValueError as exc:
-        raise ScenarioError(f"{where}: bad message {text!r}: {exc}") from None
-    raise ScenarioError(f"{where}: unknown message form {text!r}")
+        raise ValueError(f"bad message {text!r}: {exc}") from None
+
+
+_MESSAGE = (_parse_message, lambda msg: _format(msg, _MESSAGE_WRITERS, ":"))
+
+_EVENTS = {
+    "bcast": (Bcast, (_NODE, _SCALAR, _MESSAGE)),
+    "dcast": (Dcast, (_NODE, _SCALAR, _SCALAR, _SCALAR, _MESSAGE)),
+    "receive": (Receive, (_NODE, _SCALAR, _NODE, _MESSAGE)),
+    "neighbor": (Neighbor, (_NODE, _SCALAR, _NODE, _SCALAR)),
+}
+_EVENT_READERS, _EVENT_WRITERS = _index(_EVENTS)
 
 
 def dump_trace(trace: Trace) -> str:
-    lines = []
-    for e in trace:
-        if isinstance(e, Bcast):
-            lines.append(
-                f"bcast {e.actor} {format_scalar(e.start)} {_format_message(e.msg)}"
-            )
-        elif isinstance(e, Dcast):
-            lines.append(
-                f"dcast {e.actor} {format_scalar(e.start)} "
-                f"{format_scalar(e.direction)} {format_scalar(e.angle)} "
-                f"{_format_message(e.msg)}"
-            )
-        elif isinstance(e, Receive):
-            lines.append(
-                f"receive {e.actor} {format_scalar(e.start)} {e.sender} "
-                f"{_format_message(e.msg)}"
-            )
-        elif isinstance(e, Neighbor):
-            lines.append(
-                f"neighbor {e.actor} {format_scalar(e.start)} {e.peer} "
-                f"{format_scalar(e.peer_time)}"
-            )
-    return "".join(line + "\n" for line in lines)
+    return "".join(_format(e, _EVENT_WRITERS, " ") + "\n" for e in trace)
 
 
 def parse_trace(text: str) -> Trace:
@@ -366,52 +355,14 @@ def parse_trace(text: str) -> Trace:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        where = f"line {lineno}"
-        fields = line.split()
-        kind = fields[0]
+        kind, *parts = line.split()
+        cls, reads = _EVENT_READERS.get(kind, (None, ()))
         try:
-            if kind == "bcast" and len(fields) == 4:
-                events.append(
-                    Bcast(
-                        _check_name(fields[1], "node id"),
-                        parse_scalar(fields[2]),
-                        _parse_message(fields[3], where),
-                    )
-                )
-            elif kind == "dcast" and len(fields) == 6:
-                events.append(
-                    Dcast(
-                        _check_name(fields[1], "node id"),
-                        parse_scalar(fields[2]),
-                        parse_scalar(fields[3]),
-                        parse_scalar(fields[4]),
-                        _parse_message(fields[5], where),
-                    )
-                )
-            elif kind == "receive" and len(fields) == 5:
-                events.append(
-                    Receive(
-                        _check_name(fields[1], "node id"),
-                        parse_scalar(fields[2]),
-                        _check_name(fields[3], "node id"),
-                        _parse_message(fields[4], where),
-                    )
-                )
-            elif kind == "neighbor" and len(fields) == 5:
-                events.append(
-                    Neighbor(
-                        _check_name(fields[1], "node id"),
-                        parse_scalar(fields[2]),
-                        _check_name(fields[3], "node id"),
-                        parse_scalar(fields[4]),
-                    )
-                )
-            else:
-                raise ScenarioError(f"{where}: unrecognized event {line!r}")
-        except ScenarioError:
-            raise
+            if cls is None or len(parts) != len(reads):
+                raise ValueError(f"unrecognized event {line!r}")
+            events.append(cls(*[read(part) for read, part in zip(reads, parts)]))
         except ValueError as exc:
-            raise ScenarioError(f"{where}: {exc}") from None
+            raise ScenarioError(f"line {lineno}: {exc}") from None
     return Trace(events)
 
 

@@ -12,7 +12,8 @@ from ndcheck import (
     is_rational_square,
     parse_scalar,
 )
-from ndcheck.rational import MAX_SCALAR_EXPONENT
+import ndcheck.rational
+from ndcheck.rational import MAX_SCALAR_EXPONENT, MAX_SCALAR_LENGTH
 
 
 def test_parse_forms():
@@ -36,6 +37,19 @@ def test_parse_bounds_the_exponent():
     for text in too_large:
         with pytest.raises(ValueError, match="exponent beyond 1000 in magnitude"):
             parse_scalar(text)
+
+
+def test_parse_bounds_the_length(monkeypatch):
+    assert parse_scalar("0" * (MAX_SCALAR_LENGTH - 1) + "7") == 7
+
+    def never_built(*args):
+        raise AssertionError("an over-long scalar reached Fraction")
+
+    monkeypatch.setattr(ndcheck.rational, "Fraction", never_built)
+    for text in ["0" * MAX_SCALAR_LENGTH + "7", "1" * 5000, "1/" + "3" * 5000]:
+        with pytest.raises(ValueError) as caught:
+            parse_scalar(text)
+        assert str(caught.value) == f"invalid scalar: {len(text)} characters, over 1000"
 
 
 @given(st.fractions())

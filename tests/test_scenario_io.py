@@ -1,13 +1,23 @@
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ndcheck import (
     AdversaryModel,
+    Bcast,
+    BeaconT,
+    BeaconTL,
+    Dcast,
     InaccuracyParams,
+    Neighbor,
+    Opaque,
     PGT_APPROX,
     RELAY,
+    Receive,
     ScenarioError,
+    Trace,
     availability_witness,
     dump_scenario,
     dump_trace,
@@ -15,6 +25,7 @@ from ndcheck import (
     parse_trace,
     plan_relay_attack,
 )
+from test_oracles import _events
 
 F = Fraction
 
@@ -100,6 +111,15 @@ def test_parse_rejects_malformed(mutation, needle):
         parse_scenario(mutation(MINIMAL))
 
 
+def test_params_errors_are_prefixed_once():
+    with pytest.raises(ScenarioError) as caught:
+        parse_scenario(MINIMAL.replace("delta_relay = 1", "delta_relay = 3/0"))
+    assert str(caught.value) == "[params] delta_relay: invalid scalar '3/0': Fraction(3, 0)"
+    with pytest.raises(ScenarioError) as caught:
+        parse_scenario(MINIMAL.replace("[params]\nv = 1", "[params]\nv = -1"))
+    assert str(caught.value) == "[params]: v must be > 0"
+
+
 def test_missing_sections_rejected():
     with pytest.raises(ScenarioError):
         parse_scenario("[params]\nv = 1\n")
@@ -176,3 +196,84 @@ def test_oversized_exponent_names_line_and_field():
     assert str(caught.value) == (
         "[node B] x: invalid scalar '8E-1001': exponent beyond 1000 in magnitude"
     )
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("bcast A! 0 opaque:x:1", "line 2: invalid node id 'A!': use [A-Za-z0-9_.-] only"),
+        ("receive A 0 B? opaque:x:1", "line 2: invalid node id 'B?': use [A-Za-z0-9_.-] only"),
+        # rejected from the text alone: the 5,000-digit number is never built
+        (
+            "bcast A " + "1" * 5000 + " beacon-t:A:0:1",
+            "line 2: invalid scalar: 5000 characters, over 1000",
+        ),
+    ],
+    ids=["actor", "sender", "overlong-scalar"],
+)
+def test_trace_error_names_its_line(line, message):
+    with pytest.raises(ScenarioError) as caught:
+        parse_trace("bcast B 0 beacon-t:B:0:1\n" + line + "\n")
+    assert str(caught.value) == message
+
+
+_names = st.from_regex(r"[A-Za-z0-9_.\-]{1,4}", fullmatch=True)
+_starts = st.fractions(min_value=0)
+_durations = _starts.filter(bool)
+_messages = st.one_of(
+    st.builds(Opaque, _names, _durations),
+    st.builds(BeaconT, _names, _starts, _durations),
+    st.builds(BeaconTL, _names, _starts, st.tuples(st.fractions(), st.fractions()), _durations),
+)
+_any_events = st.one_of(
+    _events,
+    st.builds(Bcast, _names, _starts, _messages),
+    st.builds(
+        Dcast,
+        _names,
+        _starts,
+        st.fractions(min_value=0, max_value=2).filter(lambda d: d < 2),
+        st.fractions(min_value=0, max_value=2).filter(bool),
+        _messages,
+    ),
+    st.builds(Receive, _names, _starts, _names, _messages),
+    st.builds(Neighbor, _names, _starts, _names, _starts),
+)
+
+
+@given(st.lists(_any_events, max_size=12))
+def test_trace_layout_round_trips(events):
+    trace = Trace(events)
+    text = dump_trace(trace)
+    assert parse_trace(text) == trace
+    assert dump_trace(parse_trace(text)) == text
+
+
+_junk = st.text(max_size=6)
+_words = st.sampled_from("A B! 0 1 -1 1/2 2/4 0.5 1e2 +3 3/0 1e999999999 1,2 1, inf #".split()) | _junk
+_messy_messages = st.builds(
+    lambda tag, parts: ":".join([tag, *parts]),
+    st.sampled_from(["opaque", "beacon-t", "beacon-tl"]) | _junk,
+    st.lists(_words, max_size=5),
+)
+
+
+@st.composite
+def _messy_lines(draw):
+    """A dumped event with some fields dropped, replaced or added."""
+    fields = dump_trace(Trace([draw(_any_events)])).split()
+    for i in draw(st.lists(st.integers(0, len(fields)), max_size=3)):
+        fields[i:i + 1] = draw(st.lists(_words | _messy_messages, max_size=2))
+    return " ".join(fields)
+
+
+@given(st.lists(_messy_lines(), min_size=1, max_size=4))
+def test_any_trace_text_is_rejected_by_line_or_round_trips(lines):
+    try:
+        trace = parse_trace("\n".join(lines))
+    except ScenarioError as exc:
+        assert re.match(r"line [1-9][0-9]*: ", str(exc)), str(exc)
+        return
+    text = dump_trace(trace)
+    assert parse_trace(text) == trace
+    assert dump_trace(parse_trace(text)) == text
