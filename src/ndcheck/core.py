@@ -21,18 +21,20 @@ Conventions baked in here:
   broadcast, including self-reception,
 - every node always has its own self-link up, so any transmission is
   also received by its sender at the same instant,
-- link up-phases are half-open intervals [start, end).
+- link up-phases are half-open intervals [start, end),
+- messages and events are immutable values that compute their hash on
+  first use and keep it, so sets, dicts and traces hash each one once.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
-from typing import Callable, Iterable, Iterator, KeysView, Mapping, Optional, Sequence, Union
+from operator import attrgetter, itemgetter
+from typing import Iterable, Iterator, KeysView, Mapping, Optional, Sequence, Union
 
 from .rational import EXACT, Num, Real
 
@@ -91,11 +93,41 @@ class SystemParams:
 
 
 # ---------------------------------------------------------------------------
-# messages
+# messages and events are values: hashed once
 
 
-@dataclass(frozen=True)
-class Opaque:
+class _HashSlot:
+    __slots__ = ("_hash",)
+
+
+def _hash_once(cls: type) -> type:
+    """Give a frozen, slotted dataclass a hash computed on first use and kept.
+
+    The hash is the one dataclass computes, that of the tuple of field
+    values, so equal values keep equal hashes and __eq__, repr and
+    fields() stay as dataclass makes them.  It is kept in the instance's
+    one extra slot (from _HashSlot), which costs one pointer per
+    instance and no instance dict.  Pickling carries the fields only, so
+    an unpickled value hashes afresh under its own process's string
+    hashes.
+    """
+    values = attrgetter(*[f.name for f in fields(cls)])
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(values(self))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_hash_once
+@dataclass(frozen=True, slots=True)
+class Opaque(_HashSlot):
     """Uninterpreted payload; identity is the token."""
 
     token: str
@@ -108,8 +140,9 @@ class Opaque:
         return ("opaque", self.token, self.duration)
 
 
-@dataclass(frozen=True)
-class BeaconT:
+@_hash_once
+@dataclass(frozen=True, slots=True)
+class BeaconT(_HashSlot):
     """Authenticated beacon carrying its creation time.
 
     Authentication is symbolic: the creator field cannot be forged, only
@@ -129,8 +162,9 @@ class BeaconT:
         return ("beacon-t", self.creator, self.beacon_time, self.duration)
 
 
-@dataclass(frozen=True)
-class BeaconTL:
+@_hash_once
+@dataclass(frozen=True, slots=True)
+class BeaconTL(_HashSlot):
     """Authenticated beacon carrying creation time and claimed location."""
 
     creator: NodeId
@@ -166,8 +200,9 @@ def _check_duration(duration: Fraction) -> None:
 # events
 
 
-@dataclass(frozen=True)
-class Bcast:
+@_hash_once
+@dataclass(frozen=True, slots=True)
+class Bcast(_HashSlot):
     actor: NodeId
     start: Fraction
     msg: Message
@@ -179,8 +214,9 @@ class Bcast:
         return (self.start, self.actor, 0) + self.msg.key()
 
 
-@dataclass(frozen=True)
-class Dcast:
+@_hash_once
+@dataclass(frozen=True, slots=True)
+class Dcast(_HashSlot):
     """Directional transmission over the closed sector [direction, direction+angle].
 
     direction is in [0, 2) and angle in (0, 2], both in units of pi.
@@ -203,8 +239,9 @@ class Dcast:
         return (self.start, self.actor, 1, self.direction, self.angle) + self.msg.key()
 
 
-@dataclass(frozen=True)
-class Receive:
+@_hash_once
+@dataclass(frozen=True, slots=True)
+class Receive(_HashSlot):
     actor: NodeId
     start: Fraction
     sender: NodeId
@@ -217,8 +254,9 @@ class Receive:
         return (self.start, self.actor, 2, self.sender) + self.msg.key()
 
 
-@dataclass(frozen=True)
-class Neighbor:
+@_hash_once
+@dataclass(frozen=True, slots=True)
+class Neighbor(_HashSlot):
     """Declaration by `actor` that `peer` was its neighbor at `peer_time`."""
 
     actor: NodeId
@@ -257,7 +295,9 @@ class Trace:
     same events in any order compare (and serialize) identically.  It
     hashes each event once: a dict deduplicates the events, its keys are
     sorted (sort keys are injective, so the order is canonical whatever
-    the input order), and its keys view answers membership.
+    the input order), and its keys view answers membership.  Events keep
+    their hashes, so a trace built from events another trace holds
+    hashes nothing again.
 
     Three indexes are built on first use and kept for the life of the
     trace, which never changes, so they never go stale.  The first call
@@ -352,9 +392,17 @@ class Setting:
     coverage is worked out over them alone.  The index is built once
     from the declared links, in O(n + links log links), and holds one
     reference per node and per link.
+
+    The setting also keeps the distance memo that ``dist`` reads and
+    fills: one entry per unordered node pair and comparison mode, keyed
+    by ``(num.exact, a, b)`` with a <= b.  An entry is made the first
+    time a check asks for that distance, so each pair's square root is
+    taken at most once per mode for the life of the setting, whatever
+    checks run on it; the memo holds at most one number per pair and
+    mode.  It is not part of the setting's value: equality ignores it.
     """
 
-    __slots__ = ("nodes", "loc", "node_type", "link_schedule", "reachable")
+    __slots__ = ("nodes", "loc", "node_type", "link_schedule", "reachable", "_dist")
 
     def __init__(
         self,
@@ -394,6 +442,7 @@ class Setting:
         self.reachable: dict[NodeId, tuple[NodeId, ...]] = {
             node: tuple(sorted(dests)) for node, dests in reach.items()
         }
+        self._dist: dict[tuple[bool, NodeId, NodeId], Real] = {}
 
     @property
     def correct_nodes(self) -> tuple[NodeId, ...]:
@@ -446,13 +495,17 @@ def sq_dist(p: Point, q: Point) -> Fraction:
 
 
 def dist(setting: Setting, a: NodeId, b: NodeId, num: Num = EXACT) -> Real:
-    """Euclidean distance between two nodes of the setting."""
-    for node in (a, b):
-        if node not in setting.loc:
-            raise UnknownNode(f"node {node!r} not in setting")
-    if a == b:
-        return Fraction(0)
-    return num.sqrt(sq_dist(setting.loc[a], setting.loc[b]))
+    """Euclidean distance between two nodes of the setting, read from and
+    kept in the setting's distance memo."""
+    key = (num.exact, a, b) if a <= b else (num.exact, b, a)
+    d = setting._dist.get(key)
+    if d is None:
+        for node in (a, b):
+            if node not in setting.loc:
+                raise UnknownNode(f"node {node!r} not in setting")
+        d = Fraction(0) if a == b else num.sqrt(sq_dist(setting.loc[a], setting.loc[b]))
+        setting._dist[key] = d
+    return d
 
 
 def time_of_flight(
@@ -690,23 +743,8 @@ class Verdict:
 # physical consistency
 
 
-def _flight_times(
-    setting: Setting, params: SystemParams, num: Num
-) -> Callable[[NodeId, NodeId], Real]:
-    """Time of flight between two nodes, computed once per unordered pair."""
-    cache: dict[tuple[NodeId, NodeId], Real] = {}
-
-    def tof(a: NodeId, b: NodeId) -> Real:
-        key = (a, b) if a <= b else (b, a)
-        if key not in cache:
-            cache[key] = time_of_flight(setting, params, a, b, num)
-        return cache[key]
-
-    return tof
-
-
 def _coverage(
-    e: Union[Bcast, Dcast], setting: Setting, tof: Callable[[NodeId, NodeId], Real]
+    e: Union[Bcast, Dcast], setting: Setting, params: SystemParams, num: Num
 ) -> Iterator[tuple[NodeId, Real]]:
     """(node, arrival) for every node a transmission must reach, in node order.
 
@@ -722,7 +760,7 @@ def _coverage(
     for dest in reach:
         if isinstance(e, Dcast) and not inrange(setting, e.actor, e.direction, e.angle, dest):
             continue
-        arrival = e.start + tof(e.actor, dest)
+        arrival = e.start + time_of_flight(setting, params, e.actor, dest, num)
         if link_up_over(setting, e.actor, dest, arrival, arrival + e.msg.duration):
             yield dest, arrival
 
@@ -742,28 +780,32 @@ def check_setting_feasible(
       included, via its self-link),
     - every directional cast is performed by an adversarial node and is
       received by exactly the covered, link-enabled nodes.
+
+    Matching goes through three indexes built in one pass over the trace
+    at each call and dropped when it returns, one reference per
+    transmission or reception: the broadcast starts and the directional
+    casts keyed by ``(sender, msg)``, and the reception starts keyed by
+    ``(receiver, sender, msg)``.  A reception or a covered node is thus
+    compared, with ``num.eq``, against the starts of the few events
+    carrying its message between its two nodes only.  Flight times come
+    from the setting's distance memo (see ``Setting``).
     """
     violations: list[Violation] = []
     known = set(setting.nodes)
 
-    bcasts_by_actor: dict[NodeId, list[Bcast]] = {}
-    dcasts_by_actor: dict[NodeId, list[Dcast]] = {}
-    receives_by_pair: dict[tuple[NodeId, NodeId], list[Receive]] = {}
+    bcast_starts: dict[tuple[NodeId, Message], list[Fraction]] = {}
+    dcasts: dict[tuple[NodeId, Message], list[Dcast]] = {}
+    receive_starts: dict[tuple[NodeId, NodeId, Message], list[Fraction]] = {}
     for e in trace:
         if isinstance(e, Bcast):
-            bcasts_by_actor.setdefault(e.actor, []).append(e)
+            bcast_starts.setdefault((e.actor, e.msg), []).append(e.start)
         elif isinstance(e, Dcast):
-            dcasts_by_actor.setdefault(e.actor, []).append(e)
+            dcasts.setdefault((e.actor, e.msg), []).append(e)
         elif isinstance(e, Receive):
-            receives_by_pair.setdefault((e.actor, e.sender), []).append(e)
-
-    tof = _flight_times(setting, params, num)
+            receive_starts.setdefault((e.actor, e.sender, e.msg), []).append(e.start)
 
     def receive_present(dest: NodeId, sender: NodeId, at: Real, msg: Message) -> bool:
-        for r in receives_by_pair.get((dest, sender), ()):
-            if r.msg == msg and num.eq(r.start, at):
-                return True
-        return False
+        return any(num.eq(start, at) for start in receive_starts.get((dest, sender, msg), ()))
 
     for e in trace:
         actors = [e.actor]
@@ -787,16 +829,13 @@ def check_setting_feasible(
                         f"link {e.sender}->{e.actor} not up over the reception window",
                     )
                 )
-            send_time = e.start - tof(e.sender, e.actor)
-            bcast_match = any(
-                b.msg == e.msg and num.eq(b.start, send_time)
-                for b in bcasts_by_actor.get(e.sender, ())
-            )
+            send_time = e.start - time_of_flight(setting, params, e.sender, e.actor, num)
+            source = (e.sender, e.msg)
+            bcast_match = any(num.eq(start, send_time) for start in bcast_starts.get(source, ()))
             dcast_match = any(
-                d.msg == e.msg
-                and num.eq(d.start, send_time)
+                num.eq(d.start, send_time)
                 and inrange(setting, e.sender, d.direction, d.angle, e.actor)
-                for d in dcasts_by_actor.get(e.sender, ())
+                for d in dcasts.get(source, ())
             )
             if bcast_match and dcast_match:
                 violations.append(
@@ -828,7 +867,7 @@ def check_setting_feasible(
                             "directional transmission is reserved to adversarial nodes",
                         )
                     )
-            for dest, arrival in _coverage(e, setting, tof):
+            for dest, arrival in _coverage(e, setting, params, num):
                 if not receive_present(dest, e.actor, arrival, e.msg):
                     violations.append(
                         Violation(rule, (e,), f"{dest} {reach} but no matching reception")
@@ -849,10 +888,9 @@ def induced_receives(
     so a trace assembled from sends plus their induced receives passes
     the physical-consistency check by construction.
     """
-    tof = _flight_times(setting, params, num)
     return [
         Receive(dest, arrival, e.actor, e.msg)
         for e in sends
         if isinstance(e, (Bcast, Dcast))
-        for dest, arrival in _coverage(e, setting, tof)
+        for dest, arrival in _coverage(e, setting, params, num)
     ]

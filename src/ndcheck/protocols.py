@@ -32,8 +32,10 @@ while the decision function offers exact stamps only.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable, Optional, Union
 
 from .core import (
@@ -453,6 +455,9 @@ def _stamp_violation(
     return None
 
 
+_START = attrgetter("start")
+
+
 def _check_stamped(
     spec: ProtocolSpec,
     trace: Trace,
@@ -461,14 +466,26 @@ def _check_stamped(
     inacc: Optional[InaccuracyParams],
     num: Num,
 ) -> Verdict:
-    """Direct conformance to a protocol whose correct nodes send stamped beacons."""
+    """Direct conformance to a protocol whose correct nodes send stamped beacons.
+
+    A declaration is checked against only those receptions of its owner
+    that num.eq matches with its peer time: the ones starting in
+    [peer_time - eps, peer_time + eps], with eps = num.epsilon in
+    approximate mode and 0 in exact mode, found by bisection.  The index
+    behind it is built in one pass at each call and dropped when it
+    returns: each correct node's receptions in canonical order, which
+    sorts them by start, one reference per reception.
+    """
     stamped = BeaconTL if spec.flavor == TL_FLAVOR else BeaconT
     violations: list[Violation] = []
     correct = set(setting.correct_nodes)
     receives_by_actor: dict[NodeId, list[Receive]] = {}
     for r in trace.of_kind(Receive):
-        receives_by_actor.setdefault(r.actor, []).append(r)
+        if r.actor in correct:
+            receives_by_actor.setdefault(r.actor, []).append(r)
 
+    # num.eq(start, peer_time) holds exactly for starts in [peer_time - eps, peer_time + eps]
+    eps = 0 if num.exact else num.epsilon
     for e in trace:
         if e.actor not in correct:
             continue
@@ -493,12 +510,17 @@ def _check_stamped(
                     violations.append(stamp)
         elif isinstance(e, Neighbor):
             owner_loc = setting.loc[e.actor]
+            own = receives_by_actor.get(e.actor, ())
+            low = high = e.peer_time
+            if eps:
+                low, high = low - eps, high + eps
+            first = bisect_left(own, low, key=_START)
+            last = bisect_right(own, high, first, key=_START)
             if not any(
                 r.sender in setting.loc
-                and num.eq(r.start, e.peer_time)
                 and e.start > event_end(r)
                 and spec.accepts(params, owner_loc, r, inacc, num) == e.peer
-                for r in receives_by_actor.get(e.actor, ())
+                for r in own[first:last]
             ):
                 violations.append(
                     Violation(

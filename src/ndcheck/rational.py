@@ -33,6 +33,18 @@ MAX_SCALAR_EXPONENT = 1000
 MAX_SCALAR_LENGTH = 1000
 
 
+# Longest token an error message repeats whole, in characters; a longer
+# one is cut to this prefix, followed by its length.
+MAX_ECHO_LENGTH = 64
+
+
+def echo(token: str) -> str:
+    """The repr of an input token for an error message, cut when over-long."""
+    if len(token) <= MAX_ECHO_LENGTH:
+        return repr(token)
+    return f"{token[:MAX_ECHO_LENGTH]!r}... ({len(token)} characters)"
+
+
 def parse_scalar(text: str) -> Fraction:
     """Parse "p/q", integer, decimal or scientific notation into a Fraction.
 
@@ -51,7 +63,7 @@ def parse_scalar(text: str) -> Fraction:
             len(digits) > len(str(MAX_SCALAR_EXPONENT)) or int(digits) > MAX_SCALAR_EXPONENT
         ):
             raise ValueError(
-                f"invalid scalar {text!r}: "
+                f"invalid scalar {echo(text)}: "
                 f"exponent beyond {MAX_SCALAR_EXPONENT} in magnitude"
             )
     if len(text) > MAX_SCALAR_LENGTH:
@@ -59,7 +71,7 @@ def parse_scalar(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"invalid scalar {text!r}: {exc}") from None
+        raise ValueError(f"invalid scalar {echo(text)}: {exc}") from None
 
 
 def format_scalar(x: Fraction) -> str:

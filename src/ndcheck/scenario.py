@@ -62,7 +62,7 @@ import io
 import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .adversary import ADVERSARY_NAMES, AdversaryModel
 from .core import (
@@ -86,7 +86,7 @@ from .core import (
     sq_dist,
 )
 from .protocols import InaccuracyParams, PGT_APPROX, PROTOCOL_NAMES, PROTOCOLS
-from .rational import format_scalar, is_rational_square, parse_scalar
+from .rational import echo, format_scalar, is_rational_square, parse_scalar
 
 
 class ScenarioError(ValueError):
@@ -108,7 +108,7 @@ class Scenario:
 
 def _check_name(name: str, what: str = "node id") -> str:
     if not _NAME_RE.match(name):
-        raise ScenarioError(f"invalid {what} {name!r}: use [A-Za-z0-9_.-] only")
+        raise ScenarioError(f"invalid {what} {echo(name)}: use [A-Za-z0-9_.-] only")
     return name
 
 
@@ -126,7 +126,7 @@ def _parse_intervals(section: str, text: str) -> tuple[Interval, ...]:
         if not part:
             continue
         if ":" not in part:
-            raise ScenarioError(f"[{section}] up: interval {part!r} is not start:end")
+            raise ScenarioError(f"[{section}] up: interval {echo(part)} is not start:end")
         lo, hi = part.split(":", 1)
         start = _scalar(section, "up", lo)
         end = None if hi.strip() == "inf" else _scalar(section, "up", hi)
@@ -217,11 +217,10 @@ def parse_scenario(text: str, exact: bool = True) -> Scenario:
         body = parser["protocol"]
         if "delta" not in body or "tau" not in body:
             raise ScenarioError("[protocol] pgt-approx requires delta and tau keys")
+        delta = _scalar("protocol", "delta", body["delta"])
+        tau = _scalar("protocol", "tau", body["tau"])
         try:
-            inaccuracy = InaccuracyParams(
-                delta=_scalar("protocol", "delta", body["delta"]),
-                tau=_scalar("protocol", "tau", body["tau"]),
-            )
+            inaccuracy = InaccuracyParams(delta=delta, tau=tau)
         except ValueError as exc:
             raise ScenarioError(f"[protocol]: {exc}") from None
 
@@ -327,11 +326,11 @@ def _parse_message(text: str) -> Message:
     tag, *parts = text.split(":")
     cls, reads = _MESSAGE_READERS.get(tag, (None, ()))
     if cls is None or len(parts) != len(reads):
-        raise ValueError(f"unknown message form {text!r}")
+        raise ValueError(f"unknown message form {echo(text)}")
     try:
         return cls(*[read(part) for read, part in zip(reads, parts)])
     except ValueError as exc:
-        raise ValueError(f"bad message {text!r}: {exc}") from None
+        raise ValueError(f"bad message {echo(text)}: {exc}") from None
 
 
 _MESSAGE = (_parse_message, lambda msg: _format(msg, _MESSAGE_WRITERS, ":"))
@@ -350,6 +349,25 @@ def dump_trace(trace: Trace) -> str:
 
 
 def parse_trace(text: str) -> Trace:
+    """Read a trace file's text; a malformed line raises ScenarioError naming it.
+
+    Each distinct field text is read once per call: a memo keyed by
+    (reader, text) keeps every value read, so identical texts (a
+    beacon's message in each of its receptions, a start shared by
+    several events) share one parsed value, and comparing them stops at
+    the identity check.  The memo lives for the call only and holds one
+    value per distinct field text of this input; a text that fails to
+    read is never stored, so it fails again with the same message.
+    """
+    parsed: dict[tuple[Callable, str], object] = {}
+
+    def read_once(read: Callable, part: str):
+        key = (read, part)
+        value = parsed.get(key)
+        if value is None:
+            value = parsed[key] = read(part)
+        return value
+
     events: list[Event] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -359,8 +377,8 @@ def parse_trace(text: str) -> Trace:
         cls, reads = _EVENT_READERS.get(kind, (None, ()))
         try:
             if cls is None or len(parts) != len(reads):
-                raise ValueError(f"unrecognized event {line!r}")
-            events.append(cls(*[read(part) for read, part in zip(reads, parts)]))
+                raise ValueError(f"unrecognized event {echo(line)}")
+            events.append(cls(*[read_once(read, part) for read, part in zip(reads, parts)]))
         except ValueError as exc:
             raise ScenarioError(f"line {lineno}: {exc}") from None
     return Trace(events)

@@ -26,7 +26,7 @@ from ndcheck import (
     project_local,
     time_of_flight,
 )
-from ndcheck import core
+from ndcheck import RELAY, AdversaryModel, check_adversary_feasible, core, exact_sqrt, rational
 
 F = Fraction
 ALWAYS = ((F(0), None),)
@@ -389,6 +389,38 @@ def test_coverage_visits_only_linked_receivers(unit_params, monkeypatch):
     assert [v.detail for v in verdict.violations] == [
         f"{n} is covered with the link up but no matching reception" for n in "CD"
     ]
+
+
+def test_each_pair_square_root_taken_once_per_setting(unit_params, monkeypatch):
+    """Physics, induced receptions and the adversary check share the setting's distance memo."""
+    # along the 3-4-5 slope at 0, 1, 3 and 7: six pairs, six different rational distances
+    names = "ABCD"
+    s = Setting(
+        names,
+        {n: (F(3 * k), F(4 * k)) for n, k in zip(names, (0, 1, 3, 7))},
+        {n: ADVERSARIAL if n in "CD" else CORRECT for n in names},
+        {(a, b): ALWAYS for a in names for b in names if a != b},
+    )
+    roots = []
+
+    def counting(squared):
+        roots.append(squared)
+        return exact_sqrt(squared)
+
+    monkeypatch.setattr(rational, "exact_sqrt", counting)
+    msg = beacon("A")
+    sends = [
+        Bcast("A", F(0), msg),
+        Bcast("B", F(1), beacon("B", F(1))),
+        Dcast("D", F(40), F(0), F(2), msg),  # relays what C received at 15
+    ]
+    trace = Trace(sends + induced_receives(sends, s, unit_params))
+    for _ in range(2):
+        assert check_setting_feasible(trace, s, unit_params).ok
+        induced_receives(sends, s, unit_params)
+        model = AdversaryModel(RELAY, unit_params.delta_relay)
+        assert check_adversary_feasible(trace, s, unit_params, model).ok
+    assert len(roots) == len(set(roots)) == 6
 
 
 def test_induced_receives_rejects_unknown_sender(unit_params):

@@ -1,6 +1,7 @@
 """Differential checks of the core predicates against brute-force oracles."""
 
 import math
+import pickle
 import random
 from fractions import Fraction
 from itertools import zip_longest
@@ -13,6 +14,9 @@ from ndcheck import (
     DY_GT,
     DY_T,
     EXACT,
+    PGT,
+    PGT_APPROX,
+    PT,
     RELAY_BCAST,
     RELAY_LOCAL,
     AdversaryModel,
@@ -20,6 +24,7 @@ from ndcheck import (
     BeaconT,
     BeaconTL,
     Dcast,
+    InaccuracyParams,
     LocalBcast,
     LocalNeighbor,
     LocalReceive,
@@ -35,15 +40,19 @@ from ndcheck import (
     check_adversary_feasible,
     check_setting_feasible,
     dist,
+    dump_trace,
     event_end,
     induced_receives,
     inrange,
     link_up_over,
+    parse_trace,
     project_local,
+    protocol_verdict,
     time_of_flight,
 )
 from ndcheck.adversary import ADVERSARY_NAMES
 from ndcheck.core import Verdict, Violation
+from ndcheck.protocols import PROTOCOLS
 from ndcheck.generators import random_params, random_setting, random_trace
 
 F = Fraction
@@ -391,3 +400,129 @@ def test_indexed_relay_rule_matches_scan_of_every_reception(data):
         verdict = check_adversary_feasible(trace, setting, _PARAMS, model, num)
         found = [(v.rule, v.events[0]) for v in verdict.violations]
         assert found == _scanned_adversary(trace, setting, model, num)
+
+
+def _scanned_physics(trace, setting, num):
+    """(rule, event) of each physics violation by definition, matching every
+    reception and every covered node by a scan of the whole trace."""
+    found = []
+    for e in trace:
+        if isinstance(e, Receive):
+            if not link_up_over(setting, e.sender, e.actor, e.start, event_end(e)):
+                found.append(("receive-link-down", e))
+            sent = e.start - time_of_flight(setting, _PARAMS, e.sender, e.actor, num)
+            kinds = {
+                type(s)
+                for s in trace
+                if isinstance(s, (Bcast, Dcast))
+                and (s.actor, s.msg) == (e.sender, e.msg)
+                and num.eq(s.start, sent)
+                and (isinstance(s, Bcast) or inrange(setting, s.actor, s.direction, s.angle, e.actor))
+            }
+            if len(kinds) == 2:
+                found.append(("receive-ambiguous-source", e))
+            elif not kinds:
+                found.append(("receive-without-transmission", e))
+        elif isinstance(e, (Bcast, Dcast)):
+            if isinstance(e, Dcast) and not setting.is_adversarial(e.actor):
+                found.append(("dcast-by-correct-node", e))
+            rule = "bcast-missing-receive" if isinstance(e, Bcast) else "dcast-missing-receive"
+            for dest, at in _scanned_coverage(e, setting, num):
+                if not any(
+                    isinstance(r, Receive)
+                    and (r.actor, r.sender, r.msg) == (dest, e.actor, e.msg)
+                    and num.eq(r.start, at)
+                    for r in trace
+                ):
+                    found.append((rule, e))
+    return found
+
+
+def _scanned_declarations(trace, setting, spec, inacc, num):
+    """Each correct node's declaration that no reception backs, by a scan of every event."""
+    return [
+        e
+        for e in trace
+        if isinstance(e, Neighbor)
+        and not setting.is_adversarial(e.actor)
+        and not any(
+            isinstance(r, Receive)
+            and r.actor == e.actor
+            and r.sender in setting.loc
+            and num.eq(r.start, e.peer_time)
+            and e.start > event_end(r)
+            and spec.accepts(_PARAMS, setting.loc[e.actor], r, inacc, num) == e.peer
+            for r in trace
+        )
+    ]
+
+
+# shifts of a reception or a peer time: none (half the time), or below, at
+# and beyond the approximate mode's epsilon of 1/1000, either way
+_SHIFTS = st.sampled_from(
+    (F(0),) * 6 + (F(1, 2000), F(-1, 2000), F(1, 1000), F(-1, 1000), F(1, 500), F(-3, 1000))
+)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_message_keyed_matching_matches_full_scan(data):
+    """Matching receptions by message and declarations by a window of starts
+    changes no physics or protocol verdict, exact or approximate; and a
+    trace read from text equals, and hashes as, the trace built in code."""
+    # every link declared, some down part of the time; every distance rational
+    n = data.draw(st.integers(min_value=3, max_value=5))
+    names = "ABCDE"[:n]
+    steps = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n, unique=True))
+    setting = Setting(
+        names,
+        {name: (F(3 * k), F(4 * k)) for name, k in zip(names, steps)},
+        {name: data.draw(st.sampled_from((CORRECT, ADVERSARIAL))) for name in names},
+        {(a, b): data.draw(st.sampled_from(_PHASES[3:])) for a in names for b in names if a != b},
+    )
+    creators = st.sampled_from(setting.nodes)
+    loc = setting.loc.__getitem__
+    beacons = st.one_of(
+        st.builds(BeaconT, creators, _times, st.just(F(1))),
+        st.builds(lambda c, t: BeaconTL(c, t, loc(c), F(1)), creators, _times),
+    )
+    pool = data.draw(st.lists(beacons, min_size=1, max_size=2, unique=True))
+    # each beacon sent by its creator at its time, then cast again, by the
+    # creator at other starts or by other nodes
+    honest = [Bcast(m.creator, m.beacon_time, m) for m in pool]
+    picks = data.draw(st.lists(st.sampled_from(pool), min_size=8, max_size=8))
+    sends = honest + _sends(data.draw, setting, picks.__getitem__)
+    receptions = []
+    for r in induced_receives(sends, setting, _PARAMS):
+        if data.draw(st.sampled_from((True, True, False))):
+            start = max(F(0), r.start + data.draw(_SHIFTS))
+            sender = data.draw(st.sampled_from((r.sender,) * 3 + (r.actor,)))
+            receptions.append(Receive(r.actor, start, sender, r.msg))
+    declarations = [
+        Neighbor(
+            r.actor,
+            event_end(r) + data.draw(st.sampled_from((F(0), F(1, 2), F(3)))),
+            data.draw(st.sampled_from((r.msg.creator, r.msg.creator, r.sender))),
+            max(F(0), r.start + data.draw(_SHIFTS)),
+        )
+        for r in receptions
+        if data.draw(st.booleans())
+    ]
+    trace = Trace(sends + receptions + declarations)
+
+    window = InaccuracyParams(F(1, 1000), F(1, 1000))
+    for num in (EXACT, approx_num(F(1, 1000))):
+        verdict = check_setting_feasible(trace, setting, _PARAMS, num)
+        found = [(v.rule, v.events[0]) for v in verdict.violations]
+        assert found == _scanned_physics(trace, setting, num)
+        for name, inacc in ((PT, None), (PGT, None), (PGT_APPROX, window)):
+            verdict = protocol_verdict(trace, setting, name, _PARAMS, inacc, num)
+            unjustified = [v.events[0] for v in verdict.violations if v.rule == "neighbor-unjustified"]
+            assert unjustified == _scanned_declarations(trace, setting, PROTOCOLS[name], inacc, num)
+
+    for read in (parse_trace(dump_trace(trace)), pickle.loads(pickle.dumps(trace.events))):
+        assert tuple(read) == trace.events
+        for built, again in zip(trace, read):
+            assert hash(again) == hash(built)
+            if not isinstance(built, Neighbor):
+                assert again.msg == built.msg and hash(again.msg) == hash(built.msg)

@@ -13,7 +13,7 @@ from ndcheck import (
     parse_scalar,
 )
 import ndcheck.rational
-from ndcheck.rational import MAX_SCALAR_EXPONENT, MAX_SCALAR_LENGTH
+from ndcheck.rational import MAX_ECHO_LENGTH, MAX_SCALAR_EXPONENT, MAX_SCALAR_LENGTH
 
 
 def test_parse_forms():
@@ -50,6 +50,25 @@ def test_parse_bounds_the_length(monkeypatch):
         with pytest.raises(ValueError) as caught:
             parse_scalar(text)
         assert str(caught.value) == f"invalid scalar: {len(text)} characters, over 1000"
+
+
+def test_errors_echo_a_bounded_prefix_of_long_tokens(monkeypatch):
+    def never_built(*args):
+        raise AssertionError("an over-long scalar reached Fraction")
+
+    monkeypatch.setattr(ndcheck.rational, "Fraction", never_built)
+    text = "1e" + "9" * 5000
+    with pytest.raises(ValueError) as caught:
+        parse_scalar(text)
+    assert str(caught.value) == (
+        f"invalid scalar {text[:MAX_ECHO_LENGTH]!r}... (5002 characters): "
+        "exponent beyond 1000 in magnitude"
+    )
+    assert len(str(caught.value)) < 2 * MAX_ECHO_LENGTH + 100
+    short = "1e" + "9" * (MAX_ECHO_LENGTH - 2)
+    with pytest.raises(ValueError) as caught:
+        parse_scalar(short)
+    assert str(caught.value) == f"invalid scalar {short!r}: exponent beyond 1000 in magnitude"
 
 
 @given(st.fractions())

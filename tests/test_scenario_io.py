@@ -25,6 +25,7 @@ from ndcheck import (
     parse_trace,
     plan_relay_attack,
 )
+from ndcheck.rational import MAX_ECHO_LENGTH
 from test_oracles import _events
 
 F = Fraction
@@ -118,6 +119,18 @@ def test_params_errors_are_prefixed_once():
     with pytest.raises(ScenarioError) as caught:
         parse_scenario(MINIMAL.replace("[params]\nv = 1", "[params]\nv = -1"))
     assert str(caught.value) == "[params]: v must be > 0"
+
+
+def test_protocol_errors_are_prefixed_once():
+    approx = MINIMAL.replace("name = pt", "name = pgt-approx\ndelta = x\ntau = 0")
+    with pytest.raises(ScenarioError) as caught:
+        parse_scenario(approx)
+    assert str(caught.value) == (
+        "[protocol] delta: invalid scalar 'x': Invalid literal for Fraction: 'x'"
+    )
+    with pytest.raises(ScenarioError) as caught:
+        parse_scenario(approx.replace("delta = x", "delta = -1"))
+    assert str(caught.value) == "[protocol]: delta and tau must be >= 0"
 
 
 def test_missing_sections_rejected():
@@ -215,6 +228,18 @@ def test_trace_error_names_its_line(line, message):
     with pytest.raises(ScenarioError) as caught:
         parse_trace("bcast B 0 beacon-t:B:0:1\n" + line + "\n")
     assert str(caught.value) == message
+
+
+def test_bad_message_echoes_a_bounded_prefix():
+    # rejected from the text alone: the 3,000-digit number is never built
+    token = "opaque:x:" + "2" * 3000
+    with pytest.raises(ScenarioError) as caught:
+        parse_trace(f"bcast B 0 {token}\n")
+    assert str(caught.value) == (
+        f"line 1: bad message {token[:MAX_ECHO_LENGTH]!r}... (3009 characters): "
+        "invalid scalar: 3000 characters, over 1000"
+    )
+    assert len(str(caught.value)) < 2 * MAX_ECHO_LENGTH + 100
 
 
 _names = st.from_regex(r"[A-Za-z0-9_.\-]{1,4}", fullmatch=True)
