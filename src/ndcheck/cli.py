@@ -11,7 +11,8 @@ Commands:
            corpus directory of .scn/.trc pairs
 
 Exit codes: 0 success / inclusion holds / no violation; 1 parse or
-validation failure, or an unreadable input or unwritable output path;
+validation failure, a number beyond float range in approximate mode,
+or an unreadable input or unwritable output path;
 2 feasibility violation (or ordering counterexample); 3 feasible trace
 with a false neighbor declaration; 4 requested construction infeasible
 (placement or distance).
@@ -435,7 +436,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -281,6 +281,15 @@ def _check_start(start: Fraction) -> None:
         raise ValueError("event start must be >= 0")
 
 
+def _start_prefix(start: Real) -> float:
+    """The start rounded to a float, monotone non-decreasing in the start."""
+    try:
+        return float(start)
+    except OverflowError:
+        # starts are never negative, so only the positive end overflows
+        return math.inf
+
+
 def event_end(e: Event) -> Fraction:
     """Events carrying a message span [start, start + duration]; declarations are instantaneous."""
     if isinstance(e, Neighbor):
@@ -299,6 +308,16 @@ class Trace:
     their hashes, so a trace built from events another trace holds
     hashes nothing again.
 
+    The sort key is ``(_start_prefix(e.start), e.sort_key())``.  The
+    prefix is the start rounded to the nearest float (infinity beyond
+    float range), and rounding never reverses two values' order: if
+    one start is below another, its prefix is below or equal.  So
+    where two prefixes differ they order the events as their starts do,
+    and where they are equal the comparison falls through to
+    ``sort_key()``; the order is exactly the ``sort_key()`` order.  The
+    prefixes are compared in C, so only events whose starts round to
+    the same float compare exact starts.
+
     Three indexes are built on first use and kept for the life of the
     trace, which never changes, so they never go stale.  The first call
     of ``by_actor`` (or ``project_local``) groups the events by actor in
@@ -315,7 +334,7 @@ class Trace:
 
     def __init__(self, events: Iterable[Event] = ()):
         unique = dict.fromkeys(events)
-        ordered = sorted(unique, key=lambda e: e.sort_key())
+        ordered = sorted(unique, key=lambda e: (_start_prefix(e.start), e.sort_key()))
         self.events: tuple[Event, ...] = tuple(ordered)
         self._members: KeysView[Event] = unique.keys()
         self._by_actor: Optional[dict[NodeId, tuple[Event, ...]]] = None
@@ -393,16 +412,37 @@ class Setting:
     from the declared links, in O(n + links log links), and holds one
     reference per node and per link.
 
-    The setting also keeps the distance memo that ``dist`` reads and
-    fills: one entry per unordered node pair and comparison mode, keyed
-    by ``(num.exact, a, b)`` with a <= b.  An entry is made the first
-    time a check asks for that distance, so each pair's square root is
-    taken at most once per mode for the life of the setting, whatever
-    checks run on it; the memo holds at most one number per pair and
-    mode.  It is not part of the setting's value: equality ignores it.
+    The setting also keeps three memos, each filled the first time a
+    check asks for an entry and kept for the life of the setting, so
+    each fact below is worked out at most once whatever checks run on
+    it.  None is part of the setting's value: equality ignores them.
+
+    - ``dist`` reads and fills the distance memo: one number per
+      unordered node pair and comparison mode, keyed by
+      ``(num.exact, a, b)`` with a <= b, so each pair's square root is
+      taken at most once per mode.
+    - ``time_of_flight`` reads and fills the flight-time memo: one
+      number per unordered node pair, mode and signal speed, keyed by
+      ``(num.exact, params.v, a, b)`` with a <= b, so each pair's
+      distance is divided at most once per mode and speed.
+    - ``inrange`` reads and fills the sector memo: one bool per
+      (sender, receiver, sector) that a check asked about, keyed by
+      ``(a, b, direction, angle)``.  The sender itself and full-turn
+      sectors are decided without it.  A check asks only about the
+      receivers a cast's sender can reach, so the memo holds at most
+      one entry per declared link and distinct sector cast over it.
     """
 
-    __slots__ = ("nodes", "loc", "node_type", "link_schedule", "reachable", "_dist")
+    __slots__ = (
+        "nodes",
+        "loc",
+        "node_type",
+        "link_schedule",
+        "reachable",
+        "_dist",
+        "_flight",
+        "_sectors",
+    )
 
     def __init__(
         self,
@@ -443,6 +483,8 @@ class Setting:
             node: tuple(sorted(dests)) for node, dests in reach.items()
         }
         self._dist: dict[tuple[bool, NodeId, NodeId], Real] = {}
+        self._flight: dict[tuple[bool, Fraction, NodeId, NodeId], Real] = {}
+        self._sectors: dict[tuple[NodeId, NodeId, Fraction, Fraction], bool] = {}
 
     @property
     def correct_nodes(self) -> tuple[NodeId, ...]:
@@ -511,7 +553,13 @@ def dist(setting: Setting, a: NodeId, b: NodeId, num: Num = EXACT) -> Real:
 def time_of_flight(
     setting: Setting, params: SystemParams, a: NodeId, b: NodeId, num: Num = EXACT
 ) -> Real:
-    return dist(setting, a, b, num) / params.v
+    """Signal flight time between two nodes, read from and kept in the
+    setting's flight-time memo."""
+    key = (num.exact, params.v, a, b) if a <= b else (num.exact, params.v, b, a)
+    t = setting._flight.get(key)
+    if t is None:
+        t = setting._flight[key] = dist(setting, a, b, num) / params.v
+    return t
 
 
 def link_up_over(setting: Setting, a: NodeId, b: NodeId, t0: Real, t1: Real) -> bool:
@@ -554,14 +602,34 @@ def _sector_rays(
 ) -> tuple[tuple[Real, Real], tuple[Real, Real]]:
     """The opening and closing ray vectors of a sector.
 
-    Kept for the last 256 sectors, so the nodes tested against one cast
-    share one computation of its rays.
+    Kept for the last 256 sectors.  A setting's sector memo decides each
+    (sender, receiver, sector) once, but a new setting decides afresh,
+    and the settings built one per attack plan cast the same few
+    sectors, so they share these rays.
     """
     return _direction_vector(direction), _direction_vector(direction + angle)
 
 
 def _cross(a: tuple[Real, Real], b: tuple[Real, Real]) -> Real:
     return a[0] * b[1] - a[1] * b[0]
+
+
+def _in_sector(u: tuple[Real, Real], direction: Fraction, angle: Fraction) -> bool:
+    """Whether the offset u from the apex lies in the closed sector, for
+    u != (0, 0) and angle < 2."""
+    e0, e1 = _sector_rays(direction, angle)
+    try:
+        if angle <= 1:
+            return _cross(e0, u) >= 0 and _cross(u, e1) >= 0
+        # reflex sector: everything except the strict interior of the complement
+        return not (_cross(e1, u) > 0 and _cross(u, e0) > 0)
+    except OverflowError:
+        # A float ray times an offset beyond float range overflows.  Scaled
+        # below 2**1000 by a power of two the offset fits, and a positive
+        # scale keeps the sign of every cross product.  An offset that fits
+        # is never scaled, so its decision stays bit for bit what it was.
+        scale = 2 ** (int(max(abs(u[0]), abs(u[1]))).bit_length() - 1000)
+        return _in_sector((u[0] / scale, u[1] / scale), direction, angle)
 
 
 def inrange(
@@ -571,19 +639,17 @@ def inrange(
 
     The sector is closed at both boundary rays, contains its apex, and a
     full-turn angle covers everything.  Quarter-turn boundaries are
-    decided exactly; other boundaries use floating point.
+    decided exactly; other boundaries use floating point.  Each decision
+    is read from and kept in the setting's sector memo.
     """
     if b == a or angle >= FULL_TURN:
         return True
-    u = (
-        setting.loc[b][0] - setting.loc[a][0],
-        setting.loc[b][1] - setting.loc[a][1],
-    )
-    e0, e1 = _sector_rays(direction, angle)
-    if angle <= 1:
-        return _cross(e0, u) >= 0 and _cross(u, e1) >= 0
-    # reflex sector: everything except the strict interior of the complement
-    return not (_cross(e1, u) > 0 and _cross(u, e0) > 0)
+    key = (a, b, direction, angle)
+    inside = setting._sectors.get(key)
+    if inside is None:
+        (ax, ay), (bx, by) = setting.loc[a], setting.loc[b]
+        inside = setting._sectors[key] = _in_sector((bx - ax, by - ay), direction, angle)
+    return inside
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -83,10 +84,9 @@ from .core import (
     Setting,
     SystemParams,
     Trace,
-    sq_dist,
 )
 from .protocols import InaccuracyParams, PGT_APPROX, PROTOCOL_NAMES, PROTOCOLS
-from .rational import echo, format_scalar, is_rational_square, parse_scalar
+from .rational import echo, format_scalar, parse_scalar
 
 
 class ScenarioError(ValueError):
@@ -132,6 +132,34 @@ def _parse_intervals(section: str, text: str) -> tuple[Interval, ...]:
         end = None if hi.strip() == "inf" else _scalar(section, "up", hi)
         intervals.append((start, end))
     return tuple(intervals)
+
+
+def _first_irrational_pair(setting: Setting) -> Optional[tuple[NodeId, NodeId]]:
+    """The first node pair, in node order, whose distance is irrational.
+
+    Each node's coordinates are written over one denominator, (X/D, Y/D)
+    with D the lcm of their two denominators.  A pair's offset is then
+    (X_a D_b - X_b D_a, Y_a D_b - Y_b D_a) / (D_a D_b), so its squared
+    distance is n / (D_a D_b)**2 for the integer n = dx**2 + dy**2 of
+    that numerator, the square of a rational exactly when n is a
+    perfect square.  Each pair costs a few integer products and one
+    ``math.isqrt``, with no ``Fraction`` built; the integers are as
+    large as the pair's own coordinates make them, however many
+    different denominators the other nodes have.
+    """
+    nodes = setting.nodes
+    scaled = []
+    for node in nodes:
+        x, y = setting.loc[node]
+        d = math.lcm(x.denominator, y.denominator)
+        scaled.append((x.numerator * (d // x.denominator), y.numerator * (d // y.denominator), d))
+    for i, (xa, ya, da) in enumerate(scaled):
+        for j in range(i + 1, len(scaled)):
+            xb, yb, db = scaled[j]
+            n = (xa * db - xb * da) ** 2 + (ya * db - yb * da) ** 2
+            if math.isqrt(n) ** 2 != n:
+                return nodes[i], nodes[j]
+    return None
 
 
 def parse_scenario(text: str, exact: bool = True) -> Scenario:
@@ -200,14 +228,13 @@ def parse_scenario(text: str, exact: bool = True) -> Scenario:
         raise ScenarioError(str(exc)) from None
 
     if exact:
-        nodes = setting.nodes
-        for i, a in enumerate(nodes):
-            for b in nodes[i + 1:]:
-                if not is_rational_square(sq_dist(setting.loc[a], setting.loc[b])):
-                    raise ScenarioError(
-                        f"distance between {a!r} and {b!r} is irrational; "
-                        "exact mode needs rational pairwise distances"
-                    )
+        pair = _first_irrational_pair(setting)
+        if pair is not None:
+            a, b = pair
+            raise ScenarioError(
+                f"distance between {a!r} and {b!r} is irrational; "
+                "exact mode needs rational pairwise distances"
+            )
 
     protocol = parser["protocol"].get("name", "").strip()
     if protocol not in PROTOCOLS:

@@ -310,6 +310,31 @@ def test_approx_mode_scenario_with_irrational_geometry(tmp_path, capsys):
     assert run(["--approx", "1/1000000000", "check", scn, trc]) == 0
 
 
+def test_coordinates_beyond_float_range(tmp_path, capsys):
+    """Exact mode stays exact at any scale; approximate mode reports the
+    overflow as an error, not a traceback."""
+    scn = tmp_path / "far.scn"
+    far = "x = 1e400\ny = 0\ntype = adversarial"
+    scn.write_text(RADIO.replace("x = 100\ny = 0\ntype = correct", far))
+    msg = "opaque:x:1/1000000"
+    arrival = Fraction(10**400, 300000000)
+    trc = tmp_path / "far.trc"
+    # B casts back at A over a sector whose rays are not quarter turns
+    trc.write_text(
+        f"dcast B 0 3/4 1/2 {msg}\n"
+        f"receive B 0 B {msg}\n"
+        f"receive A {arrival.numerator}/{arrival.denominator} B {msg}\n"
+    )
+    report = tmp_path / "report.json"
+    assert run(["--format", "structured", "--out", report, "check", scn, trc]) == 2
+    data = json.loads(report.read_text())
+    assert data["setting_feasible"]["ok"] is True
+    assert [v["rule"] for v in data["adversary_feasible"]["violations"]] == ["relay-unjustified"]
+    capsys.readouterr()
+    assert run(["--approx", "1/1000", "check", scn, trc]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_generated_worlds_survive_the_full_file_loop(tmp_path, capsys):
     """serialize -> parse -> check returns clean for generator output."""
     import random

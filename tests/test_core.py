@@ -225,6 +225,35 @@ def test_inrange_full_turn_covers_everything(direction, bx, by):
     assert inrange(s, "A", direction, F(2), "B")
 
 
+def test_sector_decisions_survive_offsets_beyond_float_range(unit_params):
+    """An offset beyond float range is decided as its scaled-down copy is."""
+    huge = F(10) ** 400
+    cases = [
+        # (direction, angle, offset, inside): rays that are not quarter turns
+        (F(1, 8), F(1, 4), (1, 1), True),
+        (F(1, 8), F(1, 4), (1, 0), False),
+        (F(1, 8), F(1, 4), (-1, -1), False),
+        (F(1, 3), F(3, 2), (1, 0), False),  # reflex
+        (F(1, 3), F(3, 2), (-1, 1), True),
+        (F(0), F(1, 2), (3, 4), True),  # quarter-turn rays
+    ]
+    for direction, angle, (x, y), inside in cases:
+        small = quad_setting((F(x), F(y)))
+        big = quad_setting((x * huge, y * huge))
+        assert inrange(small, "A", direction, angle, "B") is inside
+        assert inrange(big, "A", direction, angle, "B") is inside
+    far = Setting(
+        nodes=("A", "C"),
+        loc={"A": (F(0), F(0)), "C": (huge, F(0))},
+        node_type={"A": CORRECT, "C": ADVERSARIAL},
+        link_schedule={("C", "A"): ALWAYS},
+    )
+    cast = Dcast("C", F(0), F(3, 4), F(1, 2), Opaque("x", F(1)))  # aimed back at A
+    receptions = induced_receives([cast], far, unit_params)
+    assert receptions == [Receive("A", huge, "C", cast.msg), Receive("C", F(0), "C", cast.msg)]
+    assert check_setting_feasible(Trace([cast] + receptions), far, unit_params).ok
+
+
 # ---------------------------------------------------------------------------
 # projection
 
@@ -423,6 +452,64 @@ def test_each_pair_square_root_taken_once_per_setting(unit_params, monkeypatch):
     assert len(roots) == len(set(roots)) == 6
 
 
+def test_each_sector_and_flight_time_decided_once_per_setting(unit_params, monkeypatch):
+    """Physics, induced receptions and the adversary check share the setting's
+    sector and flight-time memos."""
+    # along the 3-4-5 slope at 0, 1, 3 and 7: A and B lie at 233 degrees from D
+    names = "ABCD"
+
+    def line():
+        return Setting(
+            names,
+            {n: (F(3 * k), F(4 * k)) for n, k in zip(names, (0, 1, 3, 7))},
+            {n: ADVERSARIAL if n in "CD" else CORRECT for n in names},
+            {(a, b): ALWAYS for a in names for b in names if a != b},
+        )
+
+    s = line()
+    decided, divided = [], []
+    in_sector, flight_dist = core._in_sector, core.dist
+
+    def deciding(u, direction, angle):
+        decided.append((u, direction, angle))
+        return in_sector(u, direction, angle)
+
+    def dividing(setting, a, b, num):
+        divided.append(frozenset((a, b)))
+        return flight_dist(setting, a, b, num)
+
+    monkeypatch.setattr(core, "_in_sector", deciding)
+    monkeypatch.setattr(core, "dist", dividing)
+    msg = beacon("A")
+    sends = [
+        Bcast("A", F(0), msg),
+        Bcast("B", F(1), beacon("B", F(1))),
+        Dcast("C", F(30), F(1, 8), F(1, 4), msg),  # covers D only
+        Dcast("D", F(40), F(1), F(1, 2), msg),  # quarter-turn rays: covers A, B and C
+        Dcast("D", F(50), F(5, 4), F(1, 8), msg),  # other rays: covers A, B and C
+    ]
+    receptions = induced_receives(sends, s, unit_params)
+    trace = Trace(sends + receptions)
+    for _ in range(2):
+        assert check_setting_feasible(trace, s, unit_params).ok
+        assert induced_receives(sends, s, unit_params) == receptions
+        model = AdversaryModel(RELAY, unit_params.delta_relay)
+        assert check_adversary_feasible(trace, s, unit_params, model).ok
+    casts = [e for e in sends if isinstance(e, Dcast)]
+    offsets = {
+        (a, b): (s.loc[b][0] - s.loc[a][0], s.loc[b][1] - s.loc[a][1]) for a in names for b in names
+    }
+    asked = [
+        (offsets[e.actor, n], e.direction, e.angle) for e in casts for n in names if n != e.actor
+    ]
+    assert sorted(decided) == sorted(asked)
+    assert [e.actor for e in receptions if e.sender == "C"] == ["C", "D"]
+    assert sorted(divided, key=sorted) == sorted(
+        {frozenset((r.sender, r.actor)) for r in receptions}, key=sorted
+    )
+    assert s == line()  # the memos are not part of the value
+
+
 def test_induced_receives_rejects_unknown_sender(unit_params):
     s = pair_setting()
     msg = Opaque("x", F(1))
@@ -456,6 +543,36 @@ def test_trace_canonical_order_and_dedup():
     e1 = Bcast("B", F(0), msg)
     e2 = Receive("A", F(8), "B", msg)
     assert Trace([e2, e1, e1]).events == (e1, e2)
+
+
+_starts = st.one_of(
+    st.integers(min_value=0, max_value=3),
+    st.floats(min_value=0, max_value=3, allow_nan=False, allow_infinity=False),
+    st.fractions(min_value=0, max_value=3, max_denominator=4),
+    # distinct values that round to one float
+    st.integers(min_value=-2, max_value=2).map(lambda k: 1 + F(k, 10**20)),
+    # beyond float range
+    st.integers(min_value=0, max_value=2).map(lambda k: 10**400 + k),
+    st.integers(min_value=1, max_value=3).map(lambda k: F(10**401, k)),
+)
+_names = st.sampled_from("AB")
+_sort_events = st.one_of(
+    st.builds(Bcast, _names, _starts, st.builds(beacon, _names)),
+    st.builds(
+        Dcast, _names, _starts, st.just(F(0)), st.sampled_from((F(1), F(2))), st.just(beacon())
+    ),
+    st.builds(Receive, _names, _starts, _names, st.builds(beacon, _names)),
+    st.builds(Neighbor, _names, _starts, _names, st.sampled_from((F(0), F(1)))),
+)
+
+
+@settings(max_examples=200)
+@given(st.lists(_sort_events, max_size=12), st.randoms())
+def test_trace_order_is_the_sort_key_order(events, rng):
+    """The float-prefixed sort gives exactly the sort_key() order, for any input order."""
+    expected = tuple(sorted(set(events), key=lambda e: e.sort_key()))
+    rng.shuffle(events)
+    assert Trace(events).events == expected
 
 
 # ---------------------------------------------------------------------------

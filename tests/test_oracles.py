@@ -3,9 +3,11 @@
 import math
 import pickle
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import zip_longest
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ndcheck import (
@@ -44,13 +46,16 @@ from ndcheck import (
     event_end,
     induced_receives,
     inrange,
+    is_rational_square,
     link_up_over,
     parse_trace,
     project_local,
     protocol_verdict,
+    sq_dist,
     time_of_flight,
 )
-from ndcheck.adversary import ADVERSARY_NAMES
+from ndcheck import scenario
+from ndcheck.adversary import ADVERSARY_NAMES, AdversaryModel
 from ndcheck.core import Verdict, Violation
 from ndcheck.protocols import PROTOCOLS
 from ndcheck.generators import random_params, random_setting, random_trace
@@ -526,3 +531,87 @@ def test_message_keyed_matching_matches_full_scan(data):
             assert hash(again) == hash(built)
             if not isinstance(built, Neighbor):
                 assert again.msg == built.msg and hash(again.msg) == hash(built.msg)
+
+
+# the listed sectors, or one drawn with quarter-turn or other rays
+_QUARTERS = (F(0), F(1, 2), F(1), F(3, 2))
+_ANY_SECTOR = st.sampled_from(_SECTORS) | st.tuples(
+    st.sampled_from(_QUARTERS) | st.fractions(0, F(23, 12), max_denominator=12),
+    st.sampled_from(_QUARTERS[1:] + (F(2),)) | st.fractions(F(1, 12), 2, max_denominator=12),
+)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_memoized_geometry_matches_fresh_decisions(data):
+    """Sector decisions and flight times read from one setting's memos equal
+    those of a setting with empty memos, whatever was asked of it before."""
+    setting, num = data.draw(_sparse_worlds())
+    modes = (num, approx_num(F(1, 1000))) if num.exact else (num,)
+
+    def fresh():
+        return Setting(setting.nodes, setting.loc, setting.node_type, setting.link_schedule)
+
+    nodes = st.sampled_from(setting.nodes)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=30))):
+        a, b = data.draw(nodes), data.draw(nodes)
+        direction, angle = data.draw(_ANY_SECTOR)
+        assert inrange(setting, a, direction, angle, b) == inrange(fresh(), a, direction, angle, b)
+        params = replace(_PARAMS, v=data.draw(st.sampled_from((F(1), F(2), F(1, 2)))))
+        mode = data.draw(st.sampled_from(modes))
+        memoized = time_of_flight(setting, params, a, b, mode)
+        decided = time_of_flight(fresh(), params, a, b, mode)
+        assert (type(memoized), memoized) == (type(decided), decided)
+
+
+# unit direction vectors (x, y) / norm with rational components
+_LINES = ((1, 0, 1), (0, 1, 1), (3, 4, 5), (5, -12, 13), (8, 15, 17))
+_COORDS = st.fractions(-6, 6, max_denominator=6)
+
+
+def _on_line(base, line):
+    dx, dy, norm = line
+    return _COORDS.map(lambda t: (base[0] + t * dx / norm, base[1] + t * dy / norm))
+
+
+@st.composite
+def _point_sets(draw):
+    """Points, half of them on one rational line through a base, so that
+    rational pairs are common and the first irrational pair falls anywhere."""
+    base = draw(st.tuples(_COORDS, _COORDS))
+    main, other = draw(st.sampled_from(_LINES)), draw(st.sampled_from(_LINES))
+    grid = st.tuples(st.integers(-6, 6).map(F), st.integers(-6, 6).map(F))
+    point = st.one_of(_on_line(base, main), _on_line(base, main), _on_line(base, other), grid)
+    return draw(st.lists(point, min_size=2, max_size=6, unique=True))
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_integer_pair_test_matches_rational_square_roots(data):
+    """The scaled-integer pair test accepts exactly the pairs whose squared
+    distance is a rational square, and parse_scenario names the same first
+    failing pair as a scan of every pair."""
+    points = data.draw(_point_sets())
+    names = "ABCDEF"[: len(points)]
+    loc = dict(zip(names, points))
+    setting = Setting(names, loc, dict.fromkeys(names, CORRECT))
+    rational = {
+        (a, b): is_rational_square(sq_dist(loc[a], loc[b]))
+        for i, a in enumerate(names)
+        for b in names[i + 1 :]
+    }
+    for (a, b), expected in rational.items():
+        pair = Setting((a, b), loc, dict.fromkeys(names, CORRECT))
+        assert (scenario._first_irrational_pair(pair) is None) == expected
+    first = next((pair for pair, ok in rational.items() if not ok), None)
+    assert scenario._first_irrational_pair(setting) == first
+
+    adversary = AdversaryModel("relay", _PARAMS.delta_relay)
+    scn = scenario.Scenario(_PARAMS, setting, PT, adversary, None, HORIZON)
+    text = scenario.dump_scenario(scn)
+    if first is None:
+        assert scenario.parse_scenario(text) == scn
+    else:
+        a, b = first
+        with pytest.raises(scenario.ScenarioError, match=f"between '{a}' and '{b}' is irrational"):
+            scenario.parse_scenario(text)
