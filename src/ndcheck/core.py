@@ -397,6 +397,8 @@ class Trace:
 # settings
 
 Interval = tuple[Fraction, Optional[Fraction]]  # [start, end), end=None means unbounded
+# (receiver, arrival, link up over the reception window) per receiver a transmission reaches
+Coverage = tuple[tuple[NodeId, Real, bool], ...]
 
 
 class Setting:
@@ -412,7 +414,7 @@ class Setting:
     from the declared links, in O(n + links log links), and holds one
     reference per node and per link.
 
-    The setting also keeps three memos, each filled the first time a
+    The setting also keeps four memos, each filled the first time a
     check asks for an entry and kept for the life of the setting, so
     each fact below is worked out at most once whatever checks run on
     it.  None is part of the setting's value: equality ignores them.
@@ -431,6 +433,22 @@ class Setting:
       sectors are decided without it.  A check asks only about the
       receivers a cast's sender can reach, so the memo holds at most
       one entry per declared link and distinct sector cast over it.
+    - ``_coverage`` reads and fills the coverage memo: for each
+      transmission (a broadcast, or a directional cast with its sector),
+      one tuple of ``(receiver, arrival, link up over the reception
+      window)``, one entry per reachable receiver the sector holds.  It
+      is keyed by the event under ``(num.exact, params.v)``; the table
+      for a mode and speed is made when the first transmission is
+      covered in it, so a setting that checks nothing, or only empty
+      traces, holds none.  ``induced_receives`` and
+      ``check_setting_feasible`` share it, so a trace generated from a
+      setting and then checked against it, or checked again, or a
+      mutant sharing its transmissions, covers each transmission once.
+      Unlike the other memos this one grows with the distinct
+      transmissions checked against the setting, one tuple each (and a
+      reference to the event), not with the setting alone: a
+      long-lived setting that checks many different traces keeps them
+      all.
     """
 
     __slots__ = (
@@ -442,6 +460,7 @@ class Setting:
         "_dist",
         "_flight",
         "_sectors",
+        "_coverage",
     )
 
     def __init__(
@@ -485,6 +504,7 @@ class Setting:
         self._dist: dict[tuple[bool, NodeId, NodeId], Real] = {}
         self._flight: dict[tuple[bool, Fraction, NodeId, NodeId], Real] = {}
         self._sectors: dict[tuple[NodeId, NodeId, Fraction, Fraction], bool] = {}
+        self._coverage: Optional[dict[tuple[bool, Fraction], dict[Event, Coverage]]] = None
 
     @property
     def correct_nodes(self) -> tuple[NodeId, ...]:
@@ -538,14 +558,23 @@ def sq_dist(p: Point, q: Point) -> Fraction:
 
 def dist(setting: Setting, a: NodeId, b: NodeId, num: Num = EXACT) -> Real:
     """Euclidean distance between two nodes of the setting, read from and
-    kept in the setting's distance memo."""
+    kept in the setting's distance memo.
+
+    In approximate mode a distance beyond float range raises an
+    OverflowError that names both nodes.
+    """
     key = (num.exact, a, b) if a <= b else (num.exact, b, a)
     d = setting._dist.get(key)
     if d is None:
         for node in (a, b):
             if node not in setting.loc:
                 raise UnknownNode(f"node {node!r} not in setting")
-        d = Fraction(0) if a == b else num.sqrt(sq_dist(setting.loc[a], setting.loc[b]))
+        try:
+            d = Fraction(0) if a == b else num.sqrt(sq_dist(setting.loc[a], setting.loc[b]))
+        except OverflowError:
+            raise OverflowError(
+                f"distance {key[1]}-{key[2]} is beyond float range in approximate mode"
+            ) from None
         setting._dist[key] = d
     return d
 
@@ -811,24 +840,40 @@ class Verdict:
 
 def _coverage(
     e: Union[Bcast, Dcast], setting: Setting, params: SystemParams, num: Num
-) -> Iterator[tuple[NodeId, Real]]:
-    """(node, arrival) for every node a transmission must reach, in node order.
+) -> Coverage:
+    """(node, arrival, link up) for every node a transmission reaches, in node order.
 
-    A broadcast covers every node, the sender included; a directional
-    cast covers the nodes its sector holds.  A covered node receives one
-    flight time after the start if its link from the sender is up over
-    the whole reception window.  An undeclared link is never up, so only
-    the nodes in ``setting.reachable`` are visited.
+    A broadcast reaches every node, the sender included; a directional
+    cast reaches the nodes its sector holds.  A reached node receives
+    one flight time after the start if its link from the sender is up
+    over the whole reception window, which the third field tells.  An
+    undeclared link is never up, so only the nodes in
+    ``setting.reachable`` are listed.  The tuple is read from and kept
+    in the setting's coverage memo (see ``Setting``), so each
+    transmission's flight-time sums, window sums and link scans are done
+    once per setting, mode and signal speed.
     """
-    reach = setting.reachable.get(e.actor)
-    if reach is None:
-        raise UnknownNode(f"node {e.actor!r} not in setting")
-    for dest in reach:
-        if isinstance(e, Dcast) and not inrange(setting, e.actor, e.direction, e.angle, dest):
-            continue
-        arrival = e.start + time_of_flight(setting, params, e.actor, dest, num)
-        if link_up_over(setting, e.actor, dest, arrival, arrival + e.msg.duration):
-            yield dest, arrival
+    memos = setting._coverage
+    if memos is None:
+        memos = setting._coverage = {}
+    mode = (num.exact, params.v)
+    memo = memos.get(mode)
+    if memo is None:
+        memo = memos[mode] = {}
+    cover = memo.get(e)
+    if cover is None:
+        reach = setting.reachable.get(e.actor)
+        if reach is None:
+            raise UnknownNode(f"node {e.actor!r} not in setting")
+        entries = []
+        for dest in reach:
+            if isinstance(e, Dcast) and not inrange(setting, e.actor, e.direction, e.angle, dest):
+                continue
+            arrival = e.start + time_of_flight(setting, params, e.actor, dest, num)
+            up = link_up_over(setting, e.actor, dest, arrival, arrival + e.msg.duration)
+            entries.append((dest, arrival, up))
+        cover = memo[e] = tuple(entries)
+    return cover
 
 
 def check_setting_feasible(
@@ -847,14 +892,28 @@ def check_setting_feasible(
     - every directional cast is performed by an adversarial node and is
       received by exactly the covered, link-enabled nodes.
 
-    Matching goes through three indexes built in one pass over the trace
-    at each call and dropped when it returns, one reference per
-    transmission or reception: the broadcast starts and the directional
-    casts keyed by ``(sender, msg)``, and the reception starts keyed by
-    ``(receiver, sender, msg)``.  A reception or a covered node is thus
-    compared, with ``num.eq``, against the starts of the few events
-    carrying its message between its two nodes only.  Flight times come
-    from the setting's distance memo (see ``Setting``).
+    Matching goes through indexes built at each call and dropped when it
+    returns, one reference per transmission, reception or coverage
+    entry: the broadcast starts and the directional casts keyed by
+    ``(sender, msg)``, and the reception starts keyed by
+    ``(receiver, sender, msg)``, built in one pass over the trace; and,
+    in exact mode, the arrivals of the transmissions met so far, keyed
+    by ``(receiver, sender, msg)`` and read from the setting's coverage
+    memo (see ``Setting``).  A covered node is compared, with
+    ``num.eq``, against the starts of the few receptions carrying its
+    message between its two nodes only.
+
+    A reception whose start equals an indexed arrival takes its match
+    (broadcast, directional cast or both) and its link fact from those
+    coverage entries.  Every transmission it can match comes before it
+    in canonical order: it starts one flight time earlier, and the
+    flight time is zero only for the receiver's own transmission (no two
+    nodes share a location), which sorts before its reception at the
+    same start.  So the entries met so far are all the matches.  The other receptions are matched by a scan of
+    their sender's transmissions of the message, one flight time
+    earlier, and their link is scanned afresh: those over an undeclared
+    link, those at an instant no transmission explains, and every
+    reception in approximate mode.
     """
     violations: list[Violation] = []
     known = set(setting.nodes)
@@ -873,6 +932,9 @@ def check_setting_feasible(
     def receive_present(dest: NodeId, sender: NodeId, at: Real, msg: Message) -> bool:
         return any(num.eq(start, at) for start in receive_starts.get((dest, sender, msg), ()))
 
+    # (arrival, sent by broadcast, link up) per covered receiver; exact mode only
+    arrivals: dict[tuple[NodeId, NodeId, Message], list[tuple[Real, bool, bool]]] = {}
+
     for e in trace:
         actors = [e.actor]
         if isinstance(e, Receive):
@@ -886,8 +948,26 @@ def check_setting_feasible(
             continue
 
         if isinstance(e, Receive):
-            window_end = e.start + e.msg.duration
-            if not link_up_over(setting, e.sender, e.actor, e.start, window_end):
+            link_up: Optional[bool] = None
+            bcast_match = dcast_match = False
+            for at, by_bcast, up in arrivals.get((e.actor, e.sender, e.msg), ()):
+                if at == e.start:
+                    link_up = up
+                    if by_bcast:
+                        bcast_match = True
+                    else:
+                        dcast_match = True
+            if link_up is None:
+                link_up = link_up_over(setting, e.sender, e.actor, e.start, e.start + e.msg.duration)
+                send_time = e.start - time_of_flight(setting, params, e.sender, e.actor, num)
+                source = (e.sender, e.msg)
+                bcast_match = any(num.eq(start, send_time) for start in bcast_starts.get(source, ()))
+                dcast_match = any(
+                    num.eq(d.start, send_time)
+                    and inrange(setting, e.sender, d.direction, d.angle, e.actor)
+                    for d in dcasts.get(source, ())
+                )
+            if not link_up:
                 violations.append(
                     Violation(
                         "receive-link-down",
@@ -895,14 +975,6 @@ def check_setting_feasible(
                         f"link {e.sender}->{e.actor} not up over the reception window",
                     )
                 )
-            send_time = e.start - time_of_flight(setting, params, e.sender, e.actor, num)
-            source = (e.sender, e.msg)
-            bcast_match = any(num.eq(start, send_time) for start in bcast_starts.get(source, ()))
-            dcast_match = any(
-                num.eq(d.start, send_time)
-                and inrange(setting, e.sender, d.direction, d.angle, e.actor)
-                for d in dcasts.get(source, ())
-            )
             if bcast_match and dcast_match:
                 violations.append(
                     Violation(
@@ -921,7 +993,8 @@ def check_setting_feasible(
                 )
 
         elif isinstance(e, (Bcast, Dcast)):
-            if isinstance(e, Bcast):
+            by_bcast = isinstance(e, Bcast)
+            if by_bcast:
                 rule, reach = "bcast-missing-receive", "has the link up"
             else:
                 rule, reach = "dcast-missing-receive", "is covered with the link up"
@@ -933,8 +1006,10 @@ def check_setting_feasible(
                             "directional transmission is reserved to adversarial nodes",
                         )
                     )
-            for dest, arrival in _coverage(e, setting, params, num):
-                if not receive_present(dest, e.actor, arrival, e.msg):
+            for dest, arrival, up in _coverage(e, setting, params, num):
+                if num.exact:
+                    arrivals.setdefault((dest, e.actor, e.msg), []).append((arrival, by_bcast, up))
+                if up and not receive_present(dest, e.actor, arrival, e.msg):
                     violations.append(
                         Violation(rule, (e,), f"{dest} {reach} but no matching reception")
                     )
@@ -950,13 +1025,20 @@ def induced_receives(
 ) -> list[Receive]:
     """All receptions that the given transmissions force to exist.
 
-    Uses the same coverage rule (``_coverage``) as check_setting_feasible,
-    so a trace assembled from sends plus their induced receives passes
-    the physical-consistency check by construction.
+    Reads each transmission's coverage from the setting's coverage memo
+    (``_coverage``), filling it where the transmission is new, and keeps
+    the entries whose link is up.  It is the same table
+    check_setting_feasible matches receptions against, so a trace
+    assembled from sends plus their induced receives passes the
+    physical-consistency check by construction, and checking it against
+    the same setting works out no coverage again: in exact mode each of
+    its receptions is a table hit, with no flight-time subtraction and
+    no link scan.
     """
     return [
         Receive(dest, arrival, e.actor, e.msg)
         for e in sends
         if isinstance(e, (Bcast, Dcast))
-        for dest, arrival in _coverage(e, setting, params, num)
+        for dest, arrival, up in _coverage(e, setting, params, num)
+        if up
     ]

@@ -312,7 +312,7 @@ def test_approx_mode_scenario_with_irrational_geometry(tmp_path, capsys):
 
 def test_coordinates_beyond_float_range(tmp_path, capsys):
     """Exact mode stays exact at any scale; approximate mode reports the
-    overflow as an error, not a traceback."""
+    overflow as an error naming the distance's two nodes, not a traceback."""
     scn = tmp_path / "far.scn"
     far = "x = 1e400\ny = 0\ntype = adversarial"
     scn.write_text(RADIO.replace("x = 100\ny = 0\ntype = correct", far))
@@ -332,7 +332,9 @@ def test_coordinates_beyond_float_range(tmp_path, capsys):
     assert [v["rule"] for v in data["adversary_feasible"]["violations"]] == ["relay-unjustified"]
     capsys.readouterr()
     assert run(["--approx", "1/1000", "check", scn, trc]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == (
+        "error: distance A-B is beyond float range in approximate mode\n"
+    )
 
 
 def test_generated_worlds_survive_the_full_file_loop(tmp_path, capsys):

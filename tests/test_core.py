@@ -412,12 +412,56 @@ def test_coverage_visits_only_linked_receivers(unit_params, monkeypatch):
         Receive("D", F(0), "D", msg),
     ]
     assert sorted(visited) == ["C", "D", "E"]
+    expected = [f"{n} is covered with the link up but no matching reception" for n in "CD"]
+    # the setting's coverage memo already holds the cast: nothing is visited again
     visited.clear()
     verdict = check_setting_feasible(Trace([cast]), s, unit_params)
+    assert visited == []
+    assert [v.detail for v in verdict.violations] == expected
+    # an equal setting starts with empty memos and visits the linked receivers only
+    fresh = Setting(s.nodes, s.loc, s.node_type, s.link_schedule)
+    verdict = check_setting_feasible(Trace([cast]), fresh, unit_params)
     assert sorted(visited) == ["C", "D", "E"]
-    assert [v.detail for v in verdict.violations] == [
-        f"{n} is covered with the link up but no matching reception" for n in "CD"
+    assert [v.detail for v in verdict.violations] == expected
+
+
+def test_each_transmission_covered_once_per_setting(unit_params, monkeypatch):
+    """Induced receptions, a check and a check of a mutant share the setting's coverage memo."""
+    # along the 3-4-5 slope at 0, 1, 3 and 7; B -> D is up only before B's beacon arrives
+    names = "ABCD"
+    links = {(a, b): ALWAYS for a in names for b in names if a != b}
+    s = Setting(
+        names,
+        {n: (F(3 * k), F(4 * k)) for n, k in zip(names, (0, 1, 3, 7))},
+        {n: ADVERSARIAL if n in "CD" else CORRECT for n in names},
+        {**links, ("B", "D"): ((F(0), F(2)),)},
+    )
+    windows = []
+
+    def counting(setting, a, b, t0, t1):
+        windows.append((a, b, t0))
+        return link_up_over(setting, a, b, t0, t1)
+
+    monkeypatch.setattr(core, "link_up_over", counting)
+    msg = beacon("A")
+    sends = [
+        Bcast("A", F(0), msg),
+        Bcast("B", F(1), beacon("B", F(1))),
+        Dcast("C", F(20), F(0), F(1, 2), msg),  # the quarter towards D only
     ]
+    receives = induced_receives(sends, s, unit_params)
+    # one window per transmission and reached node: four, four and two
+    assert len(windows) == len(set(windows)) == 10
+    assert len(receives) == 9  # B's beacon is not received at D
+    trace = Trace(sends + receives)
+    assert check_setting_feasible(trace, s, unit_params).ok
+    dropped = Receive("D", F(40), "C", msg)
+    mutant = Trace(e for e in trace if e != dropped)
+    verdict = check_setting_feasible(mutant, s, unit_params)
+    assert [(v.rule, v.events) for v in verdict.violations] == [
+        ("dcast-missing-receive", (sends[2],))
+    ]
+    assert len(windows) == 10
 
 
 def test_each_pair_square_root_taken_once_per_setting(unit_params, monkeypatch):

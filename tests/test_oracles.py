@@ -412,7 +412,11 @@ def _scanned_physics(trace, setting, num):
     reception and every covered node by a scan of the whole trace."""
     found = []
     for e in trace:
-        if isinstance(e, Receive):
+        named = (e.actor, e.sender) if isinstance(e, Receive) else (e.actor,)
+        unknown = [("unknown-node", e) for node in named if node not in setting.loc]
+        if unknown:
+            found += unknown
+        elif isinstance(e, Receive):
             if not link_up_over(setting, e.sender, e.actor, e.start, event_end(e)):
                 found.append(("receive-link-down", e))
             sent = e.start - time_of_flight(setting, _PARAMS, e.sender, e.actor, num)
@@ -531,6 +535,71 @@ def test_message_keyed_matching_matches_full_scan(data):
             assert hash(again) == hash(built)
             if not isinstance(built, Neighbor):
                 assert again.msg == built.msg and hash(again.msg) == hash(built.msg)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_warm_coverage_memo_matches_full_scan(data):
+    """A setting whose coverage memo induced receptions and a mutant's check
+    filled, under this and another signal speed, gives the physics verdict
+    of a fresh setting and of the full scan, exact and approximate."""
+    setting, num = data.draw(_sparse_worlds())
+    modes = (num, approx_num(F(1, 1000))) if num.exact else (num,)
+    pool = [Opaque(token, F(1)) for token in "xyz"]
+    picks = data.draw(st.lists(st.sampled_from(pool), min_size=8, max_size=8))
+    sends = _sends(data.draw, setting, picks.__getitem__)
+    # a directional twin of a broadcast: the same sender, start and message
+    twins = [
+        Dcast(e.actor, e.start, *data.draw(st.sampled_from(_SECTORS)), e.msg)
+        for e in sends
+        if isinstance(e, Bcast) and data.draw(st.booleans())
+    ]
+    sends += twins
+    nodes = st.sampled_from(setting.nodes)
+    receptions = []
+    for r in induced_receives(sends, setting, _PARAMS, num):
+        how = data.draw(st.sampled_from(("keep", "keep", "keep", "drop", "shift", "msg", "sender")))
+        if how == "shift":
+            r = Receive(r.actor, max(F(0), r.start + data.draw(_SHIFTS)), r.sender, r.msg)
+        elif how == "msg":
+            r = Receive(r.actor, r.start, r.sender, data.draw(st.sampled_from(pool)))
+        elif how == "sender":
+            r = Receive(r.actor, r.start, data.draw(nodes), r.msg)
+        if how != "drop":
+            receptions.append(r)
+    # receptions one flight time after a send, over links that are not
+    # declared, down part of the reception window or outside the sector
+    for e in sends:
+        dest = data.draw(nodes)
+        if dest != e.actor:
+            at = e.start + time_of_flight(setting, _PARAMS, e.actor, dest, num)
+            receptions.append(Receive(dest, at, e.actor, e.msg))
+    strangers = [
+        Bcast("Z", F(1), pool[0]),
+        Receive("Z", F(2), setting.nodes[0], pool[0]),
+        Receive(setting.nodes[0], F(3), "Z", pool[1]),
+    ]
+    trace = Trace(sends + receptions + data.draw(st.lists(st.sampled_from(strangers), max_size=3)))
+
+    # warm: induced receptions and the check of a mutant without one event,
+    # under each mode and under this and another signal speed
+    other_speed = replace(_PARAMS, v=data.draw(st.sampled_from((F(2), F(1, 2)))))
+    gone = {data.draw(st.sampled_from(trace.events))} if trace.events else set()
+    mutant = Trace(e for e in trace if e not in gone)
+    for mode in modes:
+        for params in (other_speed, _PARAMS):
+            induced_receives(sends, setting, params, mode)
+            check_setting_feasible(mutant, setting, params, mode)
+
+    def fresh():
+        return Setting(setting.nodes, setting.loc, setting.node_type, setting.link_schedule)
+
+    for mode in modes:
+        for _ in range(2):
+            verdict = check_setting_feasible(trace, setting, _PARAMS, mode)
+            assert verdict == check_setting_feasible(trace, fresh(), _PARAMS, mode)
+            found = [(v.rule, v.events[0]) for v in verdict.violations]
+            assert found == _scanned_physics(trace, fresh(), mode)
 
 
 # the listed sectors, or one drawn with quarter-turn or other rays
