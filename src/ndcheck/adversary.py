@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Mapping, Sequence
 
 from .core import (
     Bcast,
@@ -42,7 +42,7 @@ from .core import (
     Violation,
     dist,
 )
-from .rational import EXACT, Num
+from .rational import EXACT, Num, Real
 
 RELAY = "relay"
 RELAY_BCAST = "relay-bcast"
@@ -66,27 +66,29 @@ class AdversaryModel:
 
 
 def _relay_justified(
-    send_actor: NodeId,
-    send_start: Fraction,
-    msg,
+    e: Event,
     trace: Trace,
     setting: Setting,
-    params: SystemParams,
-    delta_relay: Fraction,
+    starts: Mapping[Event, Real],
+    least_gap: Callable[[NodeId, NodeId], Real],
     num: Num,
     same_node_only: bool,
 ) -> bool:
-    """Some qualifying earlier reception of the same message exists."""
-    for r in trace.receptions_of(msg):
+    """Some qualifying earlier reception of the same message exists.
+
+    A reception r qualifies when the relay gap e.start - r.start is at
+    least delta_relay plus the adversary-channel flight time between the
+    two nodes (none under relay-local).  The gap is read by the trace's
+    ticks (``Trace.ticks``, the trace's own D) and the bound rounded up,
+    as ``least_gap`` keeps it per node pair for the check.
+    """
+    for r in trace.receptions_of(e.msg):
         if same_node_only:
-            if r.actor != send_actor:
+            if r.actor != e.actor:
                 continue
-            bound = delta_relay
-        else:
-            if not setting.is_adversarial(r.actor):
-                continue
-            bound = delta_relay + dist(setting, send_actor, r.actor, num) / params.v_adv
-        if num.ge(send_start - r.start, bound):
+        elif not setting.is_adversarial(r.actor):
+            continue
+        if num.ge(starts[e] - starts[r], least_gap(e.actor, r.actor)):
             return True
     return False
 
@@ -109,6 +111,18 @@ def check_adversary_feasible(
     # a relayed copy needs an early enough reception: at the casting node
     # itself under relay-local, at any adversarial node otherwise
     same_node_only = model.kind == RELAY_LOCAL
+    ticks, starts = trace.ticks(num)
+    # the least relay gap per (casting node, receiving node), in ticks
+    gaps: dict[tuple[NodeId, NodeId], Real] = {}
+
+    def least_gap(sender: NodeId, receiver: NodeId) -> Real:
+        gap = gaps.get((sender, receiver))
+        if gap is None:
+            bound = model.delta_relay
+            if not same_node_only:
+                bound += dist(setting, sender, receiver, num) / params.v_adv
+            gap = gaps[(sender, receiver)] = ticks.ceil(bound)
+        return gap
 
     for e in trace:
         if isinstance(e, Bcast):
@@ -150,17 +164,7 @@ def check_adversary_feasible(
             detail = "beacon of a correct creator was never received early enough"
         else:
             detail = "no sufficiently early reception of this message"
-        if not _relay_justified(
-            e.actor,
-            e.start,
-            e.msg,
-            trace,
-            setting,
-            params,
-            model.delta_relay,
-            num,
-            same_node_only,
-        ):
+        if not _relay_justified(e, trace, setting, starts, least_gap, num, same_node_only):
             violations.append(Violation("relay-unjustified", (e,), detail))
     return Verdict(tuple(violations))
 

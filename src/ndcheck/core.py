@@ -23,7 +23,9 @@ Conventions baked in here:
   also received by its sender at the same instant,
 - link up-phases are half-open intervals [start, end),
 - messages and events are immutable values that compute their hash on
-  first use and keep it, so sets, dicts and traces hash each one once.
+  first use and keep it, so sets, dicts and traces hash each one once,
+- in exact mode the checks compare instants as integers: each reads
+  every instant t as t·D, over one common denominator D (``Ticks``).
 """
 
 from __future__ import annotations
@@ -297,6 +299,36 @@ def event_end(e: Event) -> Fraction:
     return e.start + e.msg.duration
 
 
+class Ticks:
+    """How one check reads instants.
+
+    In exact mode ``den`` is an int D: an instant t on the grid (t·D an
+    integer) reads as t·D, and a threshold x as floor(x·D) or ceil(x·D),
+    so that an integer is at most x exactly when it is at most floor(x·D),
+    and at least x exactly when it is at least ceil(x·D).  In
+    approximate mode ``den`` is None and every value reads as it is.
+    """
+
+    __slots__ = ("den",)
+
+    def __init__(self, den: Optional[int]):
+        self.den = den
+
+    def floor(self, x: Real) -> Real:
+        if self.den is None:
+            return x
+        n, d = x.as_integer_ratio()
+        return n * self.den // d
+
+    of = floor  # an instant on the grid is its own floor
+
+    def ceil(self, x: Real) -> Real:
+        if self.den is None:
+            return x
+        n, d = x.as_integer_ratio()
+        return -(-n * self.den // d)
+
+
 class Trace:
     """Immutable finite event set, stored in canonical order.
 
@@ -308,15 +340,19 @@ class Trace:
     their hashes, so a trace built from events another trace holds
     hashes nothing again.
 
-    The sort key is ``(_start_prefix(e.start), e.sort_key())``.  The
-    prefix is the start rounded to the nearest float (infinity beyond
-    float range), and rounding never reverses two values' order: if
-    one start is below another, its prefix is below or equal.  So
-    where two prefixes differ they order the events as their starts do,
-    and where they are equal the comparison falls through to
-    ``sort_key()``; the order is exactly the ``sort_key()`` order.  The
-    prefixes are compared in C, so only events whose starts round to
-    the same float compare exact starts.
+    The sort key is ``(_start_prefix(e.start), e.sort_key())``: the
+    start rounded to a float (infinity beyond float range), compared in
+    C, then the exact key.  Rounding never reverses two starts' order,
+    so the order is exactly the ``sort_key()`` order, and only events
+    whose starts round to the same float compare exact starts.
+
+    The first exact check (``ticks``) works out the trace's D, the lcm
+    of the denominators of every start, message duration and beacon
+    time, and each event's start as the integer start·D, and keeps them
+    for the life of the trace.  They hold O(n log D) bits for n events,
+    and D can reach the product of n distinct denominators: 2,000
+    starts over distinct 7-digit primes give a D of about 40,000 bits
+    and about 10 MB of ticks.
 
     Three indexes are built on first use and kept for the life of the
     trace, which never changes, so they never go stale.  The first call
@@ -330,7 +366,7 @@ class Trace:
     plus the node's last view at a cutoff.
     """
 
-    __slots__ = ("events", "_members", "_by_actor", "_by_msg", "_views")
+    __slots__ = ("events", "_members", "_by_actor", "_by_msg", "_views", "_ticks")
 
     def __init__(self, events: Iterable[Event] = ()):
         unique = dict.fromkeys(events)
@@ -340,6 +376,7 @@ class Trace:
         self._by_actor: Optional[dict[NodeId, tuple[Event, ...]]] = None
         self._by_msg: Optional[dict[Message, tuple[Receive, ...]]] = None
         self._views: Optional[dict[NodeId, _ViewIndex]] = None
+        self._ticks: Optional[tuple[int, dict[Event, int]]] = None
 
     def __iter__(self) -> Iterator[Event]:
         return iter(self.events)
@@ -384,6 +421,26 @@ class Trace:
             self._by_msg = {m: tuple(own) for m, own in grouped.items()}
         return self._by_msg.get(msg, ())
 
+    def ticks(self, num: Num, den: int = 1) -> tuple[Ticks, dict[Event, Real]]:
+        """The ticks of a check of this trace, over the lcm of the trace's
+        D and den, and each event's start read by them, in canonical order."""
+        if not num.exact:
+            return Ticks(None), {e: e.start for e in self.events}
+        if self._ticks is None:
+            ratios = [e.start.as_integer_ratio() for e in self.events]
+            msgs = {e.msg for e in self.events if not isinstance(e, Neighbor)}
+            dens = {d for _, d in ratios}
+            dens.update([m.duration.as_integer_ratio()[1] for m in msgs])
+            stamps = [m.beacon_time for m in msgs if not isinstance(m, Opaque)]
+            dens.update([t.as_integer_ratio()[1] for t in stamps])
+            own = math.lcm(*dens)
+            self._ticks = (own, {e: n * (own // d) for e, (n, d) in zip(self.events, ratios)})
+        own, starts = self._ticks
+        full = math.lcm(own, den)
+        if full != own:
+            starts = {e: t * (full // own) for e, t in starts.items()}
+        return Ticks(full), starts
+
     def _view_index(self, node: NodeId) -> _ViewIndex:
         if self._views is None:
             self._views = {}
@@ -419,36 +476,27 @@ class Setting:
     each fact below is worked out at most once whatever checks run on
     it.  None is part of the setting's value: equality ignores them.
 
-    - ``dist`` reads and fills the distance memo: one number per
-      unordered node pair and comparison mode, keyed by
-      ``(num.exact, a, b)`` with a <= b, so each pair's square root is
-      taken at most once per mode.
-    - ``time_of_flight`` reads and fills the flight-time memo: one
-      number per unordered node pair, mode and signal speed, keyed by
-      ``(num.exact, params.v, a, b)`` with a <= b, so each pair's
-      distance is divided at most once per mode and speed.
-    - ``inrange`` reads and fills the sector memo: one bool per
-      (sender, receiver, sector) that a check asked about, keyed by
-      ``(a, b, direction, angle)``.  The sender itself and full-turn
-      sectors are decided without it.  A check asks only about the
-      receivers a cast's sender can reach, so the memo holds at most
-      one entry per declared link and distinct sector cast over it.
-    - ``_coverage`` reads and fills the coverage memo: for each
-      transmission (a broadcast, or a directional cast with its sector),
-      one tuple of ``(receiver, arrival, link up over the reception
-      window)``, one entry per reachable receiver the sector holds.  It
-      is keyed by the event under ``(num.exact, params.v)``; the table
-      for a mode and speed is made when the first transmission is
-      covered in it, so a setting that checks nothing, or only empty
-      traces, holds none.  ``induced_receives`` and
-      ``check_setting_feasible`` share it, so a trace generated from a
-      setting and then checked against it, or checked again, or a
-      mutant sharing its transmissions, covers each transmission once.
-      Unlike the other memos this one grows with the distinct
-      transmissions checked against the setting, one tuple each (and a
-      reference to the event), not with the setting alone: a
-      long-lived setting that checks many different traces keeps them
-      all.
+    - ``dist``: one distance per unordered node pair and comparison mode,
+      keyed by ``(num.exact, a, b)`` with a <= b.
+    - ``time_of_flight``: one flight time per unordered node pair, mode
+      and signal speed, keyed by ``(num.exact, params.v, a, b)``.
+    - ``inrange``: one bool per (sender, receiver, sector) a check asked
+      about, keyed by ``(a, b, direction, angle)``; the sender itself
+      and full-turn sectors are decided without it.  A check asks only
+      about reachable receivers, so it holds at most one entry per
+      declared link and distinct sector cast over it.
+    - ``_Physics.coverage``: per transmission, one tuple of ``(receiver,
+      arrival, link up over the reception window)`` per reachable
+      receiver the sector holds, keyed by the event under
+      ``(num.exact, params.v)``; the table for a mode and speed is made
+      when its first transmission is covered.  ``induced_receives`` and
+      ``check_setting_feasible`` share it, and it keeps instants, not
+      ticks, so checks over any denominator share it too.  Unlike the
+      other memos it grows with the distinct transmissions checked, not
+      with the setting: a long-lived setting keeps them all.
+
+    ``_grid`` also keeps, from the first exact physics pass on, the lcm
+    of the coordinates' denominators and that of the link bounds'.
     """
 
     __slots__ = (
@@ -461,6 +509,7 @@ class Setting:
         "_flight",
         "_sectors",
         "_coverage",
+        "_grid",
     )
 
     def __init__(
@@ -505,6 +554,7 @@ class Setting:
         self._flight: dict[tuple[bool, Fraction, NodeId, NodeId], Real] = {}
         self._sectors: dict[tuple[NodeId, NodeId, Fraction, Fraction], bool] = {}
         self._coverage: Optional[dict[tuple[bool, Fraction], dict[Event, Coverage]]] = None
+        self._grid: Optional[tuple[int, int]] = None  # see _grid
 
     @property
     def correct_nodes(self) -> tuple[NodeId, ...]:
@@ -595,10 +645,13 @@ def link_up_over(setting: Setting, a: NodeId, b: NodeId, t0: Real, t1: Real) -> 
     """True iff the directed link a -> b is up at every point of the closed interval [t0, t1]."""
     if t0 > t1:
         raise ValueError("empty interval")
-    if a == b:
-        return True
+    return a == b or _up_over(setting.link_schedule.get((a, b), ()), t0, t1)
+
+
+def _up_over(phases: Sequence[Interval], t0: Real, t1: Real) -> bool:
+    """Whether the union of the sorted, merged phases holds all of [t0, t1]."""
     cursor = t0
-    for start, end in setting.link_schedule.get((a, b), ()):
+    for start, end in phases:
         if start > cursor:
             return False
         if end is None or end > t1:
@@ -838,42 +891,94 @@ class Verdict:
 # physical consistency
 
 
-def _coverage(
-    e: Union[Bcast, Dcast], setting: Setting, params: SystemParams, num: Num
-) -> Coverage:
-    """(node, arrival, link up) for every node a transmission reaches, in node order.
+def _grid(setting: Setting, params: SystemParams) -> int:
+    """A multiple of the denominator of every link bound and every rational flight time.
 
-    A broadcast reaches every node, the sender included; a directional
-    cast reaches the nodes its sector holds.  A reached node receives
-    one flight time after the start if its link from the sender is up
-    over the whole reception window, which the third field tells.  An
-    undeclared link is never up, so only the nodes in
-    ``setting.reachable`` are listed.  The tuple is read from and kept
-    in the setting's coverage memo (see ``Setting``), so each
-    transmission's flight-time sums, window sums and link scans are done
-    once per setting, mode and signal speed.
+    With c the lcm of the coordinates' denominators, a rational distance
+    between two points of the 1/c grid is a multiple of 1/c, so a
+    rational flight time is one of 1/(c·v.numerator): no flight time,
+    and no square root, is asked for.  The two lcms of the setting are
+    worked out once and kept in its ``_grid`` slot.
     """
-    memos = setting._coverage
-    if memos is None:
-        memos = setting._coverage = {}
-    mode = (num.exact, params.v)
-    memo = memos.get(mode)
-    if memo is None:
-        memo = memos[mode] = {}
-    cover = memo.get(e)
-    if cover is None:
-        reach = setting.reachable.get(e.actor)
-        if reach is None:
-            raise UnknownNode(f"node {e.actor!r} not in setting")
-        entries = []
-        for dest in reach:
-            if isinstance(e, Dcast) and not inrange(setting, e.actor, e.direction, e.angle, dest):
-                continue
-            arrival = e.start + time_of_flight(setting, params, e.actor, dest, num)
-            up = link_up_over(setting, e.actor, dest, arrival, arrival + e.msg.duration)
-            entries.append((dest, arrival, up))
-        cover = memo[e] = tuple(entries)
-    return cover
+    if setting._grid is None:
+        coords = [x.as_integer_ratio()[1] for p in setting.loc.values() for x in p]
+        bounds = [b for phases in setting.link_schedule.values() for phase in phases for b in phase]
+        dens = [b.as_integer_ratio()[1] for b in bounds if b is not None]
+        setting._grid = (math.lcm(*coords), math.lcm(*dens))
+    coords, links = setting._grid
+    return math.lcm(coords * params.v.numerator, links)
+
+
+class _Physics:
+    """One physics pass: its ticks, and what it reads by them.
+
+    Each link's phases and each node pair's flight time are read in
+    ticks the first time the pass asks for them, and kept for the pass.
+    """
+
+    __slots__ = ("setting", "params", "num", "ticks", "memo", "links", "flights")
+
+    def __init__(self, setting: Setting, params: SystemParams, num: Num, ticks: Ticks):
+        self.setting, self.params, self.num, self.ticks = setting, params, num, ticks
+        self.memo: Optional[dict[Event, Coverage]] = None  # the setting's, for this mode and speed
+        self.links: dict[tuple[NodeId, NodeId], tuple[tuple[Real, Optional[Real]], ...]] = {}
+        self.flights: dict[tuple[NodeId, NodeId], Real] = {}
+
+    def flight(self, a: NodeId, b: NodeId) -> Real:
+        t = self.flights.get((a, b))
+        if t is None:
+            flight = time_of_flight(self.setting, self.params, a, b, self.num)
+            t = self.flights[(a, b)] = self.ticks.of(flight)
+        return t
+
+    def up(self, a: NodeId, b: NodeId, t0: Real, t1: Real) -> bool:
+        """link_up_over, on ticks."""
+        if a == b:
+            return True
+        phases = self.links.get((a, b))
+        if phases is None:
+            of = self.ticks.of
+            phases = self.links[(a, b)] = tuple(
+                (of(start), end if end is None else of(end))
+                for start, end in self.setting.link_schedule.get((a, b), ())
+            )
+        return _up_over(phases, t0, t1)
+
+    def coverage(self, e: Union[Bcast, Dcast]) -> Coverage:
+        """(node, arrival, link up) for every node a transmission reaches, in node order.
+
+        A broadcast reaches every node, the sender included; a directional
+        cast reaches the nodes its sector holds.  A reached node receives
+        one flight time after the start if its link from the sender is up
+        over the whole reception window, which the third field tells.  An
+        undeclared link is never up, so only the nodes in
+        ``setting.reachable`` are listed.  The tuple is read from and kept
+        in the setting's coverage memo (see ``Setting``), so each
+        transmission's flight-time sums, window sums and link scans are
+        done once per setting, mode and signal speed, on the ticks of the
+        pass that first covers it.  The arrival kept is the instant
+        itself, not its tick, so passes with other ticks share the memo.
+        """
+        setting, memo = self.setting, self.memo
+        if memo is None:
+            if setting._coverage is None:
+                setting._coverage = {}
+            memo = self.memo = setting._coverage.setdefault((self.num.exact, self.params.v), {})
+        cover = memo.get(e)
+        if cover is None:
+            reach = setting.reachable.get(e.actor)
+            if reach is None:
+                raise UnknownNode(f"node {e.actor!r} not in setting")
+            actor, ticks, entries = e.actor, self.ticks, []
+            start, span = ticks.of(e.start), ticks.of(e.msg.duration)
+            for dest in reach:
+                if isinstance(e, Dcast) and not inrange(setting, actor, e.direction, e.angle, dest):
+                    continue
+                at = start + self.flight(actor, dest)
+                up = self.up(actor, dest, at, at + span)
+                entries.append((dest, at if ticks.den is None else Fraction(at, ticks.den), up))
+            cover = memo[e] = tuple(entries)
+        return cover
 
 
 def check_setting_feasible(
@@ -892,16 +997,24 @@ def check_setting_feasible(
     - every directional cast is performed by an adversarial node and is
       received by exactly the covered, link-enabled nodes.
 
+    In exact mode every instant is compared as the integer t·D (see
+    ``Ticks``).  D is the lcm of the trace's D (see ``Trace``), of every
+    link bound's denominator and of a multiple of every rational flight
+    time's (``_grid``, from the coordinates, asking for no flight time).
+    It is put together at each call from the D the trace keeps and the
+    lcms the setting keeps; the link phases and flight times the call
+    asks for are taken to ticks once each and dropped when it returns.
+    In approximate mode instants are compared as they are, with
+    ``num.eq``.
+
     Matching goes through indexes built at each call and dropped when it
-    returns, one reference per transmission, reception or coverage
-    entry: the broadcast starts and the directional casts keyed by
-    ``(sender, msg)``, and the reception starts keyed by
-    ``(receiver, sender, msg)``, built in one pass over the trace; and,
-    in exact mode, the arrivals of the transmissions met so far, keyed
-    by ``(receiver, sender, msg)`` and read from the setting's coverage
-    memo (see ``Setting``).  A covered node is compared, with
-    ``num.eq``, against the starts of the few receptions carrying its
-    message between its two nodes only.
+    returns: the broadcast starts and directional casts keyed by
+    ``(sender, msg)`` and the reception starts keyed by ``(receiver,
+    sender, msg)``, built in one pass; and, in exact mode, the arrivals
+    of the transmissions met so far, keyed by ``(receiver, sender,
+    msg)`` and read from the setting's coverage memo (see ``Setting``).
+    A covered node is compared with the receptions of its message
+    between its two nodes only.
 
     A reception whose start equals an indexed arrival takes its match
     (broadcast, directional cast or both) and its link fact from those
@@ -909,63 +1022,60 @@ def check_setting_feasible(
     in canonical order: it starts one flight time earlier, and the
     flight time is zero only for the receiver's own transmission (no two
     nodes share a location), which sorts before its reception at the
-    same start.  So the entries met so far are all the matches.  The other receptions are matched by a scan of
-    their sender's transmissions of the message, one flight time
-    earlier, and their link is scanned afresh: those over an undeclared
-    link, those at an instant no transmission explains, and every
-    reception in approximate mode.
+    same start.  So the entries met so far are all the matches.  The
+    other receptions are matched by a scan of their sender's
+    transmissions of the message, one flight time earlier, and their
+    link is scanned afresh: those over an undeclared link, those at an
+    instant no transmission explains, and every reception in
+    approximate mode.
     """
     violations: list[Violation] = []
     known = set(setting.nodes)
+    ticks, starts = trace.ticks(num, _grid(setting, params) if num.exact else 1)
+    phys = _Physics(setting, params, num, ticks)
 
-    bcast_starts: dict[tuple[NodeId, Message], list[Fraction]] = {}
-    dcasts: dict[tuple[NodeId, Message], list[Dcast]] = {}
-    receive_starts: dict[tuple[NodeId, NodeId, Message], list[Fraction]] = {}
-    for e in trace:
+    bcast_starts: dict[tuple[NodeId, Message], list[Real]] = {}
+    dcasts: dict[tuple[NodeId, Message], list[tuple[Real, Dcast]]] = {}
+    receive_starts: dict[tuple[NodeId, NodeId, Message], list[Real]] = {}
+    for e, at in starts.items():
         if isinstance(e, Bcast):
-            bcast_starts.setdefault((e.actor, e.msg), []).append(e.start)
+            bcast_starts.setdefault((e.actor, e.msg), []).append(at)
         elif isinstance(e, Dcast):
-            dcasts.setdefault((e.actor, e.msg), []).append(e)
+            dcasts.setdefault((e.actor, e.msg), []).append((at, e))
         elif isinstance(e, Receive):
-            receive_starts.setdefault((e.actor, e.sender, e.msg), []).append(e.start)
-
-    def receive_present(dest: NodeId, sender: NodeId, at: Real, msg: Message) -> bool:
-        return any(num.eq(start, at) for start in receive_starts.get((dest, sender, msg), ()))
+            receive_starts.setdefault((e.actor, e.sender, e.msg), []).append(at)
 
     # (arrival, sent by broadcast, link up) per covered receiver; exact mode only
-    arrivals: dict[tuple[NodeId, NodeId, Message], list[tuple[Real, bool, bool]]] = {}
+    arrivals: dict[tuple[NodeId, NodeId, Message], list[tuple[int, bool, bool]]] = {}
 
-    for e in trace:
-        actors = [e.actor]
-        if isinstance(e, Receive):
-            actors.append(e.sender)
-        for node in actors:
-            if node not in known:
-                violations.append(
-                    Violation("unknown-node", (e,), f"node {node!r} is not part of the setting")
-                )
-        if any(node not in known for node in actors):
+    for e, at in starts.items():
+        if e.actor not in known or isinstance(e, Receive) and e.sender not in known:
+            for node in (e.actor, e.sender) if isinstance(e, Receive) else (e.actor,):
+                if node not in known:
+                    violations.append(
+                        Violation("unknown-node", (e,), f"node {node!r} is not part of the setting")
+                    )
             continue
 
         if isinstance(e, Receive):
             link_up: Optional[bool] = None
             bcast_match = dcast_match = False
-            for at, by_bcast, up in arrivals.get((e.actor, e.sender, e.msg), ()):
-                if at == e.start:
+            for arrival, by_bcast, up in arrivals.get((e.actor, e.sender, e.msg), ()):
+                if arrival == at:
                     link_up = up
                     if by_bcast:
                         bcast_match = True
                     else:
                         dcast_match = True
             if link_up is None:
-                link_up = link_up_over(setting, e.sender, e.actor, e.start, e.start + e.msg.duration)
-                send_time = e.start - time_of_flight(setting, params, e.sender, e.actor, num)
+                link_up = phys.up(e.sender, e.actor, at, at + ticks.of(e.msg.duration))
+                send_time = at - phys.flight(e.sender, e.actor)
                 source = (e.sender, e.msg)
                 bcast_match = any(num.eq(start, send_time) for start in bcast_starts.get(source, ()))
                 dcast_match = any(
-                    num.eq(d.start, send_time)
+                    num.eq(start, send_time)
                     and inrange(setting, e.sender, d.direction, d.angle, e.actor)
-                    for d in dcasts.get(source, ())
+                    for start, d in dcasts.get(source, ())
                 )
             if not link_up:
                 violations.append(
@@ -1006,10 +1116,15 @@ def check_setting_feasible(
                             "directional transmission is reserved to adversarial nodes",
                         )
                     )
-            for dest, arrival, up in _coverage(e, setting, params, num):
+            for dest, arrival, up in phys.coverage(e):
+                found = receive_starts.get((dest, e.actor, e.msg), ())
                 if num.exact:
+                    arrival = ticks.of(arrival)
                     arrivals.setdefault((dest, e.actor, e.msg), []).append((arrival, by_bcast, up))
-                if up and not receive_present(dest, e.actor, arrival, e.msg):
+                    present = arrival in found
+                else:
+                    present = any(num.eq(start, arrival) for start in found)
+                if up and not present:
                     violations.append(
                         Violation(rule, (e,), f"{dest} {reach} but no matching reception")
                     )
@@ -1026,8 +1141,9 @@ def induced_receives(
     """All receptions that the given transmissions force to exist.
 
     Reads each transmission's coverage from the setting's coverage memo
-    (``_coverage``), filling it where the transmission is new, and keeps
-    the entries whose link is up.  It is the same table
+    (``_Physics.coverage``), filling it where the transmission is new, on
+    ticks over the lcm of the sends' start and duration denominators and
+    ``_grid``'s, and keeps the entries whose link is up.  It is the same table
     check_setting_feasible matches receptions against, so a trace
     assembled from sends plus their induced receives passes the
     physical-consistency check by construction, and checking it against
@@ -1035,10 +1151,10 @@ def induced_receives(
     its receptions is a table hit, with no flight-time subtraction and
     no link scan.
     """
+    sends = [e for e in sends if isinstance(e, (Bcast, Dcast))]
+    times = [t.as_integer_ratio()[1] for e in sends for t in (e.start, e.msg.duration)]
+    ticks = Ticks(math.lcm(_grid(setting, params), *times) if num.exact else None)
+    phys = _Physics(setting, params, num, ticks)
     return [
-        Receive(dest, arrival, e.actor, e.msg)
-        for e in sends
-        if isinstance(e, (Bcast, Dcast))
-        for dest, arrival, up in _coverage(e, setting, params, num)
-        if up
+        Receive(dest, at, e.actor, e.msg) for e in sends for dest, at, up in phys.coverage(e) if up
     ]

@@ -35,7 +35,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
+from operator import itemgetter
 from typing import Callable, Optional, Union
 
 from .core import (
@@ -58,11 +58,10 @@ from .core import (
     Trace,
     Verdict,
     Violation,
-    event_end,
     project_local,
     sq_dist,
 )
-from .rational import EXACT, Num
+from .rational import EXACT, Num, Real
 
 NAIVE = "naive"
 PT = "pt"
@@ -455,7 +454,7 @@ def _stamp_violation(
     return None
 
 
-_START = attrgetter("start")
+_TICK = itemgetter(0)
 
 
 def _check_stamped(
@@ -473,20 +472,36 @@ def _check_stamped(
     [peer_time - eps, peer_time + eps], with eps = num.epsilon in
     approximate mode and 0 in exact mode, found by bisection.  The index
     behind it is built in one pass at each call and dropped when it
-    returns: each correct node's receptions in canonical order, which
-    sorts them by start, one reference per reception.
+    returns: each correct node's receptions with their starts, in
+    canonical order, which sorts them by start.
+
+    Instants are read by the trace's ticks (``Trace.ticks``, the trace's
+    own D).  The window's low end is rounded up and its high end down,
+    and pt's freshness bound nd_range / v, divided once per call, down,
+    so the integer tests decide exactly what the rational ones do.
     """
     stamped = BeaconTL if spec.flavor == TL_FLAVOR else BeaconT
     violations: list[Violation] = []
     correct = set(setting.correct_nodes)
-    receives_by_actor: dict[NodeId, list[Receive]] = {}
-    for r in trace.of_kind(Receive):
-        if r.actor in correct:
-            receives_by_actor.setdefault(r.actor, []).append(r)
+    ticks, starts = trace.ticks(num)
+    receives_by_actor: dict[NodeId, list[tuple[Real, Receive]]] = {}
+    for r, at in starts.items():
+        if isinstance(r, Receive) and r.actor in correct:
+            receives_by_actor.setdefault(r.actor, []).append((at, r))
+
+    # pt_accepts on ticks, with nd_range / v divided once: an integer age
+    # is at most the freshness bound exactly when it is at most its floor
+    fresh = ticks.floor(params.nd_range / params.v) if spec.name == PT else None
+
+    def backs(r: Receive, at: Real, owner_loc: Point) -> Optional[NodeId]:
+        if fresh is None:
+            return spec.accepts(params, owner_loc, r, inacc, num)
+        fresh_beacon = isinstance(r.msg, BeaconT) and at - ticks.of(r.msg.beacon_time) <= fresh
+        return r.msg.creator if fresh_beacon else None
 
     # num.eq(start, peer_time) holds exactly for starts in [peer_time - eps, peer_time + eps]
     eps = 0 if num.exact else num.epsilon
-    for e in trace:
+    for e, now in starts.items():
         if e.actor not in correct:
             continue
         if isinstance(e, Bcast):
@@ -514,13 +529,13 @@ def _check_stamped(
             low = high = e.peer_time
             if eps:
                 low, high = low - eps, high + eps
-            first = bisect_left(own, low, key=_START)
-            last = bisect_right(own, high, first, key=_START)
+            first = bisect_left(own, ticks.ceil(low), key=_TICK)
+            last = bisect_right(own, ticks.floor(high), first, key=_TICK)
             if not any(
                 r.sender in setting.loc
-                and e.start > event_end(r)
-                and spec.accepts(params, owner_loc, r, inacc, num) == e.peer
-                for r in own[first:last]
+                and now > at + ticks.of(r.msg.duration)
+                and backs(r, at, owner_loc) == e.peer
+                for at, r in own[first:last]
             ):
                 violations.append(
                     Violation(

@@ -48,10 +48,12 @@ def echo(token: str) -> str:
 def parse_scalar(text: str) -> Fraction:
     """Parse "p/q", integer, decimal or scientific notation into a Fraction.
 
-    Text longer than MAX_SCALAR_LENGTH characters, or with a
+    Text longer than MAX_SCALAR_LENGTH characters, with a
     scientific-notation exponent beyond MAX_SCALAR_EXPONENT in
-    magnitude, is rejected from the text alone, before any number is
-    built.
+    magnitude, or whose canonical form (format_scalar) could be longer
+    than MAX_SCALAR_LENGTH, is rejected from the text alone, before any
+    number is built.  So every scalar accepted here is written back as
+    text accepted here.
     """
     text = text.strip()
     if not text:
@@ -68,6 +70,19 @@ def parse_scalar(text: str) -> Fraction:
             )
     if len(text) > MAX_SCALAR_LENGTH:
         raise ValueError(f"invalid scalar: {len(text)} characters, over {MAX_SCALAR_LENGTH}")
+    if "/" not in text:
+        # a decimal ±M·10^k, M of n digits, is written as at most n + k
+        # digits for k >= 0, else as p/q with p of at most n digits and
+        # q of at most |k| + 1, plus the sign
+        mantissa, _, exponent = text.lower().partition("e")
+        try:
+            k = int(exponent or 0) - sum(c.isdigit() for c in mantissa.partition(".")[2])
+        except ValueError:
+            k = 0  # malformed: Fraction rejects it below
+        bound = text.startswith("-") + sum(c.isdigit() for c in mantissa) + abs(k) + 2 * (k < 0)
+        if bound > MAX_SCALAR_LENGTH:
+            why = f"written out it could take {bound} characters, over {MAX_SCALAR_LENGTH}"
+            raise ValueError(f"invalid scalar {echo(text)}: {why}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

@@ -102,6 +102,23 @@ def test_malformed_scenario_exit_1(tmp_path, capsys):
     assert "delta_relay" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["trace", "params"])
+def test_scalars_too_long_written_out_exit_1(tmp_path, radio_scenario, capsys, where):
+    """A scalar that would be written back longer than any scalar the
+    parser reads is rejected on input, with a bounded echo of its text."""
+    scn, trc = radio_scenario, tmp_path / "tiny.trc"
+    trc.write_text("bcast A 0 beacon-t:A:0:1/1000000\n")
+    if where == "trace":
+        trc.write_text("bcast A 1e-999 beacon-t:A:0:1\n")
+    else:
+        scn = tmp_path / "tiny.scn"
+        scn.write_text(RADIO.replace("delta_relay = 1/25000000", "delta_relay = 1e-999"))
+    assert run(["check", scn, trc]) == 1
+    err = capsys.readouterr().err
+    assert "invalid scalar '1e-999': written out it could take 1002 characters, over 1000" in err
+    assert len(err) < 200
+
+
 def test_witness_flow(tmp_path, radio_scenario, capsys):
     out = tmp_path / "wit"
     assert run(["witness", radio_scenario, "--distance", "100", "--out-dir", out]) == 0

@@ -437,12 +437,13 @@ def test_each_transmission_covered_once_per_setting(unit_params, monkeypatch):
         {**links, ("B", "D"): ((F(0), F(2)),)},
     )
     windows = []
+    up = core._Physics.up
 
-    def counting(setting, a, b, t0, t1):
+    def counting(phys, a, b, t0, t1):
         windows.append((a, b, t0))
-        return link_up_over(setting, a, b, t0, t1)
+        return up(phys, a, b, t0, t1)
 
-    monkeypatch.setattr(core, "link_up_over", counting)
+    monkeypatch.setattr(core._Physics, "up", counting)
     msg = beacon("A")
     sends = [
         Bcast("A", F(0), msg),

@@ -3,6 +3,7 @@
 import math
 import pickle
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 from itertools import zip_longest
@@ -301,12 +302,12 @@ def _sends(draw, setting, messages):
     ]
 
 
-def _scanned_coverage(e, setting, num):
+def _scanned_coverage(e, setting, num, params=_PARAMS):
     """Coverage by definition: every node of the setting, tested with inrange."""
     for dest in setting.nodes:
         if isinstance(e, Dcast) and not inrange(setting, e.actor, e.direction, e.angle, dest):
             continue
-        arrival = e.start + time_of_flight(setting, _PARAMS, e.actor, dest, num)
+        arrival = e.start + time_of_flight(setting, params, e.actor, dest, num)
         if link_up_over(setting, e.actor, dest, arrival, arrival + e.msg.duration):
             yield dest, arrival
 
@@ -345,7 +346,7 @@ def test_linked_coverage_matches_scan_of_every_node(data):
     assert check_setting_feasible(trace, setting, _PARAMS, num) == Verdict(tuple(violations))
 
 
-def _scanned_adversary(trace, setting, model, num):
+def _scanned_adversary(trace, setting, model, num, params=_PARAMS):
     """(rule, event) of each adversary violation by definition, justifying
     a relay from a scan of every reception in the trace."""
     local = model.kind == RELAY_LOCAL
@@ -371,7 +372,7 @@ def _scanned_adversary(trace, setting, model, num):
                 if r.actor == e.actor and num.ge(e.start - r.start, model.delta_relay):
                     justified = True
             elif setting.is_adversarial(r.actor):
-                channel = dist(setting, e.actor, r.actor, num) / _PARAMS.v_adv
+                channel = dist(setting, e.actor, r.actor, num) / params.v_adv
                 if num.ge(e.start - r.start, model.delta_relay + channel):
                     justified = True
         if not justified:
@@ -407,7 +408,7 @@ def test_indexed_relay_rule_matches_scan_of_every_reception(data):
         assert found == _scanned_adversary(trace, setting, model, num)
 
 
-def _scanned_physics(trace, setting, num):
+def _scanned_physics(trace, setting, num, params=_PARAMS):
     """(rule, event) of each physics violation by definition, matching every
     reception and every covered node by a scan of the whole trace."""
     found = []
@@ -419,7 +420,7 @@ def _scanned_physics(trace, setting, num):
         elif isinstance(e, Receive):
             if not link_up_over(setting, e.sender, e.actor, e.start, event_end(e)):
                 found.append(("receive-link-down", e))
-            sent = e.start - time_of_flight(setting, _PARAMS, e.sender, e.actor, num)
+            sent = e.start - time_of_flight(setting, params, e.sender, e.actor, num)
             kinds = {
                 type(s)
                 for s in trace
@@ -436,7 +437,7 @@ def _scanned_physics(trace, setting, num):
             if isinstance(e, Dcast) and not setting.is_adversarial(e.actor):
                 found.append(("dcast-by-correct-node", e))
             rule = "bcast-missing-receive" if isinstance(e, Bcast) else "dcast-missing-receive"
-            for dest, at in _scanned_coverage(e, setting, num):
+            for dest, at in _scanned_coverage(e, setting, num, params):
                 if not any(
                     isinstance(r, Receive)
                     and (r.actor, r.sender, r.msg) == (dest, e.actor, e.msg)
@@ -447,7 +448,7 @@ def _scanned_physics(trace, setting, num):
     return found
 
 
-def _scanned_declarations(trace, setting, spec, inacc, num):
+def _scanned_declarations(trace, setting, spec, inacc, num, params=_PARAMS):
     """Each correct node's declaration that no reception backs, by a scan of every event."""
     return [
         e
@@ -460,7 +461,7 @@ def _scanned_declarations(trace, setting, spec, inacc, num):
             and r.sender in setting.loc
             and num.eq(r.start, e.peer_time)
             and e.start > event_end(r)
-            and spec.accepts(_PARAMS, setting.loc[e.actor], r, inacc, num) == e.peer
+            and spec.accepts(params, setting.loc[e.actor], r, inacc, num) == e.peer
             for r in trace
         )
     ]
@@ -600,6 +601,242 @@ def test_warm_coverage_memo_matches_full_scan(data):
             assert verdict == check_setting_feasible(trace, fresh(), _PARAMS, mode)
             found = [(v.rule, v.events[0]) for v in verdict.violations]
             assert found == _scanned_physics(trace, fresh(), mode)
+
+
+# large, pairwise coprime denominators: each kind of value has its own primes
+_START_PRIMES = (10007, 10009, 10037, 10039, 10061)
+_DURATION_PRIMES = (997, 991)
+_BOUND_PRIMES = (7919, 7927)
+_MOVE_PRIMES = (100003, 100019)
+
+
+def _over(draw, primes, high):
+    """A value in [0, high] over one of the primes."""
+    p = draw(st.sampled_from(primes))
+    return F(draw(st.integers(0, high * p)), p)
+
+
+@st.composite
+def _coprime_worlds(draw):
+    """A sparse setting on the 3-4-5 slope, with coordinates, link bounds
+    and speeds over denominators of their own, and parameters whose
+    freshness and relay bounds fall between the trace's grid points."""
+    n = draw(st.integers(min_value=3, max_value=5))
+    names = "ABCDE"[:n]
+    steps = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n, unique=True))
+    c = draw(st.sampled_from((1, 13)))
+    schedule = {}
+    for a in names:
+        for b in names:
+            kind = draw(st.integers(0, 4)) if a != b else 0
+            if kind == 2:
+                schedule[(a, b)] = ((F(0), None),)
+            elif kind > 2:
+                up = _over(draw, _BOUND_PRIMES, 12) + F(1, 7933)
+                down = up + _over(draw, _BOUND_PRIMES, 12) + F(1, 7933)
+                schedule[(a, b)] = ((up, None),) if kind == 3 else ((F(0), up), (down, None))
+    setting = Setting(
+        names,
+        {name: (F(3 * k, c), F(4 * k, c)) for name, k in zip(names, steps)},
+        {name: draw(st.sampled_from((CORRECT, ADVERSARIAL))) for name in names},
+        schedule,
+    )
+    v = draw(st.sampled_from((F(1), F(3, 7))))
+    params = SystemParams(
+        v=v,
+        v_adv=v * draw(st.sampled_from((1, F(13, 11)))),
+        nd_range=draw(st.sampled_from((F(10), F(29, 3)))),
+        delta_relay=draw(st.sampled_from((F(0), F(5, 3), F(2)))),
+        msg_duration_default=draw(st.sampled_from((F(500, 997), F(700, 991)))),
+    )
+    return setting, params
+
+
+def _lcm_of_times(events):
+    """The lcm of the denominators of every start, duration and beacon time."""
+    times = [e.start for e in events]
+    times += [t for e in events if not isinstance(e, Neighbor) for t in _message_times(e.msg)]
+    return math.lcm(*(t.denominator for t in times))
+
+
+def _message_times(msg):
+    return (msg.duration,) if isinstance(msg, Opaque) else (msg.duration, msg.beacon_time)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_tick_path_matches_fraction_references(data):
+    """Physics, the dedicated pt and pgt routes and all five adversary
+    models decide on integer ticks as the Fraction references decide:
+    over large coprime denominators, at the grid points on either side
+    of the freshness and relay bounds, and on a warm setting checking a
+    mutant over a new denominator."""
+    setting, params = data.draw(_coprime_worlds())
+
+    def fresh():
+        return Setting(setting.nodes, setting.loc, setting.node_type, setting.link_schedule)
+
+    duration = params.msg_duration_default
+    honest = []
+    for node in setting.correct_nodes:
+        for _ in range(data.draw(st.integers(0, 2))):
+            at = _over(data.draw, _START_PRIMES, 20)
+            stamped = data.draw(st.sampled_from((BeaconT, BeaconTL)))
+            if stamped is BeaconT:
+                honest.append(Bcast(node, at, BeaconT(node, at, duration)))
+            else:
+                honest.append(Bcast(node, at, BeaconTL(node, at, setting.loc[node], duration)))
+    opaque = Opaque("x", _over(data.draw, _DURATION_PRIMES, 2) + F(1, 983))
+    pool = [e.msg for e in honest] + [opaque]
+    relays = []
+    for node in setting.adversarial_nodes:
+        for _ in range(data.draw(st.integers(0, 2))):
+            at, msg = _over(data.draw, _START_PRIMES, 20), data.draw(st.sampled_from(pool))
+            sector = data.draw(st.none() | st.sampled_from(_SECTORS))
+            relays.append(Bcast(node, at, msg) if sector is None else Dcast(node, at, *sector, msg))
+    sends = honest + relays
+    receptions = []
+    for r in induced_receives(sends, setting, params):
+        how = data.draw(st.sampled_from(("keep", "keep", "keep", "drop", "move")))
+        if how == "move":
+            shift = F(1, data.draw(st.sampled_from(_START_PRIMES)))
+            r = Receive(r.actor, r.start + shift, r.sender, r.msg)
+        if how != "drop":
+            receptions.append(r)
+    grid = _lcm_of_times(sends + receptions)
+
+    def peers(r):
+        return st.sampled_from((r.msg.creator, r.sender))
+
+    # receptions at the grid points on either side of the freshness bound,
+    # each declared one unit after it ends
+    beacons = [e.msg for e in honest]
+    extra = []
+    for _ in range(data.draw(st.integers(0, 3)) if beacons else 0):
+        m = data.draw(st.sampled_from(beacons))
+        dest = data.draw(st.sampled_from(setting.nodes))
+        bound = params.nd_range / params.v * grid
+        age = data.draw(st.sampled_from((math.floor(bound), math.ceil(bound))))
+        extra.append(Receive(dest, m.beacon_time + F(age, grid), m.creator, m))
+    declarations = [
+        Neighbor(r.actor, event_end(r) + 1, data.draw(peers(r)), r.start)
+        for r in receptions + extra
+        if not isinstance(r.msg, Opaque) and data.draw(st.booleans())
+    ]
+    # casts at the grid points on either side of a relay bound after a reception
+    adversaries = setting.adversarial_nodes
+    for _ in range(data.draw(st.integers(0, 3)) if adversaries and receptions else 0):
+        r = data.draw(st.sampled_from(receptions))
+        caster = data.draw(st.sampled_from(adversaries))
+        bound = params.delta_relay
+        if caster != r.actor:
+            bound += dist(setting, caster, r.actor) / params.v_adv
+        gap = data.draw(st.sampled_from((math.floor(bound * grid), math.ceil(bound * grid))))
+        at = r.start + F(gap, grid)
+        casts = (Bcast(caster, at, r.msg), Dcast(caster, at, F(0), F(2), r.msg))
+        extra.append(data.draw(st.sampled_from(casts)))
+    trace = Trace(sends + receptions + extra + declarations)
+
+    verdict = check_setting_feasible(trace, setting, params)
+    found = [(v.rule, v.events[0]) for v in verdict.violations]
+    assert found == _scanned_physics(trace, fresh(), EXACT, params)
+    window = InaccuracyParams(F(1, 1009), F(1, 1013))
+    for name, inacc in ((PT, None), (PGT, None), (PGT_APPROX, window)):
+        verdict = protocol_verdict(trace, setting, name, params, inacc)
+        unjustified = [v.events[0] for v in verdict.violations if v.rule == "neighbor-unjustified"]
+        expected = _scanned_declarations(trace, setting, PROTOCOLS[name], inacc, EXACT, params)
+        assert unjustified == expected
+    for kind in ADVERSARY_NAMES:
+        model = AdversaryModel(kind, params.delta_relay)
+        verdict = check_adversary_feasible(trace, setting, params, model)
+        found = [(v.rule, v.events[0]) for v in verdict.violations]
+        assert found == _scanned_adversary(trace, setting, model, EXACT, params)
+
+    # the warm setting checks a mutant with one reception moved over a new
+    # denominator: two checks over different ticks share one coverage memo
+    moved = [e for e in trace if isinstance(e, Receive)]
+    if moved:
+        r = data.draw(st.sampled_from(moved))
+        shift = F(data.draw(st.sampled_from((-1, 1))), data.draw(st.sampled_from(_MOVE_PRIMES)))
+        moved = Receive(r.actor, max(F(0), r.start + shift), r.sender, r.msg)
+        mutant = Trace([e for e in trace if e != r] + [moved])
+        verdict = check_setting_feasible(mutant, setting, params)
+        assert verdict == check_setting_feasible(mutant, fresh(), params)
+        found = [(v.rule, v.events[0]) for v in verdict.violations]
+        assert found == _scanned_physics(mutant, fresh(), EXACT, params)
+
+
+def _seven_digit_primes(count):
+    """The first count primes above one million, by a sieve of one segment."""
+    low, width = 10**6, 30 * count
+    composite = bytearray(width)
+    for p in range(2, math.isqrt(low + width) + 1):
+        for multiple in range(-(-low // p) * p, low + width, p):
+            composite[multiple - low] = 1
+    primes = [low + i for i in range(width) if not composite[i]]
+    assert len(primes) >= count
+    return primes[:count]
+
+
+# the three checks must take this long at most on the 2,000-event trace below
+HUGE_DENOMINATOR_BUDGET_S = 10
+
+
+def test_huge_denominator_verdicts_match_fraction_references():
+    """About 2,000 events whose starts have 1,107 distinct 7-digit prime
+    denominators, so D has about 21,000 bits: physics, the dedicated pt
+    route and the adversary check give the Fraction references'
+    verdicts, and the three checks together stay within their budget."""
+    primes = iter(_seven_digit_primes(1110))
+    setting = Setting(
+        "ABC",
+        {"A": (F(0), F(0)), "B": (F(3), F(4)), "C": (F(6), F(8))},
+        {"A": CORRECT, "B": CORRECT, "C": ADVERSARIAL},
+        {(a, b): ((F(0), None),) for a in "ABC" for b in "ABC" if a != b},
+    )
+    params = SystemParams(F(1), F(1), F(10), F(1), F(1, 2))
+    beacons = [
+        Bcast(node, at, BeaconT(node, at, params.msg_duration_default))
+        for i in range(250)
+        for node, at in [("AB"[i % 2], i + F(1, next(primes)))]
+    ]
+    # every seventh reception missing, every fifth declaration at a peer time no reception has
+    received = [r for k, r in enumerate(induced_receives(beacons, setting, params)) if k % 7]
+    declared = [r for r in received if r.actor not in (r.sender, "C")][:250]
+    declarations = []
+    for k, r in enumerate(declared):
+        peer_time = r.start + (F(1, next(primes)) if k % 5 == 0 else 0)
+        declared_at = event_end(r) + F(1, next(primes))
+        declarations.append(Neighbor(r.actor, declared_at, r.msg.creator, peer_time))
+    at_c = [r for r in received if r.actor == "C"]
+    relays = [
+        Dcast("C", r.start + F(k % 3, 2) + F(1, next(primes)), F(0), F(2), r.msg)
+        for k, r in enumerate(at_c[:100])
+    ]
+    strays = [Receive("AB"[k % 2], k + F(1, next(primes)), "C", at_c[0].msg) for k in range(500)]
+    relayed = induced_receives(relays, setting, params)
+    trace = Trace(beacons + received + declarations + relays + relayed + strays)
+    assert len(trace) > 2000
+
+    model = AdversaryModel("relay", params.delta_relay)
+    start = time.perf_counter()
+    physics = check_setting_feasible(trace, setting, params)
+    pt = protocol_verdict(trace, setting, PT, params)
+    adversary = check_adversary_feasible(trace, setting, params, model)
+    elapsed = time.perf_counter() - start
+    assert trace.ticks(EXACT)[0].den.bit_length() > 20_000
+    assert elapsed < HUGE_DENOMINATOR_BUDGET_S
+
+    fresh = Setting(setting.nodes, setting.loc, setting.node_type, setting.link_schedule)
+    found = [(v.rule, v.events[0]) for v in physics.violations]
+    assert found == _scanned_physics(trace, fresh, EXACT, params)
+    assert {rule for rule, _ in found} == {"receive-without-transmission", "bcast-missing-receive"}
+    unjustified = [v.events[0] for v in pt.violations if v.rule == "neighbor-unjustified"]
+    assert unjustified == _scanned_declarations(trace, fresh, PROTOCOLS[PT], None, EXACT, params)
+    assert len(unjustified) == len(declarations[::5])
+    found = [(v.rule, v.events[0]) for v in adversary.violations]
+    assert found == _scanned_adversary(trace, fresh, model, EXACT, params)
+    assert 0 < len(found) < len(relays)
 
 
 # the listed sectors, or one drawn with quarter-turn or other rays

@@ -31,7 +31,9 @@ def test_parse_rejects(bad):
 
 
 def test_parse_bounds_the_exponent():
-    assert parse_scalar(f"1e-{MAX_SCALAR_EXPONENT}") == Fraction(1, 10**MAX_SCALAR_EXPONENT)
+    # 1e-997 is the smallest power of ten whose canonical p/q fits in 1000 characters
+    assert parse_scalar("1e-997") == Fraction(1, 10**997)
+    assert parse_scalar(f"1e{MAX_SCALAR_EXPONENT - 1}") == 10 ** (MAX_SCALAR_EXPONENT - 1)
     assert parse_scalar("25e+0000000001") == Fraction(250)
     too_large = ["1e1001", "2.5E-1001", "1e+00001001", "1e999999999", "1e" + "9" * 5000]
     for text in too_large:
@@ -69,6 +71,55 @@ def test_errors_echo_a_bounded_prefix_of_long_tokens(monkeypatch):
     with pytest.raises(ValueError) as caught:
         parse_scalar(short)
     assert str(caught.value) == f"invalid scalar {short!r}: exponent beyond 1000 in magnitude"
+
+
+def test_scalars_too_long_written_out_are_rejected_from_the_text(monkeypatch):
+    """A scalar is accepted only if its canonical text is accepted again."""
+    accepted = {"1e-997": 1000, "-1e-996": 1000, "1e999": 1000, "-1e998": 1000, "1.5e-3": 6}
+    for text, length in accepted.items():
+        written = format_scalar(parse_scalar(text))
+        assert len(written) == length and format_scalar(parse_scalar(written)) == written
+
+    def never_built(*args):
+        raise AssertionError("a scalar too long written out reached Fraction")
+
+    monkeypatch.setattr(ndcheck.rational, "Fraction", never_built)
+    for text, bound in (("1e-999", 1002), ("-1e-998", 1002), ("1e1000", 1001), ("0.5e-999", 1004)):
+        with pytest.raises(ValueError) as caught:
+            parse_scalar(text)
+        assert str(caught.value) == (
+            f"invalid scalar {text!r}: written out it could take {bound} characters, over 1000"
+        )
+    long_decimal = "0." + "0" * 996 + "1"
+    with pytest.raises(ValueError, match=r"^invalid scalar '0\.0{62}'\.\.\. \(999 characters\)"):
+        parse_scalar(long_decimal)
+
+
+# a mantissa of up to 12 digits, with or without a point, and an exponent
+# whose written-out length lands near MAX_SCALAR_LENGTH
+_near_bound = st.builds(
+    lambda sign, digits, point, exponent: (
+        f"{sign}{digits[:point]}{'.' if point < len(digits) else ''}{digits[point:]}e{exponent}"
+    ),
+    st.sampled_from(("", "-", "+")),
+    st.text("0123456789", min_size=1, max_size=12),
+    st.integers(0, 12),
+    st.integers(-MAX_SCALAR_LENGTH, -MAX_SCALAR_LENGTH + 30)
+    | st.integers(MAX_SCALAR_LENGTH - 30, MAX_SCALAR_LENGTH),
+)
+
+
+@given(_near_bound)
+def test_scalars_near_the_bound_round_trip_or_are_rejected(text):
+    """Parsing either fails with ValueError or gives a scalar whose
+    canonical text parses back to it and is a fixed point."""
+    try:
+        x = parse_scalar(text)
+    except ValueError:
+        return
+    written = format_scalar(x)
+    assert len(written) <= MAX_SCALAR_LENGTH
+    assert parse_scalar(written) == x and format_scalar(parse_scalar(written)) == written
 
 
 @given(st.fractions())
