@@ -41,6 +41,7 @@ from .core import (
     Verdict,
     Violation,
     dist,
+    per_speed,
 )
 from .rational import EXACT, Num, Real
 
@@ -120,7 +121,7 @@ def check_adversary_feasible(
         if gap is None:
             bound = model.delta_relay
             if not same_node_only:
-                bound += dist(setting, sender, receiver, num) / params.v_adv
+                bound += per_speed(dist(setting, sender, receiver, num), params.v_adv, "v_adv")
             gap = gaps[(sender, receiver)] = ticks.ceil(bound)
         return gap
 

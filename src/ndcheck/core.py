@@ -637,8 +637,16 @@ def time_of_flight(
     key = (num.exact, params.v, a, b) if a <= b else (num.exact, params.v, b, a)
     t = setting._flight.get(key)
     if t is None:
-        t = setting._flight[key] = dist(setting, a, b, num) / params.v
+        t = setting._flight[key] = per_speed(dist(setting, a, b, num), params.v, "v")
     return t
+
+
+def per_speed(d: Real, speed: Fraction, name: str) -> Real:
+    """d / speed, which in approximate mode names a speed that rounds to 0.0."""
+    try:
+        return d / speed
+    except ZeroDivisionError:
+        raise OverflowError(f"speed {name} rounds to 0.0 in approximate mode") from None
 
 
 def link_up_over(setting: Setting, a: NodeId, b: NodeId, t0: Real, t1: Real) -> bool:

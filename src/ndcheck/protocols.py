@@ -2,7 +2,10 @@
 
 A protocol model maps a node's local view to a finite, non-empty set of
 permitted actions (do nothing, broadcast a message, declare a neighbor).
-Four concrete protocols are provided:
+The set answers membership one action at a time: a broadcast costs one
+beacon built, a declaration one scan of the view's reception starts and
+the acceptance test on those at its peer time.  Four concrete protocols
+are provided:
 
 - naive:      broadcast a bare identity token, accept any received one;
 - pt:         time-stamped authenticated beacons, accept a creator as a
@@ -33,10 +36,12 @@ while the decision function offers exact stamps only.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Set
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Optional, Union
+from typing import AbstractSet, Callable, Optional, Union
 
 from .core import (
     Bcast,
@@ -116,7 +121,7 @@ class InaccuracyParams:
 class ProtocolModel:
     name: str
     flavor: str
-    decide: Callable[[LocalView], frozenset[Action]]
+    decide: Callable[[LocalView], AbstractSet[Action]]
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +209,7 @@ class ProtocolSpec:
         Optional[NodeId],
     ]
     unjustified: Optional[str]
-    decide: Callable[[LocalView, SystemParams, InaccuracyParams], frozenset[Action]]
+    decide: Callable[[LocalView, SystemParams, InaccuracyParams], AbstractSet[Action]]
     verdict: Callable[
         [Trace, Setting, SystemParams, Optional[InaccuracyParams], Num], Verdict
     ]
@@ -326,45 +331,70 @@ def protocol_verdict(
 _VIEW_KINDS = {T_FLAVOR: "time-only", TL_FLAVOR: "location-aware"}
 
 
-def _decide(
-    spec: ProtocolSpec,
-    view: LocalView,
-    params: SystemParams,
-    inacc: Optional[InaccuracyParams] = None,
-) -> frozenset[Action]:
-    """Idle, broadcast the node's own beacon, or declare a peer a reception backs."""
-    if view.flavor != spec.flavor or (spec.flavor == TL_FLAVOR and view.owner_loc is None):
-        raise FlavorMismatch(f"{spec.name} decides on {_VIEW_KINDS[spec.flavor]} views")
-    actions: set[Action] = {EPSILON}
-    if view.as_of is not None:
-        actions.add(BcastAction(spec.beacon(view.owner, view.as_of, view.owner_loc, params)))
-    # view censoring admits only fully completed receptions, so any
-    # declaration offered here is automatically strictly later than the
-    # end of its justifying reception
-    for r in view.receives():
-        peer = spec.accepts(params, view.owner_loc, r, inacc, EXACT)
-        if peer is not None:
-            actions.add(NeighborAction(peer, r.start))
-    return frozenset(actions)
+class _Decision(Set):
+    """What a protocol permits in one view: idle, broadcast the node's own
+    beacon, or declare a peer a reception backs.
+
+    Testing one action builds the beacon, or scans the view's reception
+    starts (O(view) comparisons) and runs the acceptance test only on
+    those at the declared peer time.  Only iterating lists the whole
+    set, built once.  View censoring admits only completed receptions,
+    so a declaration offered is strictly later than its reception's end.
+    """
+
+    def __init__(self, spec: ProtocolSpec, view: LocalView, params: SystemParams, inacc=None):
+        if view.flavor != spec.flavor or (spec.flavor == TL_FLAVOR and view.owner_loc is None):
+            raise FlavorMismatch(f"{spec.name} decides on {_VIEW_KINDS[spec.flavor]} views")
+        self.view = view
+        self._backs = lambda r: spec.accepts(params, view.owner_loc, r, inacc, EXACT)
+        self._beacon = lambda: None if view.as_of is None else BcastAction(
+            spec.beacon(view.owner, view.as_of, view.owner_loc, params)
+        )
+
+    def __contains__(self, action: object) -> bool:
+        if isinstance(action, NeighborAction):
+            at = action.peer_time.as_integer_ratio()  # as exact as ==, and cheaper on Fractions
+            return action.peer is not None and any(
+                r.start.as_integer_ratio() == at and self._backs(r) == action.peer
+                for r in self.view.receives()
+            )
+        return action == (self._beacon() if isinstance(action, BcastAction) else EPSILON)
+
+    @cached_property
+    def _listed(self) -> frozenset[Action]:
+        backed = ((self._backs(r), r.start) for r in self.view.receives())
+        return frozenset({EPSILON, self._beacon()} - {None}).union(
+            NeighborAction(peer, at) for peer, at in backed if peer is not None
+        )
+
+    def __iter__(self):
+        return iter(self._listed)
+
+    def __len__(self) -> int:
+        return len(self._listed)
+
+    # equality, hashing and set algebra are those of the listed frozenset
+    __hash__ = Set._hash
+    _from_iterable = frozenset
 
 
-def naive_decide(view: LocalView, params: SystemParams) -> frozenset[Action]:
+def naive_decide(view: LocalView, params: SystemParams) -> AbstractSet[Action]:
     """Identity-token baseline: accepts every received identity, replayed or not."""
-    return _decide(PROTOCOLS[NAIVE], view, params)
+    return _Decision(PROTOCOLS[NAIVE], view, params)
 
 
-def pt_decide(view: LocalView, params: SystemParams) -> frozenset[Action]:
-    return _decide(PROTOCOLS[PT], view, params)
+def pt_decide(view: LocalView, params: SystemParams) -> AbstractSet[Action]:
+    return _Decision(PROTOCOLS[PT], view, params)
 
 
-def pgt_decide(view: LocalView, params: SystemParams) -> frozenset[Action]:
-    return _decide(PROTOCOLS[PGT], view, params)
+def pgt_decide(view: LocalView, params: SystemParams) -> AbstractSet[Action]:
+    return _Decision(PROTOCOLS[PGT], view, params)
 
 
 def pgt_approx_decide(
     view: LocalView, params: SystemParams, inacc: InaccuracyParams
-) -> frozenset[Action]:
-    return _decide(PROTOCOLS[PGT_APPROX], view, params, inacc)
+) -> AbstractSet[Action]:
+    return _Decision(PROTOCOLS[PGT_APPROX], view, params, inacc)
 
 
 # ---------------------------------------------------------------------------
@@ -376,13 +406,13 @@ def check_protocol_feasible(
 ) -> Verdict:
     """Generic conformance of every correct node's own actions to a protocol model.
 
-    Each broadcast and declaration of a correct node must be permitted by
-    the decision function applied to the node's view at the event's
-    start, so the route takes one view and one decision per such action.
-    Idling is not checked: every decision function here offers EPSILON
-    in every view, as tests/test_properties.py
-    (test_every_decision_set_is_nonempty_and_idle_friendly) pins, so no
-    idle check could fail.  The trace is assumed physically consistent.
+    Each broadcast and declaration of a correct node must be a member of
+    the decision set for the node's view at the event's start: one view
+    and one membership test per such action.  Each view is still a fresh
+    frozenset and each declaration still scans all its starts, so the
+    route stays quadratic in a node's history.  Idling is not checked:
+    every decision offers EPSILON, as a property test in
+    tests/test_properties.py pins.  The trace is assumed physically consistent.
     """
     violations: list[Violation] = []
     for node in setting.correct_nodes:

@@ -1,4 +1,7 @@
+from dataclasses import replace
 from fractions import Fraction
+
+import pytest
 
 from ndcheck import (
     ADVERSARIAL,
@@ -27,6 +30,7 @@ from ndcheck import (
 )
 from ndcheck.adversary import ADVERSARY_NAMES
 from ndcheck.generators import authored_beacon_trace, make_ordering_corpus
+from ndcheck.rational import approx_num
 
 F = Fraction
 ALWAYS = ((F(0), None),)
@@ -115,6 +119,22 @@ def test_cross_node_relay_needs_channel_budget(unit_params):
         # without the adversary channel the same-node rule always fails here
         local = AdversaryModel(RELAY_LOCAL, unit_params.delta_relay)
         assert not check_adversary_feasible(trace, setting, unit_params, local).ok
+
+
+def test_adversary_speed_that_rounds_to_zero_in_approximate_mode(unit_params):
+    """The relay bound divides a float distance by v_adv; a v_adv that
+    rounds to 0.0 is reported by name."""
+    setting = chain_setting()
+    msg = BeaconT("B", F(0), F(1))
+    sends = [Bcast("B", F(0), msg)]
+    entry = next(r for r in induced_receives(sends, setting, unit_params) if r.actor == "D")
+    all_sends = sends + [Dcast("C", entry.start + F(5), F(1), F(1), msg)]
+    trace = Trace(all_sends + induced_receives(all_sends, setting, unit_params))
+    tiny = F(1, 10**997)
+    slow = replace(unit_params, v=tiny, v_adv=tiny)
+    model = AdversaryModel(RELAY, unit_params.delta_relay)
+    with pytest.raises(OverflowError, match="^speed v_adv rounds to 0.0 in approximate mode$"):
+        check_adversary_feasible(trace, setting, slow, model, approx_num(F(1, 1000)))
 
 
 def test_adversarial_bcast_forbidden_except_bcast_model(unit_params):

@@ -354,6 +354,22 @@ def test_coordinates_beyond_float_range(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("v_adv", ["300000000", "1e-997"])
+def test_speed_that_rounds_to_zero_in_approximate_mode(tmp_path, capsys, v_adv):
+    """Exact mode checks as usual; approximate mode, where v = 1e-997
+    rounds to 0.0, reports the speed as an error, not a traceback."""
+    scn = tmp_path / "slow.scn"
+    scn.write_text(
+        RADIO.replace("v = 300000000\nv_adv = 300000000", f"v = 1e-997\nv_adv = {v_adv}")
+    )
+    trc = tmp_path / "slow.trc"
+    trc.write_text("bcast B 0 opaque:id-B:1/1000000\nreceive B 0 B opaque:id-B:1/1000000\n")
+    assert run(["check", scn, trc]) == 2
+    capsys.readouterr()
+    assert run(["--approx", "1/1000", "check", scn, trc]) == 1
+    assert capsys.readouterr().err == "error: speed v rounds to 0.0 in approximate mode\n"
+
+
 def test_generated_worlds_survive_the_full_file_loop(tmp_path, capsys):
     """serialize -> parse -> check returns clean for generator output."""
     import random

@@ -1,6 +1,7 @@
 """Property tests for the model invariants that hold by construction."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -216,3 +217,64 @@ def test_every_decision_set_is_nonempty_and_idle_friendly(seed):
             actions = model.decide(view)
             assert actions
             assert EPSILON in actions
+
+
+def membership_candidates(view, spec, params, nodes):
+    """Actions near the ones a decision lists: every node declared at every
+    reception start and one 1/q step either side, and the owner's beacon
+    exact or with one field wrong."""
+    from ndcheck import BcastAction, EPSILON
+
+    yield EPSILON
+    for r in view.receives():
+        step = F(1, r.start.denominator)
+        for peer in nodes:
+            for at in (r.start - step, r.start, r.start + step):
+                yield NeighborAction(peer, at)
+    if view.as_of is None:
+        return
+    loc = view.owner_loc
+    step = F(1, view.as_of.denominator)
+    beacon = spec.beacon(view.owner, view.as_of, loc, params)
+    yield BcastAction(beacon)
+    yield BcastAction(replace(beacon, duration=beacon.duration * 2))
+    for at in (view.as_of - step, view.as_of + step):
+        if at >= 0:
+            yield BcastAction(spec.beacon(view.owner, at, loc, params))
+    if loc is not None:
+        yield BcastAction(spec.beacon(view.owner, view.as_of, (loc[0] + 1, loc[1]), params))
+    for other in nodes:
+        if other != view.owner:
+            yield BcastAction(spec.beacon(other, view.as_of, loc, params))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_decision_membership_agrees_with_the_listed_set(seed):
+    from ndcheck import T_FLAVOR, make_protocol
+    from ndcheck.protocols import PROTOCOLS
+
+    rng = random.Random(seed)
+    params = random_params(rng, delta_at_least_threshold=False, equal_speeds=True)
+    inacc = InaccuracyParams(F(1, 10), F(1, 20))
+    tl_views = random_tl_views(seed=seed, count=4, params=params)
+    for name in ("naive", "pt", "pgt", "pgt-approx"):
+        spec = PROTOCOLS[name]
+        if spec.flavor == T_FLAVOR:
+            setting = random_setting(rng, HORIZON)
+            trace = random_trace(rng, setting, params, name, RELAY, HORIZON)
+            nodes = setting.nodes
+            views = [
+                project_local(trace, node, at, T_FLAVOR)
+                for node in setting.correct_nodes
+                for at in (None, *(e.start for e in trace.by_actor(node)), HORIZON)
+            ]
+        else:
+            nodes, views = ("A", "B", "C"), tl_views
+        model = make_protocol(name, params, inacc)
+        for view in views:
+            decision = model.decide(view)
+            listed = frozenset(decision)
+            assert decision == listed and hash(decision) == hash(listed)
+            for action in (*listed, *membership_candidates(view, spec, params, nodes)):
+                assert (action in decision) == (action in listed), (name, view, action)

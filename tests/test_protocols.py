@@ -35,7 +35,17 @@ from ndcheck import (
     protocol_verdict,
     pt_decide,
 )
-from ndcheck.core import ADVERSARIAL, Bcast, Dcast, Neighbor, Setting, induced_receives
+from ndcheck import protocols
+from ndcheck.core import (
+    ADVERSARIAL,
+    CORRECT,
+    Bcast,
+    Dcast,
+    Neighbor,
+    Receive,
+    Setting,
+    induced_receives,
+)
 from ndcheck.generators import random_params, random_setting, random_tl_views, random_trace
 from ndcheck.protocols import PROTOCOLS
 
@@ -338,6 +348,104 @@ def test_generic_route_decides_once_per_own_action(unit_params):
     counting = replace(model, decide=lambda view: decided.append(view.as_of) or model.decide(view))
     assert check_protocol_feasible(trace, setting, counting, unit_params).ok
     assert sorted(decided) == [F(0), F(2), F(10), F(11)]
+
+
+def dense_pt_trace(rounds, params):
+    """Three correct nodes, all links up, a pt beacon from each every 10
+    time units, and every reception from another node declared once it ends.
+
+    The nodes sit at (0,0), (3,0) and (0,4), so no node hears two beacons
+    starting at the same instant.
+    """
+    setting = Setting(
+        ("A", "B", "C"),
+        {"A": (F(0), F(0)), "B": (F(3), F(0)), "C": (F(0), F(4))},
+        {node: CORRECT for node in "ABC"},
+        {(a, b): ((F(0), None),) for a in "ABC" for b in "ABC" if a != b},
+    )
+    spec = PROTOCOLS[PT]
+    sends = [
+        Bcast(node, F(10 * k), spec.beacon(node, F(10 * k), setting.loc[node], params))
+        for k in range(rounds)
+        for node in "ABC"
+    ]
+    receives = induced_receives(sends, setting, params)
+    declarations = [
+        Neighbor(r.actor, r.start + r.msg.duration + F(1, 2), r.sender, r.start)
+        for r in receives
+        if r.actor != r.sender
+    ]
+    return setting, Trace(sends + receives + declarations), len(declarations)
+
+
+@pytest.mark.parametrize("rounds", [20, 40])
+def test_generic_route_runs_acceptance_once_per_declaration(rounds, unit_params, monkeypatch):
+    # the acceptance count grows with the declarations, not with the
+    # square of the trace
+    setting, trace, declared = dense_pt_trace(rounds, unit_params)
+    calls = []
+    accepts = protocols.pt_accepts
+    monkeypatch.setattr(
+        protocols, "pt_accepts", lambda *args: calls.append(args) or accepts(*args)
+    )
+    model = make_protocol(PT, unit_params)
+    assert check_protocol_feasible(trace, setting, model, unit_params).ok
+    assert 0 < len(calls) <= declared
+
+
+def listing(model):
+    """The model with each decision listed in full as a frozenset."""
+    return replace(model, decide=lambda view: frozenset(model.decide(view)))
+
+
+def stale_declaration(trace, setting, rng):
+    """A correct node declares a random node on one of its completed receptions."""
+    correct = set(setting.correct_nodes)
+    heard = [r for r in trace.of_kind(Receive) if r.actor in correct]
+    if not heard:
+        return None
+    r = rng.choice(heard)
+    peer = rng.choice(setting.nodes)
+    return trace.union([Neighbor(r.actor, r.start + r.msg.duration + 1, peer, r.start)])
+
+
+def forged_beacon(trace, setting, params, protocol, rng):
+    """A correct node broadcasts the beacon another node would send."""
+    node = rng.choice(setting.correct_nodes)
+    other = rng.choice([n for n in setting.nodes if n != node])
+    t = F(rng.randint(0, 400), 8)
+    msg = PROTOCOLS[protocol].beacon(other, t, setting.loc[other], params)
+    return trace.union([Bcast(node, t, msg)])
+
+
+@pytest.mark.parametrize(
+    "protocol, adversary, seed",
+    [("naive", "relay", 21), ("pt", "dy-t", 22), ("pgt", "dy-gt", 23), ("pgt-approx", "relay", 24)],
+)
+def test_generic_route_matches_listed_decisions(protocol, adversary, seed):
+    rng = random.Random(seed)
+    horizon = F(40)
+    inacc = InaccuracyParams(F(1, 10), F(1, 20)) if protocol == PGT_APPROX else None
+    oks = []
+    for _ in range(30):
+        params = random_params(rng, protocol == "pt", protocol.startswith("pgt"))
+        setting = random_setting(rng, horizon)
+        trace = random_trace(rng, setting, params, protocol, adversary, horizon)
+        model = make_protocol(protocol, params, inacc)
+        mutants = (
+            trace,
+            stale_declaration(trace, setting, rng),
+            shift_declaration(trace, setting),
+            forged_beacon(trace, setting, params, protocol, rng),
+        )
+        for mutant in mutants:
+            if mutant is None:
+                continue
+            verdict = check_protocol_feasible(mutant, setting, model, params)
+            assert verdict == check_protocol_feasible(mutant, setting, listing(model), params)
+            oks.append(verdict.ok)
+    # neither all accepted nor all rejected
+    assert True in oks and False in oks
 
 
 # ---------------------------------------------------------------------------
