@@ -109,21 +109,30 @@ def _hash_once(cls: type) -> type:
     values, so equal values keep equal hashes and __eq__, repr and
     fields() stay as dataclass makes them.  It is kept in the instance's
     one extra slot (from _HashSlot), which costs one pointer per
-    instance and no instance dict.  Pickling carries the fields only, so
-    an unpickled value hashes afresh under its own process's string
-    hashes.
+    instance and no instance dict; __post_init__ sets it to None, so a
+    first use tests for None and catches no AttributeError.  Pickling
+    and copying go through the constructor, so an unpickled value
+    hashes afresh under its own process's string hashes.
     """
     values = attrgetter(*[f.name for f in fields(cls)])
+    check = cls.__post_init__
+    keep = _HashSlot._hash.__set__
+
+    def __post_init__(self) -> None:
+        check(self)
+        keep(self, None)
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(values(self))
-            object.__setattr__(self, "_hash", h)
-            return h
+        if self._hash is None:
+            keep(self, hash(values(self)))
+        return self._hash
 
+    def __reduce__(self) -> tuple:
+        return cls, values(self)
+
+    cls.__post_init__ = __post_init__
     cls.__hash__ = __hash__
+    cls.__reduce__ = __reduce__
     return cls
 
 
@@ -157,8 +166,7 @@ class BeaconT(_HashSlot):
 
     def __post_init__(self) -> None:
         _check_duration(self.duration)
-        if self.beacon_time < 0:
-            raise ValueError("beacon_time must be >= 0")
+        _check_time(self.beacon_time, "beacon_time")
 
     def key(self) -> tuple:
         return ("beacon-t", self.creator, self.beacon_time, self.duration)
@@ -176,8 +184,7 @@ class BeaconTL(_HashSlot):
 
     def __post_init__(self) -> None:
         _check_duration(self.duration)
-        if self.beacon_time < 0:
-            raise ValueError("beacon_time must be >= 0")
+        _check_time(self.beacon_time, "beacon_time")
 
     def key(self) -> tuple:
         return (
@@ -193,8 +200,15 @@ class BeaconTL(_HashSlot):
 Message = Union[Opaque, BeaconT, BeaconTL]
 
 
+def _check_time(t: Real, name: str) -> None:
+    # a Fraction's or int's sign is its numerator's, which compares with 0
+    # without Fraction's dispatch through the numbers ABCs
+    if getattr(t, "numerator", t) < 0:
+        raise ValueError(f"{name} must be >= 0")
+
+
 def _check_duration(duration: Fraction) -> None:
-    if duration <= 0:
+    if getattr(duration, "numerator", duration) <= 0:
         raise ValueError("message duration must be > 0")
 
 
@@ -210,7 +224,7 @@ class Bcast(_HashSlot):
     msg: Message
 
     def __post_init__(self) -> None:
-        _check_start(self.start)
+        _check_time(self.start, "event start")
 
     def sort_key(self) -> tuple:
         return (self.start, self.actor, 0) + self.msg.key()
@@ -231,7 +245,7 @@ class Dcast(_HashSlot):
     msg: Message
 
     def __post_init__(self) -> None:
-        _check_start(self.start)
+        _check_time(self.start, "event start")
         if not 0 <= self.direction < FULL_TURN:
             raise ValueError("direction must be in [0, 2) (units of pi)")
         if not 0 < self.angle <= FULL_TURN:
@@ -250,7 +264,7 @@ class Receive(_HashSlot):
     msg: Message
 
     def __post_init__(self) -> None:
-        _check_start(self.start)
+        _check_time(self.start, "event start")
 
     def sort_key(self) -> tuple:
         return (self.start, self.actor, 2, self.sender) + self.msg.key()
@@ -267,20 +281,14 @@ class Neighbor(_HashSlot):
     peer_time: Fraction
 
     def __post_init__(self) -> None:
-        _check_start(self.start)
-        if self.peer_time < 0:
-            raise ValueError("peer_time must be >= 0")
+        _check_time(self.start, "event start")
+        _check_time(self.peer_time, "peer_time")
 
     def sort_key(self) -> tuple:
         return (self.start, self.actor, 3, self.peer, self.peer_time)
 
 
 Event = Union[Bcast, Dcast, Receive, Neighbor]
-
-
-def _check_start(start: Fraction) -> None:
-    if start < 0:
-        raise ValueError("event start must be >= 0")
 
 
 def _start_prefix(start: Real) -> float:

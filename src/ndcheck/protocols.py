@@ -63,6 +63,7 @@ from .core import (
     Trace,
     Verdict,
     Violation,
+    per_speed,
     project_local,
     sq_dist,
 )
@@ -133,6 +134,19 @@ def pt_accepts(params: SystemParams, receive_start: Fraction, beacon: BeaconT) -
     return receive_start - beacon.beacon_time <= params.nd_range / params.v
 
 
+def _diff_ratio(x: Fraction, y: Fraction) -> tuple[int, int]:
+    """x - y as integers (n, d), d > 0, not reduced."""
+    (a, b), (c, d) = x.as_integer_ratio(), y.as_integer_ratio()
+    return a * d - c * b, b * d
+
+
+def _sq_dist_ratio(p: Point, q: Point) -> tuple[int, int]:
+    """sq_dist(p, q) as integers (n, d), d > 0, not reduced: the acceptance
+    tests compare it with squared bounds by cross-multiplying."""
+    (x, b), (y, d) = _diff_ratio(p[0], q[0]), _diff_ratio(p[1], q[1])
+    return (x * d) ** 2 + (y * b) ** 2, (b * d) ** 2
+
+
 def pgt_accepts(
     params: SystemParams,
     owner_loc: Point,
@@ -142,14 +156,17 @@ def pgt_accepts(
 ) -> bool:
     """Exact agreement of the time- and location-derived distance estimates.
 
-    Compared on squared distances so both sides stay rational; the time
-    estimate must be non-negative since it stands for a distance.
+    Compared on squared distances, in exact mode as integers with every
+    denominator cleared; the time estimate stands for a distance, so >= 0.
     """
+    if num.exact:
+        n, d = _sq_dist_ratio(owner_loc, beacon.beacon_loc)
+        t, s = _diff_ratio(receive_start, beacon.beacon_time)
+        p, q = params.v.as_integer_ratio()
+        return t >= 0 and (p * t) ** 2 * d == n * (q * s) ** 2  # (v·dt)² == n/d
     dt = receive_start - beacon.beacon_time
     squared = sq_dist(owner_loc, beacon.beacon_loc)
-    if num.exact:
-        return dt >= 0 and (params.v * dt) ** 2 == squared
-    return dt >= 0 and num.eq(dt, num.sqrt(squared) / params.v)
+    return dt >= 0 and num.eq(dt, per_speed(num.sqrt(squared), params.v, "v"))
 
 
 def pgt_approx_accepts(
@@ -162,15 +179,18 @@ def pgt_approx_accepts(
     """|time estimate - location estimate| <= delta + tau, decided exactly.
 
     The location estimate is sqrt(squared)/v and may be irrational, so
-    both window bounds are compared through sign-aware squaring.
+    both window bounds are compared as integers by sign-aware squaring.
     """
-    dt = receive_start - beacon.beacon_time
-    squared = sq_dist(owner_loc, beacon.beacon_loc)
-    upper = params.v * (dt + inacc.window)
-    lower = params.v * (dt - inacc.window)
-    if upper < 0 or squared > upper * upper:
+    n, d = _sq_dist_ratio(owner_loc, beacon.beacon_loc)
+    t, s = _diff_ratio(receive_start, beacon.beacon_time)
+    w, z = inacc.window.as_integer_ratio()
+    p, q = params.v.as_integer_ratio()
+    # v·(dt ± window) = p·(t·z ± w·s) / (q·s·z), compared squared with n/d
+    upper, lower = t * z + w * s, t * z - w * s
+    scaled = n * (q * s * z) ** 2
+    if upper < 0 or scaled > (p * upper) ** 2 * d:
         return False
-    return lower <= 0 or squared >= lower * lower
+    return lower <= 0 or scaled >= (p * lower) ** 2 * d
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +494,10 @@ def _stamp_violation(
             (e,),
             "beacon time off by more than the time error bound",
         )
-    loc_bound = inacc.tau * params.v
-    if sq_dist(msg.beacon_loc, setting.loc[e.actor]) > loc_bound * loc_bound:
+    n, d = _sq_dist_ratio(msg.beacon_loc, setting.loc[e.actor])
+    a, b = inacc.tau.as_integer_ratio()
+    p, q = params.v.as_integer_ratio()
+    if n * (b * q) ** 2 > (a * p) ** 2 * d:  # beyond tau·v = (a·p) / (b·q)
         return Violation(
             "beacon-location-mismatch",
             (e,),

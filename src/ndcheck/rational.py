@@ -56,6 +56,16 @@ def parse_scalar(text: str) -> Fraction:
     text accepted here.
     """
     text = text.strip()
+    # plain ASCII "-?digits[/digits]", denominator nonzero: int() reads it to
+    # the value Fraction's regex gives, and it is never longer written out
+    head, slash, den = text.partition("/")
+    if (
+        len(text) <= MAX_SCALAR_LENGTH
+        and text.isascii()
+        and head[head.startswith("-"):].isdigit()
+        and (not slash or den.isdigit() and den.strip("0"))
+    ):
+        return Fraction(int(head), int(den)) if slash else Fraction(int(head))
     if not text:
         raise ValueError("empty scalar")
     if "e" in text or "E" in text:

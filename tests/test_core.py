@@ -1,4 +1,10 @@
+import copy
+import dataclasses
 import math
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +14,7 @@ from ndcheck import (
     ADVERSARIAL,
     Bcast,
     BeaconT,
+    BeaconTL,
     CORRECT,
     Dcast,
     IrrationalDistance,
@@ -53,6 +60,89 @@ def triangle_setting():
             ("C", "B"): ALWAYS,
         },
     )
+
+
+# ---------------------------------------------------------------------------
+# messages and events: values hashed at construction
+
+
+def _values():
+    beacon = BeaconTL("B", F(1, 3), (F(3), F(-4, 7)), F(1, 2))
+    return [
+        Opaque("x", F(2)),
+        BeaconT("A", F(0), F(1)),
+        beacon,
+        Bcast("B", F(1, 3), beacon),
+        Dcast("C", F(5), F(1, 4), F(1, 2), beacon),
+        Receive("A", F(7, 2), "B", beacon),
+        Neighbor("A", F(9, 2), "B", F(7, 2)),
+    ]
+
+
+def _field_tuple(value):
+    return tuple(getattr(value, f.name) for f in dataclasses.fields(value))
+
+
+def test_equal_events_built_from_any_number_type_hash_equal():
+    msg = BeaconT("A", F(1, 2), F(1))
+    for start in (F(3), 3, 3.0):
+        for e, exact in (
+            (Bcast("A", start, msg), Bcast("A", F(3), msg)),
+            (
+                Receive("B", start, "A", BeaconT("A", start, F(1))),
+                Receive("B", F(3), "A", BeaconT("A", F(3), F(1))),
+            ),
+            (Neighbor("B", start, "A", start), Neighbor("B", F(3), "A", F(3))),
+        ):
+            assert e == exact and hash(e) == hash(exact) == hash(_field_tuple(exact))
+    for bad in (-F(1, 2), -1, -0.5):
+        with pytest.raises(ValueError, match="event start must be >= 0"):
+            Bcast("A", bad, msg)
+        with pytest.raises(ValueError, match="peer_time must be >= 0"):
+            Neighbor("A", F(1), "B", bad)
+        with pytest.raises(ValueError, match="beacon_time must be >= 0"):
+            BeaconT("A", bad, F(1))
+    for bad in (F(0), 0, 0.0, -F(1, 2)):
+        with pytest.raises(ValueError, match="message duration must be > 0"):
+            Opaque("x", bad)
+
+
+def test_replaced_and_copied_values_hash_their_own_fields():
+    for value in _values():
+        assert hash(value) == hash(_field_tuple(value))
+        for copied in (copy.copy(value), copy.deepcopy(value)):
+            assert copied == value and hash(copied) == hash(value)
+    r = Receive("A", F(7, 2), "B", BeaconT("B", F(1), F(1)))
+    moved = dataclasses.replace(r, start=F(9, 2))
+    assert hash(moved) == hash(Receive("A", F(9, 2), "B", r.msg)) == hash(_field_tuple(moved))
+    with pytest.raises(ValueError, match="event start must be >= 0"):
+        dataclasses.replace(r, start=F(-1))
+
+
+def test_unpickled_values_hash_afresh_under_another_string_hash_seed():
+    """Pickles carry fields only: a process with other string hashes
+    rebuilds each value and hashes it by its own str hashes."""
+    for value in _values():
+        loaded = pickle.loads(pickle.dumps(value))
+        assert loaded == value and hash(loaded) == hash(value)
+    check = (
+        "import dataclasses, pickle, sys\n"
+        "values = pickle.load(sys.stdin.buffer)\n"
+        "fields = lambda v: tuple(getattr(v, f.name) for f in dataclasses.fields(v))\n"
+        "assert all(hash(v) == hash(fields(v)) for v in values)\n"
+        "print(len(set(values)))\n"
+    )
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-c", check],
+            input=pickle.dumps(_values()),
+            env=env,
+            capture_output=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        assert done.stdout.decode().strip() == str(len(_values()))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ndcheck import (
     BcastAction,
@@ -45,9 +46,11 @@ from ndcheck.core import (
     Receive,
     Setting,
     induced_receives,
+    sq_dist,
 )
 from ndcheck.generators import random_params, random_setting, random_tl_views, random_trace
-from ndcheck.protocols import PROTOCOLS
+from ndcheck.protocols import PROTOCOLS, pgt_accepts, pgt_approx_accepts
+from ndcheck.rational import EXACT, approx_num
 
 F = Fraction
 
@@ -186,6 +189,113 @@ def test_approx_degenerates_to_exact(unit_params):
         assert pgt_approx_decide(view, unit_params, zero) == pgt_decide(
             view, unit_params
         )
+
+
+# ---------------------------------------------------------------------------
+# integer acceptance tests against the Fraction formulas
+
+_DENS = (1, 3, 10**9 + 7, 998244353, 2**61 - 1)  # large coprime denominators among them
+_TINY = (F(0), F(1, 2**61 - 1), -F(1, 2**61 - 1), F(1, 10**9 + 7), -F(1, 998244353))
+
+
+def _ratio(low, high):
+    return st.builds(F, st.integers(low, high), st.sampled_from(_DENS))
+
+
+def _offset(draw, length):
+    """An offset of the given rational length, or of any length when it is None."""
+    if length is None:
+        return draw(_ratio(-10**9, 10**9)), draw(_ratio(-10**9, 10**9))
+    a, b, c = draw(st.sampled_from(((3, 4, 5), (5, 12, 13), (-8, 15, 17))))
+    return a * length / c, b * length / c
+
+
+@st.composite
+def _pgt_cases(draw):
+    """A beacon, its receiver's location and its reception start, and a
+    window; the reception lies on, just inside or just outside the window
+    around the location estimate (a zero window: on the exact estimate),
+    or anywhere, before the stamp too."""
+    v = draw(_ratio(1, 10**6))
+    params = SystemParams(v, v, F(1), F(0), F(1))
+    owner = (draw(_ratio(-10**9, 10**9)), draw(_ratio(-10**9, 10**9)))
+    length = draw(st.sampled_from((F(0), None)) | _ratio(0, 10**9))
+    dx, dy = _offset(draw, length)
+    beacon = BeaconTL("B", draw(_ratio(0, 10**9)), (owner[0] + dx, owner[1] + dy), F(1))
+    window = draw(st.just(F(0)) | _ratio(0, 10**6))
+    if length is None or draw(st.booleans()):
+        dt = draw(_ratio(-10**9, 10**9))
+    else:
+        dt = length / v + draw(st.sampled_from((-window, window))) + draw(st.sampled_from(_TINY))
+    share = draw(st.sampled_from((F(0), F(1, 3), F(1))))
+    inacc = InaccuracyParams(window * share, window * (1 - share))
+    return params, owner, beacon.beacon_time + dt, beacon, inacc
+
+
+def _reference_pgt(params, owner_loc, receive_start, beacon):
+    dt = receive_start - beacon.beacon_time
+    return dt >= 0 and (params.v * dt) ** 2 == sq_dist(owner_loc, beacon.beacon_loc)
+
+
+def _reference_pgt_approx(params, owner_loc, receive_start, beacon, inacc):
+    dt = receive_start - beacon.beacon_time
+    squared = sq_dist(owner_loc, beacon.beacon_loc)
+    upper = params.v * (dt + inacc.window)
+    lower = params.v * (dt - inacc.window)
+    if upper < 0 or squared > upper * upper:
+        return False
+    return lower <= 0 or squared >= lower * lower
+
+
+@settings(max_examples=400)
+@given(_pgt_cases())
+def test_integer_pgt_acceptance_matches_fraction_formulas(case):
+    params, owner, at, beacon, inacc = case
+    assert pgt_accepts(params, owner, at, beacon) == _reference_pgt(params, owner, at, beacon)
+    assert pgt_approx_accepts(params, owner, at, beacon, inacc) == _reference_pgt_approx(
+        params, owner, at, beacon, inacc
+    )
+
+
+def _reference_stamp_rule(e, setting, params, inacc):
+    if e.msg.duration != params.msg_duration_default:
+        return "beacon-duration-mismatch"
+    if abs(e.msg.beacon_time - e.start) > inacc.delta:
+        return "beacon-time-mismatch"
+    bound = inacc.tau * params.v
+    if sq_dist(e.msg.beacon_loc, setting.loc[e.actor]) > bound * bound:
+        return "beacon-location-mismatch"
+    return None
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_integer_stamp_location_bound_matches_fraction_formula(data):
+    """Claimed locations on, just inside and just outside tau·v of the true one."""
+    v = data.draw(_ratio(1, 10**6))
+    params = SystemParams(v, v, F(1), F(0), F(1))
+    delta = data.draw(_ratio(0, 10**6))
+    inacc = InaccuracyParams(delta, data.draw(st.just(F(0)) | _ratio(0, 10**6)))
+    loc = (data.draw(_ratio(-10**9, 10**9)), data.draw(_ratio(-10**9, 10**9)))
+    setting = Setting(["A"], {"A": loc}, {"A": CORRECT})
+    length = data.draw(st.sampled_from((F(0), None, inacc.tau * v)))
+    if length:
+        length *= 1 + data.draw(st.sampled_from(_TINY))
+    dx, dy = _offset(data.draw, length)
+    start = data.draw(_ratio(0, 10**9))
+    skew = data.draw(st.sampled_from((F(0), delta, -delta))) + data.draw(st.sampled_from(_TINY))
+    beacon = BeaconTL("A", max(F(0), start + skew), (loc[0] + dx, loc[1] + dy), F(1))
+    e = Bcast("A", start, beacon)
+    found = protocols._stamp_violation(e, setting, params, inacc, EXACT)
+    assert (found and found.rule) == _reference_stamp_rule(e, setting, params, inacc)
+
+
+def test_pgt_approx_mode_names_a_speed_that_rounds_to_zero():
+    v = F(1, 10**997)
+    params = SystemParams(v, v, F(1), F(0), F(1))
+    beacon = BeaconTL("B", 0, (3, 4), 1)
+    with pytest.raises(OverflowError, match="speed v rounds to 0.0"):
+        pgt_accepts(params, (0, 0), 5, beacon, approx_num(F(1, 1000)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ndcheck import (
     EXACT,
@@ -120,6 +120,112 @@ def test_scalars_near_the_bound_round_trip_or_are_rejected(text):
     written = format_scalar(x)
     assert len(written) <= MAX_SCALAR_LENGTH
     assert parse_scalar(written) == x and format_scalar(parse_scalar(written)) == written
+
+
+def _reference_parse_scalar(text: str) -> Fraction:
+    """parse_scalar as it read every text through Fraction's parser."""
+    text = text.strip()
+    if not text:
+        raise ValueError("empty scalar")
+    if "e" in text or "E" in text:
+        digits = text.lower().rpartition("e")[2].lstrip("+-").replace("_", "").lstrip("0")
+        if digits.isdecimal() and (
+            len(digits) > len(str(MAX_SCALAR_EXPONENT)) or int(digits) > MAX_SCALAR_EXPONENT
+        ):
+            raise ValueError(
+                f"invalid scalar {ndcheck.rational.echo(text)}: "
+                f"exponent beyond {MAX_SCALAR_EXPONENT} in magnitude"
+            )
+    if len(text) > MAX_SCALAR_LENGTH:
+        raise ValueError(f"invalid scalar: {len(text)} characters, over {MAX_SCALAR_LENGTH}")
+    if "/" not in text:
+        mantissa, _, exponent = text.lower().partition("e")
+        try:
+            k = int(exponent or 0) - sum(c.isdigit() for c in mantissa.partition(".")[2])
+        except ValueError:
+            k = 0
+        bound = text.startswith("-") + sum(c.isdigit() for c in mantissa) + abs(k) + 2 * (k < 0)
+        if bound > MAX_SCALAR_LENGTH:
+            why = f"written out it could take {bound} characters, over {MAX_SCALAR_LENGTH}"
+            raise ValueError(f"invalid scalar {ndcheck.rational.echo(text)}: {why}")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"invalid scalar {ndcheck.rational.echo(text)}: {exc}") from None
+
+
+def _outcome(parse, text):
+    try:
+        value = parse(text)
+    except ValueError as exc:
+        return "error", str(exc)
+    return type(value), value
+
+
+# texts on both sides of the plain "-?digits[/digits]" form read without
+# Fraction's parser: signs, underscores, non-ASCII digits, leading zeros,
+# zero denominators, inner and outer spaces, and lengths around the bound
+_EDGE_SCALARS = [
+    "+1", "1_000", "1/1_0", "\u0661\u0662", "3/\u0664", "\uff17", "\u00b2", "1/\u00b2",
+    "007", "-0/5", "-0",
+    "1/0", "0/0", "-1/00", "1/-2", "1/+2", "--1", "-", "1/", "/2", "1/2/3", " 1/2 ",
+    "1 /2", "1/ 2", "- 1", "\t7\n", "1e3", "2.5", "", " ",
+]
+_plain = st.builds(
+    lambda sign, n, d: f"{sign}{n}" + ("" if d is None else f"/{d}"),
+    st.sampled_from(("", "-", "+")),
+    st.integers(0, 10**30) | st.text("0123456789", min_size=1, max_size=8),
+    st.none() | st.integers(0, 10**30) | st.text("0123456789", min_size=1, max_size=8),
+)
+_near_length = st.builds(
+    lambda length, form: form(length),
+    st.integers(MAX_SCALAR_LENGTH - 1, MAX_SCALAR_LENGTH + 1),
+    st.sampled_from((
+        lambda n: "7" * n,
+        lambda n: "-" + "7" * (n - 1),
+        lambda n: "1/" + "3" * (n - 2),
+        lambda n: "-1/" + "3" * (n - 3),
+        lambda n: " " + "7" * n + " ",
+        lambda n: "+" + "7" * (n - 1),
+    )),
+)
+
+
+@settings(max_examples=400)
+@given(
+    st.sampled_from(_EDGE_SCALARS)
+    | _plain
+    | _near_length
+    | st.text("0123456789-+/_ .e\u0661\u00b2", max_size=10)
+)
+def test_parse_matches_the_fraction_parser(text):
+    """Values, their type and error messages are those of reading every
+    text through Fraction's parser."""
+    assert _outcome(parse_scalar, text) == _outcome(_reference_parse_scalar, text)
+
+
+def test_plain_scalars_skip_the_fraction_parser(monkeypatch):
+    """A trace whose scalars are all plain integers or p/q builds no
+    Fraction from a string."""
+    from ndcheck.scenario import parse_trace
+
+    new = Fraction.__new__
+    from_text = []
+
+    def counting(cls, numerator=0, *args, **kwargs):
+        if isinstance(numerator, str):
+            from_text.append(numerator)
+        return new(cls, numerator, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    trace = parse_trace(
+        "bcast A 0 beacon-tl:A:0:3/4,-5:1/2\n"
+        "receive B 7/2 A beacon-tl:A:0:3/4,-5:1/2\n"
+        "dcast C 4 -0/5 1/3 opaque:x:007\n"
+        "neighbor B 5 A 7/2\n"
+    )
+    assert len(trace) == 4 and from_text == []
+    assert parse_scalar("2.5") == Fraction(5, 2) and from_text == ["2.5"]
 
 
 @given(st.fractions())
