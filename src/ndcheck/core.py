@@ -35,6 +35,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, KeysView, Mapping, Optional, Sequence, Union
 
@@ -354,13 +355,13 @@ class Trace:
     so the order is exactly the ``sort_key()`` order, and only events
     whose starts round to the same float compare exact starts.
 
-    The first exact check (``ticks``) works out the trace's D, the lcm
-    of the denominators of every start, message duration and beacon
-    time, and each event's start as the integer start·D, and keeps them
-    for the life of the trace.  They hold O(n log D) bits for n events,
-    and D can reach the product of n distinct denominators: 2,000
-    starts over distinct 7-digit primes give a D of about 40,000 bits
-    and about 10 MB of ticks.
+    The first exact check or projection at a cutoff (``ticks``) works
+    out the trace's D, the lcm of the denominators of every start,
+    message duration and beacon time, and each event's start as the
+    integer start·D, and keeps them for the life of the trace.  They
+    hold O(n log D) bits for n events, and D can reach the product of n
+    distinct denominators: 2,000 starts over distinct 7-digit primes
+    give a D of about 40,000 bits and about 10 MB of ticks.
 
     Three indexes are built on first use and kept for the life of the
     trace, which never changes, so they never go stale.  The first call
@@ -369,9 +370,9 @@ class Trace:
     ``receptions_of`` groups the receptions by message in one pass,
     holding one more reference per reception.  The first projection of
     a node at a cutoff sorts that node's broadcasts, receptions and
-    declarations by the time they become visible, in O(k log k) for k
-    such events; it holds one local event and one time per such event,
-    plus the node's last view at a cutoff.
+    declarations by the tick they become visible, in O(k log k) for k
+    such events; it holds one local event and one tick per such event,
+    plus one entry per reception keyed by its start.
     """
 
     __slots__ = ("events", "_members", "_by_actor", "_by_msg", "_views", "_ticks")
@@ -454,7 +455,7 @@ class Trace:
             self._views = {}
         index = self._views.get(node)
         if index is None:
-            index = self._views[node] = _ViewIndex(self.by_actor(node))
+            index = self._views[node] = _ViewIndex(self.by_actor(node), *self.ticks(EXACT))
         return index
 
 
@@ -783,6 +784,10 @@ class LocalView:
 
     as_of=None means the complete (end-of-time) view.  The TL flavor
     additionally carries the owner's own location.
+
+    A view ``project_local`` returns at a cutoff is a prefix of the
+    node's ``_ViewIndex``, whose ``events`` are built on first read;
+    equality, hashing, repr, pickling and copying see the five fields.
     """
 
     flavor: str
@@ -791,8 +796,32 @@ class LocalView:
     owner_loc: Optional[Point]
     events: frozenset[LocalEvent]
 
+    _prefix = None  # (index, count) on a view project_local returns at a cutoff
+
+    def __getattr__(self, name: str) -> frozenset[LocalEvent]:
+        if name != "events" or self._prefix is None:
+            raise AttributeError(name)
+        object.__setattr__(self, "events", frozenset(self._local()))
+        return self.events
+
+    def __reduce__(self) -> tuple:
+        return LocalView, (self.flavor, self.owner, self.as_of, self.owner_loc, self.events)
+
+    def _local(self) -> Iterable[LocalEvent]:
+        prefix = self._prefix
+        return self.events if prefix is None else islice(prefix[0].local, prefix[1])
+
     def receives(self) -> Iterator[LocalReceive]:
-        return (e for e in self.events if isinstance(e, LocalReceive))
+        """The view's receptions, on a prefix one per delivery (see ``_ViewIndex``)."""
+        return (e for e in self._local() if isinstance(e, LocalReceive))
+
+    def receptions_at(self, t: Real) -> list[LocalReceive]:
+        """The view's receptions that start at t."""
+        at = t.as_integer_ratio()  # as exact as ==, and cheaper on Fractions
+        if self._prefix is None:
+            return [r for r in self.receives() if r.start.as_integer_ratio() == at]
+        index, count = self._prefix
+        return [r for position, r in index.at.get(at, ()) if position < count]
 
 
 def _local_event(e: Event) -> Optional[LocalEvent]:
@@ -810,37 +839,32 @@ def _local_event(e: Event) -> Optional[LocalEvent]:
 class _ViewIndex:
     """One node's local events in a trace, sorted for censored projection.
 
-    keys[i] is the instant from which local[i] is visible: the start of
-    an own broadcast or declaration, the end of a reception.  Under the
-    strict cutoff the view as of t is therefore local[:bisect_left(keys, t)].
-    last holds the size and events of the last view built, so a view at
-    a later cutoff extends it by a set union, which reuses the hashes it
-    already stores; an earlier cutoff builds its view from scratch.
+    keys[i] is the tick (``Trace.ticks`` in exact mode) from which
+    local[i] is visible: the start of an own broadcast or declaration,
+    the end of a reception.  Under the strict cutoff the view as of t is
+    therefore the first bisect_left(keys, ticks.ceil(t)) events, exactly
+    for any t, on the grid or off it.  at maps each reception start's
+    integer ratio to the (position, reception) pairs that start there.
+    Two senders' deliveries of one message at one start are two entries.
     """
 
-    __slots__ = ("keys", "local", "last")
+    __slots__ = ("ticks", "keys", "local", "at")
 
-    def __init__(self, own: tuple[Event, ...]):
-        visible: list[tuple[Fraction, LocalEvent]] = []
+    def __init__(self, own: tuple[Event, ...], ticks: Ticks, starts: Mapping[Event, int]):
+        visible: list[tuple[int, LocalEvent]] = []
         for e in own:
             local = _local_event(e)
             if local is not None:
-                visible.append((event_end(e) if isinstance(e, Receive) else e.start, local))
+                end = ticks.of(e.msg.duration) if isinstance(e, Receive) else 0
+                visible.append((starts[e] + end, local))
         visible.sort(key=itemgetter(0))
+        self.ticks = ticks
         self.keys = [key for key, _ in visible]
         self.local = [local for _, local in visible]
-        self.last: tuple[int, frozenset[LocalEvent]] = (0, frozenset())
-
-    def visible(self, as_of: Fraction) -> frozenset[LocalEvent]:
-        count = bisect_left(self.keys, as_of)
-        # one read and one write of `last`, so it always pairs a size with its set
-        seen, events = self.last
-        if count > seen:
-            events = events.union(self.local[seen:count])
-        elif count < seen:
-            events = frozenset(self.local[:count])
-        self.last = (count, events)
-        return events
+        self.at: dict[tuple[int, int], list[tuple[int, LocalReceive]]] = {}
+        for position, local in enumerate(self.local):
+            if isinstance(local, LocalReceive):
+                self.at.setdefault(local.start.as_integer_ratio(), []).append((position, local))
 
 
 def project_local(
@@ -858,12 +882,9 @@ def project_local(
 
     The view is built from the trace's indexes (see ``Trace``), never by
     a scan of the whole trace.  The complete view (as_of=None) takes all
-    of the node's events.  A cutoff is one bisection into the node's
-    sorted local events; a cutoff at or after the node's last one copies
-    that view, reusing its stored hashes, and adds the events that
-    became visible in between, while an earlier cutoff builds the view
-    anew.  Either way the cost grows with the node's own events, not
-    with the trace.
+    of the node's events.  A view at a cutoff is a prefix of the node's
+    sorted local events, found by one bisection and copied nowhere: it
+    costs O(log k) for a node of k local events once the index is built.
     """
     if flavor not in (T_FLAVOR, TL_FLAVOR):
         raise ValueError(f"unknown view flavor {flavor!r}")
@@ -871,13 +892,16 @@ def project_local(
         raise FlavorMismatch("location-aware views require a setting")
     if setting is not None and node not in setting.loc:
         raise UnknownNode(f"node {node!r} not in setting")
+    owner_loc = setting.loc[node] if (flavor == TL_FLAVOR and setting) else None
     if as_of is None:
         own = map(_local_event, trace.by_actor(node))
         events = frozenset(local for local in own if local is not None)
-    else:
-        events = trace._view_index(node).visible(as_of)
-    owner_loc = setting.loc[node] if (flavor == TL_FLAVOR and setting) else None
-    return LocalView(flavor, node, as_of, owner_loc, events)
+        return LocalView(flavor, node, as_of, owner_loc, events)
+    index = trace._view_index(node)
+    prefix = (index, bisect_left(index.keys, index.ticks.ceil(as_of)))
+    view = object.__new__(LocalView)  # events stays unset until read
+    vars(view).update(flavor=flavor, owner=node, as_of=as_of, owner_loc=owner_loc, _prefix=prefix)
+    return view
 
 
 # ---------------------------------------------------------------------------

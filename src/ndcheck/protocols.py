@@ -3,8 +3,8 @@
 A protocol model maps a node's local view to a finite, non-empty set of
 permitted actions (do nothing, broadcast a message, declare a neighbor).
 The set answers membership one action at a time: a broadcast costs one
-beacon built, a declaration one scan of the view's reception starts and
-the acceptance test on those at its peer time.  Four concrete protocols
+beacon built, a declaration one lookup of the view's receptions at its
+peer time and the acceptance test on those.  Four concrete protocols
 are provided:
 
 - naive:      broadcast a bare identity token, accept any received one;
@@ -129,15 +129,18 @@ class ProtocolModel:
 # acceptance predicates, shared by decision functions and direct checkers
 
 
-def pt_accepts(params: SystemParams, receive_start: Fraction, beacon: BeaconT) -> bool:
-    """Freshness rule: beacon age at reception start within range/speed (inclusive)."""
-    return receive_start - beacon.beacon_time <= params.nd_range / params.v
-
-
 def _diff_ratio(x: Fraction, y: Fraction) -> tuple[int, int]:
     """x - y as integers (n, d), d > 0, not reduced."""
     (a, b), (c, d) = x.as_integer_ratio(), y.as_integer_ratio()
     return a * d - c * b, b * d
+
+
+def pt_accepts(params: SystemParams, receive_start: Fraction, beacon: BeaconT) -> bool:
+    """Freshness rule: beacon age at reception start within range/speed (inclusive)."""
+    t, s = _diff_ratio(receive_start, beacon.beacon_time)
+    r, u = params.nd_range.as_integer_ratio()
+    p, q = params.v.as_integer_ratio()
+    return t * u * p <= r * q * s  # t/s <= (r/u) / (p/q), denominators cleared: s, u, p > 0
 
 
 def _sq_dist_ratio(p: Point, q: Point) -> tuple[int, int]:
@@ -355,11 +358,11 @@ class _Decision(Set):
     """What a protocol permits in one view: idle, broadcast the node's own
     beacon, or declare a peer a reception backs.
 
-    Testing one action builds the beacon, or scans the view's reception
-    starts (O(view) comparisons) and runs the acceptance test only on
-    those at the declared peer time.  Only iterating lists the whole
-    set, built once.  View censoring admits only completed receptions,
-    so a declaration offered is strictly later than its reception's end.
+    Testing one action builds the beacon, or runs the acceptance test
+    only on the view's receptions at the declared peer time, one lookup
+    (``LocalView.receptions_at``).  Only iterating lists the whole set,
+    built once.  View censoring admits only completed receptions, so a
+    declaration offered is strictly later than its reception's end.
     """
 
     def __init__(self, spec: ProtocolSpec, view: LocalView, params: SystemParams, inacc=None):
@@ -373,10 +376,8 @@ class _Decision(Set):
 
     def __contains__(self, action: object) -> bool:
         if isinstance(action, NeighborAction):
-            at = action.peer_time.as_integer_ratio()  # as exact as ==, and cheaper on Fractions
             return action.peer is not None and any(
-                r.start.as_integer_ratio() == at and self._backs(r) == action.peer
-                for r in self.view.receives()
+                self._backs(r) == action.peer for r in self.view.receptions_at(action.peer_time)
             )
         return action == (self._beacon() if isinstance(action, BcastAction) else EPSILON)
 
@@ -428,9 +429,10 @@ def check_protocol_feasible(
 
     Each broadcast and declaration of a correct node must be a member of
     the decision set for the node's view at the event's start: one view
-    and one membership test per such action.  Each view is still a fresh
-    frozenset and each declaration still scans all its starts, so the
-    route stays quadratic in a node's history.  Idling is not checked:
+    and one membership test per such action.  A view is a prefix of the
+    node's index, found by bisection, and a declaration tests only the
+    receptions at its peer time, so the route is linear in a node's
+    history, up to those logarithms.  Idling is not checked:
     every decision offers EPSILON, as a property test in
     tests/test_properties.py pins.  The trace is assumed physically consistent.
     """

@@ -197,11 +197,61 @@ def _scanned_view(trace, node, as_of):
     return LocalView(T_FLAVOR, node, as_of, None, frozenset(visible))
 
 
+def _check_prefix_view(trace, node, as_of):
+    """project_local at a cutoff against the scan: equal and of equal hash
+    both ways, with the scan's receptions, overall and at every start of
+    the node's receptions (visible or not) and at a time none starts at,
+    and a pickle that round-trips and is the one of the view on the
+    trace cut before as_of, so it carries nothing of later events."""
+    view, scanned = project_local(trace, node, as_of), _scanned_view(trace, node, as_of)
+    received = set(scanned.receives())
+    assert set(view.receives()) == received
+    by_start = {}
+    for r in received:
+        by_start.setdefault(r.start, set()).add(r)
+    starts = {e.start for e in trace.by_actor(node) if isinstance(e, Receive)}
+    for t in starts | {F(-1, 3)}:
+        expected = by_start.get(t, set())
+        assert set(view.receptions_at(t)) == expected == set(scanned.receptions_at(t))
+    assert view == scanned and scanned == view
+    assert hash(view) == hash(scanned)
+    data = pickle.dumps(view)
+    assert pickle.loads(data) == view
+    cut = Trace(e for e in trace if e.start < as_of)
+    assert pickle.dumps(project_local(cut, node, as_of)) == data
+
+
+def _cutoffs(trace, starts, ends):
+    """Cutoffs on the grid (the given starts) and off it (1/7 later, as
+    Fractions and as floats), at the given reception ends, before the
+    trace's first event and after its last."""
+    cutoffs = set(starts) | set(ends) | {t + F(1, 7) for t in starts}
+    cutoffs |= {float(t + F(1, 7)) for t in starts}
+    if len(trace):
+        ends_all = [event_end(e) for e in trace if isinstance(e, Receive)]
+        last = max(ends_all + [trace.events[-1].start])
+        cutoffs |= {trace.events[0].start - 1, last + 1}
+    return cutoffs
+
+
+def test_prefix_views_match_scans_on_huge_denominators():
+    _, _, trace, _, _ = _huge_denominator_case()
+    for node in ("A", "B"):
+        own = trace.by_actor(node)
+        actions = [e.start for e in own if isinstance(e, (Bcast, Neighbor))]
+        ends = [event_end(e) for e in own if isinstance(e, Receive)]
+        for as_of in _cutoffs(trace, actions[::60], ends[::150]):
+            _check_prefix_view(trace, node, as_of)
+
+
 def _queries(trace):
     """Every node (plus one absent from the trace) at every cutoff: None,
-    event starts, reception ends and the midpoints between them."""
-    points = {e.start for e in trace} | {event_end(e) for e in trace if isinstance(e, Receive)}
-    ordered = sorted(points)
+    the _cutoffs of all event starts and reception ends, and the
+    midpoints between those."""
+    starts = {e.start for e in trace}
+    ends = {event_end(e) for e in trace if isinstance(e, Receive)}
+    ordered = sorted(starts | ends)
+    points = _cutoffs(trace, starts, ends)
     points |= {(left + right) / 2 for left, right in zip(ordered, ordered[1:])}
     cutoffs = [None] + sorted(points)
     return [(node, t) for node in ("A", "B", "C", "Z") for t in cutoffs]
@@ -211,7 +261,9 @@ def _queries(trace):
 @given(st.lists(_events, max_size=14), st.lists(_events, max_size=10), st.randoms())
 def test_indexed_projection_matches_scan(items, other_items, rng):
     """The per-actor index answers every cutoff exactly as a full scan,
-    whatever order the calls come in on one Trace object."""
+    whatever order the calls come in on one Trace object; in the first,
+    shuffled pass every view at a cutoff also hashes, lists receptions
+    and pickles as the scan says (_check_prefix_view)."""
     trace, other = Trace(items), Trace(other_items)
     for node in ("A", "B", "C", "Z"):
         assert trace.by_actor(node) == tuple(e for e in trace.events if e.actor == node)
@@ -223,8 +275,11 @@ def test_indexed_projection_matches_scan(items, other_items, rng):
 
     shuffled = _queries(trace)
     rng.shuffle(shuffled)
-    for query in shuffled:
-        check(trace, query)
+    for node, as_of in shuffled:
+        if as_of is None:
+            check(trace, (node, as_of))
+        else:
+            _check_prefix_view(trace, node, as_of)
     for query, other_query in zip_longest(_queries(trace), _queries(other)):
         check(trace, query)
         check(other, other_query)
@@ -782,11 +837,10 @@ def _seven_digit_primes(count):
 HUGE_DENOMINATOR_BUDGET_S = 10
 
 
-def test_huge_denominator_verdicts_match_fraction_references():
+def _huge_denominator_case():
     """About 2,000 events whose starts have 1,107 distinct 7-digit prime
-    denominators, so D has about 21,000 bits: physics, the dedicated pt
-    route and the adversary check give the Fraction references'
-    verdicts, and the three checks together stay within their budget."""
+    denominators, so D has about 21,000 bits: the setting, the parameters,
+    the trace, and its declarations and relays."""
     primes = iter(_seven_digit_primes(1110))
     setting = Setting(
         "ABC",
@@ -817,7 +871,14 @@ def test_huge_denominator_verdicts_match_fraction_references():
     relayed = induced_receives(relays, setting, params)
     trace = Trace(beacons + received + declarations + relays + relayed + strays)
     assert len(trace) > 2000
+    return setting, params, trace, declarations, relays
 
+
+def test_huge_denominator_verdicts_match_fraction_references():
+    """On the 21,000-bit-D trace, physics, the dedicated pt route and the
+    adversary check give the Fraction references' verdicts, and the three
+    checks together stay within their budget."""
+    setting, params, trace, declarations, relays = _huge_denominator_case()
     model = AdversaryModel("relay", params.delta_relay)
     start = time.perf_counter()
     physics = check_setting_feasible(trace, setting, params)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -36,7 +37,7 @@ from ndcheck import (
     protocol_verdict,
     pt_decide,
 )
-from ndcheck import protocols
+from ndcheck import core, protocols
 from ndcheck.core import (
     ADVERSARIAL,
     CORRECT,
@@ -255,6 +256,36 @@ def test_integer_pgt_acceptance_matches_fraction_formulas(case):
     assert pgt_approx_accepts(params, owner, at, beacon, inacc) == _reference_pgt_approx(
         params, owner, at, beacon, inacc
     )
+
+
+@st.composite
+def _pt_cases(draw):
+    """pt parameters, a beacon and a reception start whose age lies on,
+    just inside or just outside range/speed, or anywhere, before the stamp
+    too; each value an int or a Fraction, often of a large prime
+    denominator."""
+
+    def value(low, high):
+        return draw(st.integers(low, high) | _ratio(low, high))
+
+    v, nd_range = value(1, 10**6), value(1, 10**9)
+    params = SystemParams(v, v, nd_range, 0, 1)
+    stamp = value(0, 10**9)
+    if draw(st.booleans()):
+        at = stamp + F(nd_range) / v + draw(st.sampled_from(_TINY))
+        if at.denominator == 1 and draw(st.booleans()):
+            at = at.numerator
+    else:
+        at = stamp + value(-10**9, 10**9)
+    return params, at, BeaconT("B", stamp, F(1))
+
+
+@settings(max_examples=400)
+@given(_pt_cases())
+def test_integer_pt_acceptance_matches_fraction_formula(case):
+    params, at, beacon = case
+    expected = at - beacon.beacon_time <= F(params.nd_range) / params.v
+    assert protocols.pt_accepts(params, at, beacon) == expected
 
 
 def _reference_stamp_rule(e, setting, params, inacc):
@@ -501,6 +532,42 @@ def test_generic_route_runs_acceptance_once_per_declaration(rounds, unit_params,
     model = make_protocol(PT, unit_params)
     assert check_protocol_feasible(trace, setting, model, unit_params).ok
     assert 0 < len(calls) <= declared
+
+
+# the larger trace has twice the rounds; each count on it may exceed twice
+# the count on the smaller one by this much (the rounds at either end)
+DOUBLING_SLACK = 12
+
+
+def test_generic_route_work_is_linear_in_each_history(unit_params, monkeypatch):
+    """On dense traces of 20 and 40 rounds the generic route builds no
+    frozenset of view events, makes each own event local at most once, and
+    its acceptance calls and index entries at most double."""
+    built, accepted, made = [], [], Counter()
+    accepts, local_event = protocols.pt_accepts, core._local_event
+    # every frozenset core builds, a view's events included, goes through this name
+    monkeypatch.setattr(core, "frozenset", lambda *a: built.append(a) or frozenset(*a), False)
+    monkeypatch.setattr(protocols, "pt_accepts", lambda *a: accepted.append(a) or accepts(*a))
+    monkeypatch.setattr(core, "_local_event", lambda e: made.update([e.actor]) or local_event(e))
+    model = make_protocol(PT, unit_params)
+
+    def work(rounds):
+        setting, trace, _ = dense_pt_trace(rounds, unit_params)
+        built.clear()
+        accepted.clear()
+        made.clear()
+        assert check_protocol_feasible(trace, setting, model, unit_params).ok
+        assert not built
+        assert all(made[node] <= len(trace.by_actor(node)) for node in setting.nodes)
+        entries = sum(
+            len(index.local) + sum(map(len, index.at.values()))
+            for index in trace._views.values()
+        )
+        return len(accepted), entries
+
+    (small_calls, small_entries), (large_calls, large_entries) = work(20), work(40)
+    assert 0 < large_calls <= 2 * small_calls + DOUBLING_SLACK
+    assert 0 < large_entries <= 2 * small_entries + DOUBLING_SLACK
 
 
 def listing(model):
