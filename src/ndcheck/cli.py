@@ -10,9 +10,10 @@ Commands:
   order    test trace-set inclusion between two adversary models on a
            corpus directory of .scn/.trc pairs
 
-Exit codes: 0 success / inclusion holds / no violation; 1 parse or
-validation failure, a number beyond float range in approximate mode,
-or an unreadable input or unwritable output path;
+Exit codes: 0 success / inclusion holds / no violation; 1 a usage
+error (printed with the usage line), a parse or validation failure, a
+number beyond float range in approximate mode, or an unreadable input
+or unwritable output path;
 2 feasibility violation (or ordering counterexample); 3 feasible trace
 with a false neighbor declaration; 4 requested construction infeasible
 (placement or distance).
@@ -353,6 +354,14 @@ def cmd_order(args) -> int:
     return EXIT_OK if result.inclusion_holds else EXIT_INFEASIBLE
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, as every other input error does."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def _add_common_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
     # registered on the top level and on every subcommand so the flags are
     # accepted in either position; the subcommand wins when both are given
@@ -373,7 +382,7 @@ def _add_common_options(parser: argparse.ArgumentParser, suppress: bool) -> None
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ndcheck",
         description="Feasibility checking and attack synthesis for neighbor discovery",
     )

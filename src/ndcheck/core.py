@@ -31,12 +31,10 @@ Conventions baked in here:
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Iterable, Iterator, KeysView, Mapping, Optional, Sequence, Union
 
 from .rational import EXACT, Num, Real
@@ -369,10 +367,10 @@ class Trace:
     one pass, holding one more reference per event.  The first call of
     ``receptions_of`` groups the receptions by message in one pass,
     holding one more reference per reception.  The first projection of
-    a node at a cutoff sorts that node's broadcasts, receptions and
-    declarations by the tick they become visible, in O(k log k) for k
-    such events; it holds one local event and one tick per such event,
-    plus one entry per reception keyed by its start.
+    a node at a cutoff pairs that node's broadcasts, receptions and
+    declarations, in canonical order and with no sort, with the tick
+    they become visible, in O(k) for k such events; it holds one pair
+    per such event, plus one entry per reception keyed by its start.
     """
 
     __slots__ = ("events", "_members", "_by_actor", "_by_msg", "_views", "_ticks")
@@ -785,9 +783,10 @@ class LocalView:
     as_of=None means the complete (end-of-time) view.  The TL flavor
     additionally carries the owner's own location.
 
-    A view ``project_local`` returns at a cutoff is a prefix of the
-    node's ``_ViewIndex``, whose ``events`` are built on first read;
-    equality, hashing, repr, pickling and copying see the five fields.
+    A view ``project_local`` returns at a cutoff is the node's
+    ``_ViewIndex`` and the cutoff tick, with no bisection and nothing
+    copied; its ``events`` are built on first read.  Equality, hashing,
+    repr, pickling and copying see the five fields.
     """
 
     flavor: str
@@ -796,32 +795,37 @@ class LocalView:
     owner_loc: Optional[Point]
     events: frozenset[LocalEvent]
 
-    _prefix = None  # (index, count) on a view project_local returns at a cutoff
+    _cut = None  # (index, cutoff tick) on a view project_local returns at a cutoff
 
     def __getattr__(self, name: str) -> frozenset[LocalEvent]:
-        if name != "events" or self._prefix is None:
+        if name != "events" or self._cut is None:
             raise AttributeError(name)
-        object.__setattr__(self, "events", frozenset(self._local()))
-        return self.events
+        index, cutoff = self._cut
+        visible = frozenset(_local_event(e) for tick, e in index.own if tick < cutoff)
+        object.__setattr__(self, "events", visible)
+        return visible
 
     def __reduce__(self) -> tuple:
         return LocalView, (self.flavor, self.owner, self.as_of, self.owner_loc, self.events)
 
-    def _local(self) -> Iterable[LocalEvent]:
-        prefix = self._prefix
-        return self.events if prefix is None else islice(prefix[0].local, prefix[1])
-
     def receives(self) -> Iterator[LocalReceive]:
-        """The view's receptions, on a prefix one per delivery (see ``_ViewIndex``)."""
-        return (e for e in self._local() if isinstance(e, LocalReceive))
+        """The view's receptions, at a cutoff one per delivery (see ``_ViewIndex``)."""
+        if self._cut is None:
+            return (e for e in self.events if isinstance(e, LocalReceive))
+        index, cutoff = self._cut
+        return (
+            LocalReceive(e.start, e.msg)
+            for tick, e in index.own
+            if tick < cutoff and isinstance(e, Receive)
+        )
 
     def receptions_at(self, t: Real) -> list[LocalReceive]:
         """The view's receptions that start at t."""
         at = t.as_integer_ratio()  # as exact as ==, and cheaper on Fractions
-        if self._prefix is None:
+        if self._cut is None:
             return [r for r in self.receives() if r.start.as_integer_ratio() == at]
-        index, count = self._prefix
-        return [r for position, r in index.at.get(at, ()) if position < count]
+        index, cutoff = self._cut
+        return [LocalReceive(r.start, r.msg) for tick, r in index.at.get(at, ()) if tick < cutoff]
 
 
 def _local_event(e: Event) -> Optional[LocalEvent]:
@@ -837,34 +841,34 @@ def _local_event(e: Event) -> Optional[LocalEvent]:
 
 
 class _ViewIndex:
-    """One node's local events in a trace, sorted for censored projection.
+    """One node's broadcasts, receptions and declarations in a trace, in
+    canonical order, each with the tick from which the node sees it.
 
-    keys[i] is the tick (``Trace.ticks`` in exact mode) from which
-    local[i] is visible: the start of an own broadcast or declaration,
-    the end of a reception.  Under the strict cutoff the view as of t is
-    therefore the first bisect_left(keys, ticks.ceil(t)) events, exactly
-    for any t, on the grid or off it.  at maps each reception start's
-    integer ratio to the (position, reception) pairs that start there.
-    Two senders' deliveries of one message at one start are two entries.
+    own[i] is a (tick, event) pair; the tick (``Trace.ticks`` in exact
+    mode) is the start of a broadcast or declaration and the end of a
+    reception.  Under the strict cutoff the view as of t therefore holds
+    exactly the events whose tick is below ticks.ceil(t), for any t, on
+    the grid or off it.  at maps each reception start's integer ratio to
+    the (tick, reception) pairs that start there.  Two senders'
+    deliveries of one message at one start are two entries.  Nothing is
+    sorted and no local event is made here: a view makes them when it is
+    read.
     """
 
-    __slots__ = ("ticks", "keys", "local", "at")
+    __slots__ = ("ticks", "own", "at")
 
     def __init__(self, own: tuple[Event, ...], ticks: Ticks, starts: Mapping[Event, int]):
-        visible: list[tuple[int, LocalEvent]] = []
-        for e in own:
-            local = _local_event(e)
-            if local is not None:
-                end = ticks.of(e.msg.duration) if isinstance(e, Receive) else 0
-                visible.append((starts[e] + end, local))
-        visible.sort(key=itemgetter(0))
         self.ticks = ticks
-        self.keys = [key for key, _ in visible]
-        self.local = [local for _, local in visible]
-        self.at: dict[tuple[int, int], list[tuple[int, LocalReceive]]] = {}
-        for position, local in enumerate(self.local):
-            if isinstance(local, LocalReceive):
-                self.at.setdefault(local.start.as_integer_ratio(), []).append((position, local))
+        self.own: list[tuple[int, Event]] = []
+        self.at: dict[tuple[int, int], list[tuple[int, Receive]]] = {}
+        for e in own:
+            if isinstance(e, Dcast):
+                continue
+            tick = starts[e]
+            if isinstance(e, Receive):
+                tick += ticks.of(e.msg.duration)
+                self.at.setdefault(e.start.as_integer_ratio(), []).append((tick, e))
+            self.own.append((tick, e))
 
 
 def project_local(
@@ -882,9 +886,9 @@ def project_local(
 
     The view is built from the trace's indexes (see ``Trace``), never by
     a scan of the whole trace.  The complete view (as_of=None) takes all
-    of the node's events.  A view at a cutoff is a prefix of the node's
-    sorted local events, found by one bisection and copied nowhere: it
-    costs O(log k) for a node of k local events once the index is built.
+    of the node's events.  A view at a cutoff is the node's index plus
+    the cutoff tick ticks.ceil(as_of): no bisection and no copy, so it
+    costs O(1) once the index is built, and reading it filters the index.
     """
     if flavor not in (T_FLAVOR, TL_FLAVOR):
         raise ValueError(f"unknown view flavor {flavor!r}")
@@ -898,9 +902,9 @@ def project_local(
         events = frozenset(local for local in own if local is not None)
         return LocalView(flavor, node, as_of, owner_loc, events)
     index = trace._view_index(node)
-    prefix = (index, bisect_left(index.keys, index.ticks.ceil(as_of)))
     view = object.__new__(LocalView)  # events stays unset until read
-    vars(view).update(flavor=flavor, owner=node, as_of=as_of, owner_loc=owner_loc, _prefix=prefix)
+    cut = (index, index.ticks.ceil(as_of))
+    vars(view).update(flavor=flavor, owner=node, as_of=as_of, owner_loc=owner_loc, _cut=cut)
     return view
 
 

@@ -22,15 +22,23 @@ the view flavor, the beacon a correct node sends and the acceptance test
 for a reception; decision functions, checkers, attack synthesis and the
 trace generators all read it.
 
-Two checking routes exist.  ``check_protocol_feasible`` is generic: it
-asks the decision function to permit every broadcast and declaration a
-correct node performed, each in the node's view at its start.  The
-direct ``check_pt_feasible`` / ``check_pgt_feasible`` test beacon stamps
-and the backing of declarations on the trace itself; ``protocol_verdict``
-uses them for every protocol with stamped beacons, and the command-line
-checker uses ``protocol_verdict``.  The routes differ on pgt-approx: the
-direct checker admits stamps skewed within the error bounds (delta, tau),
-while the decision function offers exact stamps only.
+Two checking routes read the table and state each rule through it
+alone: a correct node's broadcast is held against ``spec.beacon`` at its
+start and the node's location, and a declaration is backed when
+``spec.accepts`` takes one of the node's completed receptions, starting
+at the declared peer time, for the declared peer.
+``check_protocol_feasible`` is generic: it asks the decision function to
+permit every broadcast and declaration a correct node performed, each
+in the node's view at its start.  The direct ``check_pt_feasible`` /
+``check_pgt_feasible`` walk the trace itself, exactly or in an
+approximate mode; ``protocol_verdict`` uses them for every protocol with
+stamped beacons, and the command-line checker uses ``protocol_verdict``.
+The routes differ only in that traversal, in the rules they name (the
+generic ``bcast-not-permitted`` and ``neighbor-not-permitted``, the
+direct route's field by field ``bcast-not-a-beacon``, ``beacon-*`` and
+``neighbor-unjustified``) and on pgt-approx (F1): the direct checker
+admits stamps skewed within the error bounds (delta, tau), while the
+decision function offers exact stamps only.
 """
 
 from __future__ import annotations
@@ -422,6 +430,14 @@ def pgt_approx_decide(
 # generic conformance checking
 
 
+# the generic route's rule and detail for a refused action, by its event's
+# type; most actions are permitted, so a detail is formatted only on refusal
+_REFUSED = {
+    Bcast: ("bcast-not-permitted", "{name} does not allow this broadcast at {e.start}"),
+    Neighbor: ("neighbor-not-permitted", "{name} does not justify declaring {e.peer}"),
+}
+
+
 def check_protocol_feasible(
     trace: Trace, setting: Setting, protocol: ProtocolModel, params: SystemParams
 ) -> Verdict:
@@ -429,11 +445,10 @@ def check_protocol_feasible(
 
     Each broadcast and declaration of a correct node must be a member of
     the decision set for the node's view at the event's start: one view
-    and one membership test per such action.  A view is a prefix of the
-    node's index, found by bisection, and a declaration tests only the
-    receptions at its peer time, so the route is linear in a node's
-    history, up to those logarithms.  Idling is not checked:
-    every decision offers EPSILON, as a property test in
+    and one membership test per such action.  A view is the node's index
+    and a cutoff tick, and a declaration tests only the receptions at its
+    peer time, so the route is linear in a node's history.  Idling is not
+    checked: every decision offers EPSILON, as a property test in
     tests/test_properties.py pins.  The trace is assumed physically consistent.
     """
     violations: list[Violation] = []
@@ -441,70 +456,75 @@ def check_protocol_feasible(
         for e in trace.by_actor(node):
             if isinstance(e, Bcast):
                 action: Action = BcastAction(e.msg)
-                rule = "bcast-not-permitted"
-                detail = f"{protocol.name} does not allow this broadcast at {e.start}"
             elif isinstance(e, Neighbor):
                 action = NeighborAction(e.peer, e.peer_time)
-                rule = "neighbor-not-permitted"
-                detail = f"{protocol.name} does not justify declaring {e.peer}"
             else:
                 continue
             view = project_local(trace, node, e.start, protocol.flavor, setting)
             if action not in protocol.decide(view):
-                violations.append(Violation(rule, (e,), detail))
+                rule, detail = _REFUSED[type(e)]
+                violations.append(Violation(rule, (e,), detail.format(name=protocol.name, e=e)))
     return Verdict(tuple(violations))
 
 
 # ---------------------------------------------------------------------------
 # direct trace predicates
 
+# details of a stamp off the beacon due, without and with measurement slack
+_STAMP_DETAILS = {
+    False: (
+        "beacon time differs from transmission start",
+        "beacon location differs from the node's location",
+    ),
+    True: (
+        "beacon time off by more than the time error bound",
+        "beacon location off by more than the location error bound",
+    ),
+}
 
-def _stamp_violation(
+
+def _beacon_violation(
+    spec: ProtocolSpec,
     e: Bcast,
     setting: Setting,
     params: SystemParams,
     inacc: Optional[InaccuracyParams],
     num: Num,
 ) -> Optional[Violation]:
-    """The first field of a correct node's own beacon that misstates its transmission.
+    """The first field in which a correct node's broadcast differs from the
+    beacon it sends, ``spec.beacon`` at the broadcast's start and the
+    node's location: kind, creator, duration, then the stamp.
 
-    The duration must be the default one, with or without measurement
-    slack, as in the beacons the decision functions offer.
+    With measurement slack the stamp may be off by up to delta in time
+    and tau·v in location, compared exactly.  Without, there is no slack:
+    the time must be num.eq to the start (within num.epsilon in
+    approximate mode) and the location must be the node's.
     """
     msg = e.msg
-    if msg.duration != params.msg_duration_default:
+    due = spec.beacon(e.actor, e.start, setting.loc[e.actor], params)
+    if msg == due:  # an honest beacon, decided without arithmetic
+        return None
+    if type(msg) is not type(due):
+        return Violation("bcast-not-a-beacon", (e,), "correct nodes broadcast beacons only")
+    if msg.creator != due.creator:
+        return Violation("beacon-foreign-creator", (e,), f"beacon claims creator {msg.creator}")
+    if msg.duration != due.duration:
         return Violation(
             "beacon-duration-mismatch",
             (e,),
             "beacon duration differs from the default message duration",
         )
-    if inacc is None:
-        if not num.eq(msg.beacon_time, e.start):
-            return Violation(
-                "beacon-time-mismatch", (e,), "beacon time differs from transmission start"
-            )
-        if isinstance(msg, BeaconTL) and msg.beacon_loc != setting.loc[e.actor]:
-            return Violation(
-                "beacon-location-mismatch",
-                (e,),
-                "beacon location differs from the node's location",
-            )
-        return None
-    if abs(msg.beacon_time - e.start) > inacc.delta:
-        return Violation(
-            "beacon-time-mismatch",
-            (e,),
-            "beacon time off by more than the time error bound",
-        )
-    n, d = _sq_dist_ratio(msg.beacon_loc, setting.loc[e.actor])
-    a, b = inacc.tau.as_integer_ratio()
-    p, q = params.v.as_integer_ratio()
-    if n * (b * q) ** 2 > (a * p) ** 2 * d:  # beyond tau·v = (a·p) / (b·q)
-        return Violation(
-            "beacon-location-mismatch",
-            (e,),
-            "beacon location off by more than the location error bound",
-        )
+    time_detail, location_detail = _STAMP_DETAILS[inacc is not None]
+    # num.eq(a, b) is abs(a - b) <= num.epsilon, which is 0 in exact mode
+    delta, tau = (num.epsilon, Fraction(0)) if inacc is None else (inacc.delta, inacc.tau)
+    if abs(msg.beacon_time - due.beacon_time) > delta:
+        return Violation("beacon-time-mismatch", (e,), time_detail)
+    if isinstance(due, BeaconTL):
+        n, d = _sq_dist_ratio(msg.beacon_loc, due.beacon_loc)
+        a, b = tau.as_integer_ratio()
+        p, q = params.v.as_integer_ratio()
+        if n * (b * q) ** 2 > (a * p) ** 2 * d:  # beyond tau·v = (a·p) / (b·q)
+            return Violation("beacon-location-mismatch", (e,), location_detail)
     return None
 
 
@@ -521,20 +541,21 @@ def _check_stamped(
 ) -> Verdict:
     """Direct conformance to a protocol whose correct nodes send stamped beacons.
 
-    A declaration is checked against only those receptions of its owner
-    that num.eq matches with its peer time: the ones starting in
-    [peer_time - eps, peer_time + eps], with eps = num.epsilon in
-    approximate mode and 0 in exact mode, found by bisection.  The index
-    behind it is built in one pass at each call and dropped when it
-    returns: each correct node's receptions with their starts, in
-    canonical order, which sorts them by start.
+    A correct node's broadcast is compared with the beacon the protocol
+    table has it send (``_beacon_violation``).  A declaration is backed
+    when ``spec.accepts`` takes one of its owner's completed receptions
+    for the declared peer; only the receptions that num.eq matches with
+    the peer time are tried: those starting in [peer_time - eps,
+    peer_time + eps], with eps = num.epsilon in approximate mode and 0 in
+    exact mode, found by bisection.  The index behind it is built in one
+    pass at each call and dropped when it returns: each correct node's
+    receptions with their starts, in canonical order, which sorts them by
+    start.
 
     Instants are read by the trace's ticks (``Trace.ticks``, the trace's
-    own D).  The window's low end is rounded up and its high end down,
-    and pt's freshness bound nd_range / v, divided once per call, down,
-    so the integer tests decide exactly what the rational ones do.
+    own D), the window's low end rounded up and its high end down, so
+    the integer tests decide exactly what the rational ones do.
     """
-    stamped = BeaconTL if spec.flavor == TL_FLAVOR else BeaconT
     violations: list[Violation] = []
     correct = set(setting.correct_nodes)
     ticks, starts = trace.ticks(num)
@@ -543,40 +564,15 @@ def _check_stamped(
         if isinstance(r, Receive) and r.actor in correct:
             receives_by_actor.setdefault(r.actor, []).append((at, r))
 
-    # pt_accepts on ticks, with nd_range / v divided once: an integer age
-    # is at most the freshness bound exactly when it is at most its floor
-    fresh = ticks.floor(params.nd_range / params.v) if spec.name == PT else None
-
-    def backs(r: Receive, at: Real, owner_loc: Point) -> Optional[NodeId]:
-        if fresh is None:
-            return spec.accepts(params, owner_loc, r, inacc, num)
-        fresh_beacon = isinstance(r.msg, BeaconT) and at - ticks.of(r.msg.beacon_time) <= fresh
-        return r.msg.creator if fresh_beacon else None
-
     # num.eq(start, peer_time) holds exactly for starts in [peer_time - eps, peer_time + eps]
     eps = 0 if num.exact else num.epsilon
     for e, now in starts.items():
         if e.actor not in correct:
             continue
         if isinstance(e, Bcast):
-            if not isinstance(e.msg, stamped):
-                violations.append(
-                    Violation(
-                        "bcast-not-a-beacon", (e,), "correct nodes broadcast beacons only"
-                    )
-                )
-            elif e.msg.creator != e.actor:
-                violations.append(
-                    Violation(
-                        "beacon-foreign-creator",
-                        (e,),
-                        f"beacon claims creator {e.msg.creator}",
-                    )
-                )
-            else:
-                stamp = _stamp_violation(e, setting, params, inacc, num)
-                if stamp is not None:
-                    violations.append(stamp)
+            wrong = _beacon_violation(spec, e, setting, params, inacc, num)
+            if wrong is not None:
+                violations.append(wrong)
         elif isinstance(e, Neighbor):
             owner_loc = setting.loc[e.actor]
             own = receives_by_actor.get(e.actor, ())
@@ -588,7 +584,7 @@ def _check_stamped(
             if not any(
                 r.sender in setting.loc
                 and now > at + ticks.of(r.msg.duration)
-                and backs(r, at, owner_loc) == e.peer
+                and spec.accepts(params, owner_loc, r, inacc, num) == e.peer
                 for at, r in own[first:last]
             ):
                 violations.append(

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -433,3 +434,160 @@ def test_attack_rejects_unsupported_variant_combo(tmp_path, capsys):
     code = run(["attack", scn, "--variant", "wormhole", "--out-dir", tmp_path / "o"])
     assert code == 1
     assert "not supported" in capsys.readouterr().err
+
+
+RULES = Path(__file__).resolve().parent / "golden" / "rules"
+RULE_CASES = sorted(path.stem for path in RULES.glob("*.scn"))
+
+
+@pytest.mark.parametrize("approx", [None, "1/1000"])
+@pytest.mark.parametrize("case", RULE_CASES)
+def test_direct_route_rules_match_golden_reports(case, approx, capsys, monkeypatch):
+    """Each tests/golden/rules pair triggers one protocol rule; its check
+    report, exact and under --approx 1/1000, is the one kept beside it."""
+    monkeypatch.chdir(RULES)
+    argv = ["check", f"{case}.scn", f"{case}.trc"]
+    assert run(argv if approx is None else ["--approx", approx] + argv) == 2
+    golden = f"{case}.out" if approx is None else f"{case}.approx.out"
+    assert capsys.readouterr().out == (RULES / golden).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--bogus", "a", "b"],
+        [],
+        ["sweep", "S", "--vary", "nope", "--from", "0", "--to", "1", "--step", "1"],
+        ["--format", "xml", "check", "a", "b"],
+        ["check", "a"],
+    ],
+    ids=["unknown-flag", "no-subcommand", "invalid-choice", "invalid-format", "missing-argument"],
+)
+def test_usage_errors_exit_1_with_usage(argv, capsys):
+    """Exit 2 means a feasibility violation; a usage error is an input error."""
+    with pytest.raises(SystemExit) as stop:
+        run(argv)
+    assert stop.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ndcheck") and "error: " in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as stop:
+        run(["check", "--help"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ndcheck check")
+
+
+LINK = "[link A <-> B]\nup = 0:inf"
+NODE_C = "[node C]\nx = 50\ny = 120\ntype = correct\n\n[protocol]"
+NO_NODES = RADIO[: RADIO.index("[node A]")] + RADIO[RADIO.index("[protocol]"):]
+# case: (text of RADIO, what replaces it, the error reported)
+MALFORMED_SCENARIOS = {
+    "phase-without-colon": (
+        "up = 0:inf", "up = 0", "[link A <-> B] up: interval '0' is not start:end"
+    ),
+    "syntax": (
+        "[run]",
+        "[run]\nhorizon = 1\n\n[run]",
+        "scenario parse error: While reading from '<string>' [line 30]: "
+        "section 'run' already exists",
+    ),
+    "duplicate-node": (
+        "[node B]", "[node  A]\nx = 5\ny = 0\ntype = correct\n\n[node B]", "duplicate node 'A'"
+    ),
+    "link-without-arrow": (
+        "[link A <-> B]", "[link A B]", "[link A B]: expected 'A -> B' or 'A <-> B'"
+    ),
+    "link-twice": (
+        LINK, f"{LINK}\n\n[link A -> B]\nup = 0:inf", "duplicate link declaration ('A', 'B')"
+    ),
+    "no-nodes": (RADIO, NO_NODES, "no nodes declared"),
+    "pgt-approx-without-slack": (
+        "name = pt", "name = pgt-approx", "[protocol] pgt-approx requires delta and tau keys"
+    ),
+    "negative-adversary-delta": (
+        "name = relay", "name = relay\ndelta_relay = -1", "[adversary]: delta_relay must be >= 0"
+    ),
+    "slow-adversary": ("v_adv = 300000000", "v_adv = 1", "[params]: v_adv must be >= v"),
+    "zero-range": ("nd_range = 100", "nd_range = 0", "[params]: nd_range must be > 0"),
+    "negative-delta": (
+        "delta_relay = 1/25000000", "delta_relay = -1", "[params]: delta_relay must be >= 0"
+    ),
+    "zero-duration": (
+        "msg_duration_default = 1/1000000",
+        "msg_duration_default = 0",
+        "[params]: msg_duration_default must be > 0",
+    ),
+    "negative-phase": ("up = 0:inf", "up = -1:inf", "link interval start must be >= 0"),
+    "overlapping-phases": ("up = 0:inf", "up = 0:5, 3:8", "overlapping link intervals"),
+}
+# case: (the trace's one line, the error reported)
+MALFORMED_TRACES = {
+    "location-without-comma": (
+        "bcast A 0 beacon-tl:A:0:00:1",
+        "line 1: bad message 'beacon-tl:A:0:00:1': location must be x,y",
+    ),
+    "wide-angle": ("dcast A 0 0 3 opaque:tok:1", "line 1: angle must be in (0, 2] (units of pi)"),
+}
+
+
+def _malformed_argv(case, tmp_path):
+    """The command line of one malformed-input case and the error it must report."""
+    scn, trc = tmp_path / "case.scn", tmp_path / "case.trc"
+    scn.write_text(RADIO)
+    trc.write_text("")
+    if case in MALFORMED_SCENARIOS:
+        old, new, message = MALFORMED_SCENARIOS[case]
+        scn.write_text(RADIO.replace(old, new, 1))
+        return ["check", scn, trc], message
+    if case in MALFORMED_TRACES:
+        line, message = MALFORMED_TRACES[case]
+        trc.write_text(line + "\n")
+        return ["check", scn, trc], message
+    out, corpus = tmp_path / "out", tmp_path / "corpus"
+    corpus.mkdir()
+    if case == "relay-at-alone":
+        return ["attack", scn, "--relay-at", "50", "--out-dir", out], (
+            "single-relay placement needs both --attack-distance and --relay-at"
+        )
+    if case == "wormhole-near-a-alone":
+        return ["attack", scn, "--variant", "wormhole", "--near-a", "10", "--out-dir", out], (
+            "wormhole placement needs --attack-distance, --near-a and --near-b"
+        )
+    if case == "three-correct-nodes":
+        scn.write_text(RADIO.replace("[protocol]", NODE_C))
+        return ["attack", scn, "--out-dir", out], (
+            "attack synthesis needs exactly two correct nodes, found 3"
+        )
+    order = ["order", corpus, "--weaker", "relay", "--stronger", "dy-t"]
+    if case == "order-empty":
+        return order, f"no .scn files in {corpus}"
+    (corpus / "a.scn").write_text(RADIO)
+    (corpus / "a.trc").write_text("")
+    if case == "order-differing-params":
+        (corpus / "b.scn").write_text(RADIO.replace("nd_range = 100", "nd_range = 50"))
+        (corpus / "b.trc").write_text("")
+        return order, "b: corpus parameters differ"
+    assert case == "order-infeasible"
+    (corpus / "a.trc").write_text("receive A 5 B opaque:x:1/1000000\n")
+    return order, "a: trace is not feasible for its setting"
+
+
+CLI_CASES = [
+    "relay-at-alone",
+    "wormhole-near-a-alone",
+    "three-correct-nodes",
+    "order-empty",
+    "order-differing-params",
+    "order-infeasible",
+]
+
+
+@pytest.mark.parametrize("case", [*MALFORMED_SCENARIOS, *MALFORMED_TRACES, *CLI_CASES])
+def test_malformed_inputs_exit_1_with_one_error_line(case, tmp_path, capsys):
+    argv, message = _malformed_argv(case, tmp_path)
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert "Traceback" not in captured.out
