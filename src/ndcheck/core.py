@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import attrgetter
 from typing import Iterable, Iterator, KeysView, Mapping, Optional, Sequence, Union
 
@@ -92,6 +92,13 @@ class SystemParams:
         if self.msg_duration_default <= 0:
             raise ValueError("msg_duration_default must be > 0")
 
+    @cached_property
+    def range_flight(self) -> tuple[int, int]:
+        """nd_range / v, the flight time across the discovery range, as
+        integers (n, d), d > 0, not reduced; worked out on first use and kept."""
+        (r, u), (p, q) = self.nd_range.as_integer_ratio(), self.v.as_integer_ratio()
+        return r * q, u * p
+
 
 # ---------------------------------------------------------------------------
 # messages and events are values: hashed once
@@ -99,6 +106,13 @@ class SystemParams:
 
 class _HashSlot:
     __slots__ = ("_hash",)
+
+
+class _OrderSlot(_HashSlot):
+    __slots__ = ("_order",)
+
+
+_keep_order = _OrderSlot._order.__set__
 
 
 def _hash_once(cls: type) -> type:
@@ -109,17 +123,22 @@ def _hash_once(cls: type) -> type:
     fields() stay as dataclass makes them.  It is kept in the instance's
     one extra slot (from _HashSlot), which costs one pointer per
     instance and no instance dict; __post_init__ sets it to None, so a
-    first use tests for None and catches no AttributeError.  Pickling
-    and copying go through the constructor, so an unpickled value
-    hashes afresh under its own process's string hashes.
+    first use tests for None and catches no AttributeError.  An event
+    (an _OrderSlot) has a second such slot for its canonical order key
+    (``_order_key``), set to None the same way.  Pickling and copying go
+    through the constructor, so an unpickled value hashes afresh under
+    its own process's string hashes.
     """
     values = attrgetter(*[f.name for f in fields(cls)])
     check = cls.__post_init__
     keep = _HashSlot._hash.__set__
+    ordered = issubclass(cls, _OrderSlot)
 
     def __post_init__(self) -> None:
         check(self)
         keep(self, None)
+        if ordered:
+            _keep_order(self, None)
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -217,7 +236,7 @@ def _check_duration(duration: Fraction) -> None:
 
 @_hash_once
 @dataclass(frozen=True, slots=True)
-class Bcast(_HashSlot):
+class Bcast(_OrderSlot):
     actor: NodeId
     start: Fraction
     msg: Message
@@ -231,7 +250,7 @@ class Bcast(_HashSlot):
 
 @_hash_once
 @dataclass(frozen=True, slots=True)
-class Dcast(_HashSlot):
+class Dcast(_OrderSlot):
     """Directional transmission over the closed sector [direction, direction+angle].
 
     direction is in [0, 2) and angle in (0, 2], both in units of pi.
@@ -256,7 +275,7 @@ class Dcast(_HashSlot):
 
 @_hash_once
 @dataclass(frozen=True, slots=True)
-class Receive(_HashSlot):
+class Receive(_OrderSlot):
     actor: NodeId
     start: Fraction
     sender: NodeId
@@ -271,7 +290,7 @@ class Receive(_HashSlot):
 
 @_hash_once
 @dataclass(frozen=True, slots=True)
-class Neighbor(_HashSlot):
+class Neighbor(_OrderSlot):
     """Declaration by `actor` that `peer` was its neighbor at `peer_time`."""
 
     actor: NodeId
@@ -297,6 +316,17 @@ def _start_prefix(start: Real) -> float:
     except OverflowError:
         # starts are never negative, so only the positive end overflows
         return math.inf
+
+
+def _order_key(e: Event) -> tuple:
+    """The event's canonical order key, ``_start_prefix(e.start)`` followed
+    by ``e.sort_key()`` in one tuple, worked out on first use and kept in
+    the event."""
+    key = e._order
+    if key is None:
+        key = (_start_prefix(e.start), *e.sort_key())
+        _keep_order(e, key)
+    return key
 
 
 def event_end(e: Event) -> Fraction:
@@ -347,11 +377,16 @@ class Trace:
     their hashes, so a trace built from events another trace holds
     hashes nothing again.
 
-    The sort key is ``(_start_prefix(e.start), e.sort_key())``: the
-    start rounded to a float (infinity beyond float range), compared in
-    C, then the exact key.  Rounding never reverses two starts' order,
-    so the order is exactly the ``sort_key()`` order, and only events
-    whose starts round to the same float compare exact starts.
+    The sort key is ``_start_prefix(e.start)`` followed by
+    ``e.sort_key()``: the start rounded to a float (infinity beyond
+    float range), compared in C, then the exact key.  Rounding never
+    reverses two starts' order, so the order is exactly the
+    ``sort_key()`` order, and only events whose starts round to the same
+    float compare exact starts.  Each event works its key out on first
+    use and keeps it (``_order_key``), so a trace built from events
+    another trace holds (a mutant, a union, a re-staged attack) computes
+    no key again.  The kept keys cost one tuple per event for the life
+    of the event.
 
     The first exact check or projection at a cutoff (``ticks``) works
     out the trace's D, the lcm of the denominators of every start,
@@ -377,7 +412,7 @@ class Trace:
 
     def __init__(self, events: Iterable[Event] = ()):
         unique = dict.fromkeys(events)
-        ordered = sorted(unique, key=lambda e: (_start_prefix(e.start), e.sort_key()))
+        ordered = sorted(unique, key=_order_key)
         self.events: tuple[Event, ...] = tuple(ordered)
         self._members: KeysView[Event] = unique.keys()
         self._by_actor: Optional[dict[NodeId, tuple[Event, ...]]] = None

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Set
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
@@ -146,9 +146,8 @@ def _diff_ratio(x: Fraction, y: Fraction) -> tuple[int, int]:
 def pt_accepts(params: SystemParams, receive_start: Fraction, beacon: BeaconT) -> bool:
     """Freshness rule: beacon age at reception start within range/speed (inclusive)."""
     t, s = _diff_ratio(receive_start, beacon.beacon_time)
-    r, u = params.nd_range.as_integer_ratio()
-    p, q = params.v.as_integer_ratio()
-    return t * u * p <= r * q * s  # t/s <= (r/u) / (p/q), denominators cleared: s, u, p > 0
+    n, d = params.range_flight
+    return t * d <= n * s  # t/s <= n/d, denominators cleared: s, d > 0
 
 
 def _sq_dist_ratio(p: Point, q: Point) -> tuple[int, int]:
@@ -226,6 +225,9 @@ class ProtocolSpec:
     decide       (view, params, inacc) -> the permitted actions
     verdict      (trace, setting, params, inacc, num) -> the conformance
                  verdict of protocol_verdict
+    keys         the scenario keys of its [protocol] section besides name:
+                 the InaccuracyParams fields it reads, none for the exact
+                 protocols
 
     decide and verdict call the protocol's decision function and checker
     through their module-level names at call time, so a rebound name
@@ -244,6 +246,7 @@ class ProtocolSpec:
     verdict: Callable[
         [Trace, Setting, SystemParams, Optional[InaccuracyParams], Num], Verdict
     ]
+    keys: tuple[str, ...] = ()
 
 
 def _tl_beacon(
@@ -322,6 +325,7 @@ PROTOCOLS: dict[str, ProtocolSpec] = {
             verdict=lambda trace, setting, params, inacc, num: check_pgt_feasible(
                 trace, setting, params, inacc or InaccuracyParams(), num
             ),
+            keys=tuple(f.name for f in fields(InaccuracyParams)),
         ),
     )
 }

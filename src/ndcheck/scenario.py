@@ -1,9 +1,9 @@
 """Scenario and trace files.
 
-A scenario is an INI-style key-value file declaring the system
-parameters, the nodes with their exact rational coordinates and types,
-the directed link schedule, the protocol, the adversary model, and a
-run horizon:
+A scenario is a file of sections of "key = value" lines declaring the
+system parameters, the nodes with their exact rational coordinates and
+types, the directed link schedule, the protocol, the adversary model,
+and a run horizon:
 
     [params]
     v = 1
@@ -21,6 +21,7 @@ run horizon:
     up = 0:inf
 
     [protocol]
+    # delta and tau are pgt-approx's keys
     name = pgt-approx
     delta = 1/100
     tau = 0
@@ -30,6 +31,20 @@ run horizon:
 
     [run]
     horizon = 100
+
+The grammar is closed, and one table (``_SECTIONS``) drives reading and
+writing.  A line is a "[section]" header, a "key = value" pair, a
+comment (a whole line whose first non-blank character is "#" or ";")
+or blank; nothing follows a value on its line, and only blank and
+comment lines may be indented, so there are no continuation lines.
+[params], [protocol], [adversary] and [run] appear once each, [node ID]
+and [link ...] any number of times, and each takes only its table's
+keys; [protocol] takes the keys of its protocol's table entry
+(``ProtocolSpec.keys``: delta and tau for pgt-approx).  Any other line,
+an unknown section or key, or a repeated key or single section raises
+one ScenarioError "line N: ..." that quotes at most 64 characters of the
+line (``rational.echo``); a well-formed file with wrong values raises
+one naming its section and key.
 
 Rationals are written as "p/q" or integers (decimals and scientific
 notation are accepted on input; a scalar longer than
@@ -57,8 +72,6 @@ and angle in units of pi.  Writing a parsed file back is byte-identical.
 
 from __future__ import annotations
 
-import configparser
-import io
 import math
 import re
 from dataclasses import dataclass, fields
@@ -85,7 +98,7 @@ from .core import (
     SystemParams,
     Trace,
 )
-from .protocols import InaccuracyParams, PGT_APPROX, PROTOCOL_NAMES, PROTOCOLS
+from .protocols import InaccuracyParams, PROTOCOL_NAMES, PROTOCOLS
 from .rational import echo, format_scalar, parse_scalar
 
 
@@ -162,23 +175,94 @@ def _first_irrational_pair(setting: Setting) -> Optional[tuple[NodeId, NodeId]]:
     return None
 
 
+# ---------------------------------------------------------------------------
+# scenario files
+#
+# One table names every section kind and the keys it may hold, in the
+# order dump_scenario writes them; the reader accepts nothing else.  A
+# "node" or "link" header carries an argument, and a file may hold many
+# such sections; every other kind stands alone and once.  The [protocol]
+# section may hold any protocol's keys; which of them its protocol takes
+# is checked once its name is known (ProtocolSpec.keys).
+
+_SECTIONS: dict[str, tuple[str, ...]] = {
+    "params": tuple(f.name for f in fields(SystemParams)),
+    "node": ("x", "y", "type"),
+    "link": ("up",),
+    "protocol": ("name", *dict.fromkeys(k for spec in PROTOCOLS.values() for k in spec.keys)),
+    "adversary": ("name", "delta_relay"),
+    "run": ("horizon",),
+}
+_NAMED = ("node", "link")
+
+# a section's keys: key -> (line number, value text)
+_Body = dict[str, tuple[int, str]]
+
+
+def _read_sections(text: str) -> list[tuple[str, str, _Body]]:
+    """Each section of a scenario's text, in file order, as (kind, header, body).
+
+    A line is blank, a comment (its first non-blank character is "#"
+    or ";"), a "[header]" or "key = value", and none but a blank or a
+    comment may be indented, so there are no continuation lines.  A
+    line that breaks this, or names a section kind or key the table
+    does not list, or repeats a key or a single section, raises one
+    ScenarioError "line N: ..." that echoes at most a bounded prefix of
+    the line (``rational.echo``).
+    """
+    sections: list[tuple[str, str, _Body]] = []
+    seen: set[str] = set()
+    kind, keys, body = "", (), None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped[0] in "#;":
+            continue
+        if line[0] != stripped[0]:
+            raise ScenarioError(f"line {lineno}: indented line {echo(stripped)}")
+        if stripped[0] == "[" and stripped[-1] == "]":
+            header = stripped[1:-1]
+            kind, _, argument = header.partition(" ")
+            if kind not in _SECTIONS or (kind in _NAMED) != bool(argument.strip()):
+                raise ScenarioError(f"line {lineno}: unknown section {echo(stripped)}")
+            if kind not in _NAMED:
+                if kind in seen:
+                    raise ScenarioError(f"line {lineno}: repeated section {echo(stripped)}")
+                seen.add(kind)
+            keys, body = _SECTIONS[kind], {}
+            sections.append((kind, header, body))
+            continue
+        key, equals, value = stripped.partition("=")
+        key = key.rstrip()
+        if not equals:
+            raise ScenarioError(
+                f"line {lineno}: expected [section], key = value or a comment, got {echo(stripped)}"
+            )
+        if body is None:
+            raise ScenarioError(f"line {lineno}: key {echo(key)} before any section")
+        if key not in keys:
+            raise ScenarioError(f"line {lineno}: unknown {kind} key {echo(key)}")
+        if key in body:
+            raise ScenarioError(f"line {lineno}: repeated {kind} key {echo(key)}")
+        body[key] = (lineno, value.strip())
+    return sections
+
+
+def _value(body: _Body, key: str) -> str:
+    """A key's value text; an absent key reads as empty."""
+    return body.get(key, (0, ""))[1]
+
+
 def parse_scenario(text: str, exact: bool = True) -> Scenario:
     """Parse and validate a scenario; with exact=True every pairwise node
     distance must be rational."""
-    parser = configparser.ConfigParser(interpolation=None, delimiters=("=",))
-    parser.optionxform = str  # keep key case
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ScenarioError(f"scenario parse error: {exc}") from None
-
-    sections = set(parser.sections())
-    for required in ("params", "protocol", "adversary", "run"):
-        if required not in sections:
+    sections = _read_sections(text)
+    single = {kind: body for kind, _, body in sections if kind not in _NAMED}
+    for required in _SECTIONS:
+        if required not in _NAMED and required not in single:
             raise ScenarioError(f"missing [{required}] section")
 
-    p = parser["params"]
-    values = {f.name: _scalar("params", f.name, p.get(f.name, "")) for f in fields(SystemParams)}
+    p = single["params"]
+    values = {key: _scalar("params", key, _value(p, key)) for key in _SECTIONS["params"]}
     try:
         params = SystemParams(**values)
     except ValueError as exc:
@@ -187,21 +271,22 @@ def parse_scenario(text: str, exact: bool = True) -> Scenario:
     locs: dict[NodeId, tuple[Fraction, Fraction]] = {}
     types: dict[NodeId, str] = {}
     links: dict[tuple[NodeId, NodeId], tuple[Interval, ...]] = {}
-    for section in parser.sections():
-        if section.startswith("node "):
+    # links mostly share a few phase texts: each distinct one is read once
+    phases: dict[str, tuple[Interval, ...]] = {}
+    for kind, section, body in sections:
+        if kind == "node":
             node = _check_name(section[5:].strip(), "node id")
             if node in locs:
                 raise ScenarioError(f"duplicate node {node!r}")
-            body = parser[section]
             locs[node] = (
-                _scalar(section, "x", body.get("x", "")),
-                _scalar(section, "y", body.get("y", "")),
+                _scalar(section, "x", _value(body, "x")),
+                _scalar(section, "y", _value(body, "y")),
             )
-            node_type = body.get("type", "").strip()
+            node_type = _value(body, "type")
             if node_type not in (CORRECT, ADVERSARIAL):
                 raise ScenarioError(f"[{section}] type must be correct or adversarial")
             types[node] = node_type
-        elif section.startswith("link "):
+        elif kind == "link":
             endpoints = section[5:].strip()
             both = "<->" in endpoints
             arrow = "<->" if both else "->"
@@ -210,7 +295,10 @@ def parse_scenario(text: str, exact: bool = True) -> Scenario:
             left, right = (part.strip() for part in endpoints.split(arrow, 1))
             _check_name(left, "node id")
             _check_name(right, "node id")
-            intervals = _parse_intervals(section, parser[section].get("up", ""))
+            up = _value(body, "up")
+            intervals = phases.get(up)
+            if intervals is None:
+                intervals = phases[up] = _parse_intervals(section, up)
             for pair in ((left, right), (right, left)) if both else ((left, right),):
                 if pair in links:
                     raise ScenarioError(f"duplicate link declaration {pair}")
@@ -236,27 +324,30 @@ def parse_scenario(text: str, exact: bool = True) -> Scenario:
                 "exact mode needs rational pairwise distances"
             )
 
-    protocol = parser["protocol"].get("name", "").strip()
-    if protocol not in PROTOCOLS:
+    body = single["protocol"]
+    protocol = _value(body, "name")
+    spec = PROTOCOLS.get(protocol)
+    if spec is None:
         raise ScenarioError(f"[protocol] name must be one of {PROTOCOL_NAMES}")
+    for key, (lineno, _) in body.items():
+        if key != "name" and key not in spec.keys:
+            raise ScenarioError(f"line {lineno}: protocol {protocol} takes no key {echo(key)}")
     inaccuracy = None
-    if protocol == PGT_APPROX:
-        body = parser["protocol"]
-        if "delta" not in body or "tau" not in body:
-            raise ScenarioError("[protocol] pgt-approx requires delta and tau keys")
-        delta = _scalar("protocol", "delta", body["delta"])
-        tau = _scalar("protocol", "tau", body["tau"])
+    if spec.keys:
+        if any(key not in body for key in spec.keys):
+            raise ScenarioError(f"[protocol] {protocol} requires {' and '.join(spec.keys)} keys")
+        slack = {key: _scalar("protocol", key, _value(body, key)) for key in spec.keys}
         try:
-            inaccuracy = InaccuracyParams(delta=delta, tau=tau)
+            inaccuracy = InaccuracyParams(**slack)
         except ValueError as exc:
             raise ScenarioError(f"[protocol]: {exc}") from None
 
-    adv = parser["adversary"]
-    adv_name = adv.get("name", "").strip()
+    adv = single["adversary"]
+    adv_name = _value(adv, "name")
     if adv_name not in ADVERSARY_NAMES:
         raise ScenarioError(f"[adversary] name must be one of {ADVERSARY_NAMES}")
     adv_delta = (
-        _scalar("adversary", "delta_relay", adv["delta_relay"])
+        _scalar("adversary", "delta_relay", _value(adv, "delta_relay"))
         if "delta_relay" in adv
         else params.delta_relay
     )
@@ -265,7 +356,7 @@ def parse_scenario(text: str, exact: bool = True) -> Scenario:
     except ValueError as exc:
         raise ScenarioError(f"[adversary]: {exc}") from None
 
-    horizon = _scalar("run", "horizon", parser["run"].get("horizon", ""))
+    horizon = _scalar("run", "horizon", _value(single["run"], "horizon"))
     if horizon <= 0:
         raise ScenarioError("[run] horizon must be > 0")
 
@@ -273,34 +364,44 @@ def parse_scenario(text: str, exact: bool = True) -> Scenario:
 
 
 def dump_scenario(scenario: Scenario) -> str:
-    """Canonical scenario rendering; parse(dump(s)) == s and dump is stable."""
-    out = io.StringIO()
-    out.write("[params]\n")
-    for f in fields(SystemParams):
-        out.write(f"{f.name} = {format_scalar(getattr(scenario.params, f.name))}\n")
-    for node in scenario.setting.nodes:
-        x, y = scenario.setting.loc[node]
-        out.write(f"\n[node {node}]\n")
-        out.write(f"x = {format_scalar(x)}\n")
-        out.write(f"y = {format_scalar(y)}\n")
-        out.write(f"type = {scenario.setting.node_type[node]}\n")
-    for (a, b) in sorted(scenario.setting.link_schedule):
+    """Canonical scenario rendering; parse(dump(s)) == s and dump is stable.
+
+    Each section writes the keys it has values for, in the table's order.
+    """
+    params, setting = scenario.params, scenario.setting
+    values = {key: format_scalar(getattr(params, key)) for key in _SECTIONS["params"]}
+    sections = [("params", values)]
+    for node in setting.nodes:
+        x, y = setting.loc[node]
+        values = {"x": format_scalar(x), "y": format_scalar(y), "type": setting.node_type[node]}
+        sections.append((f"node {node}", values))
+    for (a, b) in sorted(setting.link_schedule):
         phases = ", ".join(
             f"{format_scalar(start)}:{'inf' if end is None else format_scalar(end)}"
-            for start, end in scenario.setting.link_schedule[(a, b)]
+            for start, end in setting.link_schedule[(a, b)]
         )
-        out.write(f"\n[link {a} -> {b}]\n")
-        out.write(f"up = {phases}\n")
-    out.write(f"\n[protocol]\nname = {scenario.protocol}\n")
-    if scenario.protocol == PGT_APPROX:
-        ia = scenario.inaccuracy or InaccuracyParams()
-        out.write(f"delta = {format_scalar(ia.delta)}\n")
-        out.write(f"tau = {format_scalar(ia.tau)}\n")
-    out.write(f"\n[adversary]\nname = {scenario.adversary.kind}\n")
-    if scenario.adversary.delta_relay != scenario.params.delta_relay:
-        out.write(f"delta_relay = {format_scalar(scenario.adversary.delta_relay)}\n")
-    out.write(f"\n[run]\nhorizon = {format_scalar(scenario.horizon)}\n")
-    return out.getvalue()
+        sections.append((f"link {a} -> {b}", {"up": phases}))
+    protocol = {"name": scenario.protocol}
+    slack = scenario.inaccuracy or InaccuracyParams()
+    for key in PROTOCOLS[scenario.protocol].keys:
+        protocol[key] = format_scalar(getattr(slack, key))
+    adversary = {"name": scenario.adversary.kind}
+    if scenario.adversary.delta_relay != params.delta_relay:
+        adversary["delta_relay"] = format_scalar(scenario.adversary.delta_relay)
+    sections += [
+        ("protocol", protocol),
+        ("adversary", adversary),
+        ("run", {"horizon": format_scalar(scenario.horizon)}),
+    ]
+    return "\n".join(
+        f"[{header}]\n"
+        + "".join(
+            f"{key} = {values[key]}\n"
+            for key in _SECTIONS[header.partition(" ")[0]]
+            if key in values
+        )
+        for header, values in sections
+    )
 
 
 # ---------------------------------------------------------------------------

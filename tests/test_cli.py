@@ -487,12 +487,7 @@ MALFORMED_SCENARIOS = {
     "phase-without-colon": (
         "up = 0:inf", "up = 0", "[link A <-> B] up: interval '0' is not start:end"
     ),
-    "syntax": (
-        "[run]",
-        "[run]\nhorizon = 1\n\n[run]",
-        "scenario parse error: While reading from '<string>' [line 30]: "
-        "section 'run' already exists",
-    ),
+    "syntax": ("[run]", "[run]\nhorizon = 1\n\n[run]", "line 30: repeated section '[run]'"),
     "duplicate-node": (
         "[node B]", "[node  A]\nx = 5\ny = 0\ntype = correct\n\n[node B]", "duplicate node 'A'"
     ),
@@ -521,6 +516,36 @@ MALFORMED_SCENARIOS = {
     ),
     "negative-phase": ("up = 0:inf", "up = -1:inf", "link interval start must be >= 0"),
     "overlapping-phases": ("up = 0:inf", "up = 0:5, 3:8", "overlapping link intervals"),
+    # forms outside the closed grammar; an INI reader accepts most of them,
+    # so a misspelled section or key would give a verdict on a setting the
+    # user did not write
+    "misspelled-section": (
+        "[link A <-> B]", "[lnk A <-> B]", "line 18: unknown section '[lnk A <-> B]'"
+    ),
+    "misspelled-key": (
+        "name = relay",
+        "name = relay\ndelta_rlay = 5",
+        "line 26: unknown adversary key 'delta_rlay'",
+    ),
+    "repeated-key": ("x = 100", "x = 100\nx = 5", "line 15: repeated node key 'x'"),
+    "default-section": (
+        "[params]", "[DEFAULT]\nv = 1\n\n[params]", "line 1: unknown section '[DEFAULT]'"
+    ),
+    "continuation-line": ("up = 0:inf", "up = 0:5,\n  6:inf", "line 20: indented line '6:inf'"),
+    "text-after-header": (
+        "[run]",
+        "[run] now",
+        "line 27: expected [section], key = value or a comment, got '[run] now'",
+    ),
+    "key-of-another-protocol": (
+        "name = pt", "name = pt\ndelta = 1/100", "line 23: protocol pt takes no key 'delta'"
+    ),
+    "overlong-line": (
+        "[params]",
+        "[params]\n" + "x" * 3000,
+        "line 2: expected [section], key = value or a comment, got "
+        f"{'x' * 64!r}... (3000 characters)",
+    ),
 }
 # case: (the trace's one line, the error reported)
 MALFORMED_TRACES = {
@@ -591,3 +616,5 @@ def test_malformed_inputs_exit_1_with_one_error_line(case, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert "Traceback" not in captured.out
+    if case == "overlong-line":
+        assert len(captured.err.encode()) < 200

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ndcheck import (
     AdversaryModel,
@@ -25,6 +28,7 @@ from ndcheck import (
     parse_trace,
     plan_relay_attack,
 )
+from ndcheck.cli import main
 from ndcheck.rational import MAX_ECHO_LENGTH
 from test_oracles import _events
 
@@ -302,3 +306,140 @@ def test_any_trace_text_is_rejected_by_line_or_round_trips(lines):
     text = dump_trace(trace)
     assert parse_trace(text) == trace
     assert dump_trace(parse_trace(text)) == text
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_block(heading):
+    """The first indented code block after a README heading, dedented."""
+    lines = README.read_text(encoding="utf-8").split("\n")
+    block = []
+    for line in lines[lines.index(heading) + 1:]:
+        if line.startswith("    "):
+            block.append(line[4:])
+        elif block and line.strip():
+            break
+        elif block:
+            block.append("")
+    return "\n".join(block).strip("\n") + "\n"
+
+
+def test_readme_examples_parse():
+    scenario = parse_scenario(_readme_block("### Scenario files"))
+    text = dump_scenario(scenario)
+    assert parse_scenario(text) == scenario
+    assert dump_scenario(parse_scenario(text)) == text
+    trace = parse_trace(_readme_block("### Trace files"))
+    assert len(trace) == 4
+    assert dump_trace(parse_trace(dump_trace(trace))) == dump_trace(trace)
+
+
+_SECTION_LINES = st.sampled_from(
+    [
+        "[params]", "[protocol]", "[adversary]", "[run]", "[node A]", "[node C]", "[node  A]",
+        "[node]", "[node A!]", "[link A <-> B]", "[link B -> A]", "[link A -> C]", "[link A B]",
+        "[lnk A <-> B]", "[DEFAULT]", "[Params]", "[run] x", "[params",
+    ]
+)
+_KEYS = st.sampled_from(
+    "v v_adv nd_range delta_relay msg_duration_default x y type up name delta tau horizon".split()
+    + ["delta_rlay", "X", "", "name name"]
+)
+_VALUES = st.sampled_from(
+    [
+        "0", "1", "-1", "1/3", "2/4", "3/0", "8", "1e3", "1e999999999", "0:inf", "0:5, 6:8",
+        "5:4", "0", "inf", "pt", "pgt", "pgt-approx", "naive", "relay", "dy-gt", "correct",
+        "adversarial", "1 ; note", "a = b",
+    ]
+) | st.text(max_size=8)
+_SCENARIO_LINES = st.one_of(
+    _SECTION_LINES,
+    st.builds(
+        lambda key, sep, value: f"{key}{sep}{value}",
+        _KEYS,
+        st.sampled_from([" = ", "=", " =", "  =  "]),
+        _VALUES,
+    ),
+    st.builds(lambda pad, line: pad + line, st.sampled_from([" ", "\t"]), _KEYS | _VALUES),
+    st.sampled_from(["", "# note", "; note", "  # indented note", "   "]),
+    st.text(max_size=12),
+)
+
+
+@st.composite
+def _messy_scenarios(draw):
+    """MINIMAL with a few lines replaced, dropped or added."""
+    lines = MINIMAL.split("\n")
+    for i in draw(st.lists(st.integers(0, len(lines)), max_size=3)):
+        lines[i:i + draw(st.integers(0, 1))] = draw(st.lists(_SCENARIO_LINES, max_size=2))
+    return "\n".join(lines)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("scenario-fuzz")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_messy_scenarios())
+def test_any_scenario_text_exits_1_with_one_message_or_round_trips(fuzz_dir, text):
+    scn, trc = fuzz_dir / "case.scn", fuzz_dir / "case.trc"
+    scn.write_bytes(text.encode("utf-8", "surrogatepass"))
+    trc.write_text("")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check", str(scn), str(trc)])
+    try:
+        scenario = parse_scenario(scn.read_text(encoding="utf-8"))
+    except (ScenarioError, UnicodeDecodeError):
+        assert code == 1
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert "Traceback" not in out.getvalue()
+        return
+    assert code == 0, err.getvalue()
+    dumped = dump_scenario(scenario)
+    assert parse_scenario(dumped) == scenario
+    assert dump_scenario(parse_scenario(dumped)) == dumped
+
+
+# starts that round to one float but differ as fractions, and their neighbors
+_CLOSE_STARTS = [F(1, 3), F(1, 3) + F(1, 10**30), F(1, 3) - F(1, 10**30), F(0), F(1, 10**30), F(2)]
+
+
+def _reference_order(events):
+    """Canonical order by the exact key alone, no float."""
+    return tuple(sorted(set(events), key=lambda e: (e.start, e.sort_key())))
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(
+        st.one_of(
+            _any_events,
+            st.builds(Bcast, _names, st.sampled_from(_CLOSE_STARTS), _messages),
+            st.builds(Neighbor, _names, st.sampled_from(_CLOSE_STARTS), _names, _starts),
+        ),
+        max_size=12,
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_trace_order_matches_exact_sort_however_built(events, rnd):
+    assert float(_CLOSE_STARTS[0]) == float(_CLOSE_STARTS[1]) == float(_CLOSE_STARTS[2])
+    expected = _reference_order(events)
+    shuffled = list(events)
+    rnd.shuffle(shuffled)
+    whole = Trace(shuffled)
+    assert whole.events == expected
+    # a subset of another trace's events, whose keys that trace already worked out
+    subset = [e for e in whole if rnd.random() < 0.5]
+    assert Trace(reversed(subset)).events == _reference_order(subset)
+    # a union of two overlapping traces, and a trace of the events both hold
+    third = len(events) // 3
+    first, second = Trace(events[: 2 * third + 1]), Trace(events[third:])
+    assert first.union(second.events).events == expected
+    shared = [e for e in second if e in first]
+    assert Trace(shared).events == _reference_order(shared)
+    # equal events built apart, one with its key kept, one without
+    copies = [type(e)(*[getattr(e, f) for f in e.__dataclass_fields__]) for e in shuffled]
+    assert Trace(copies + list(whole)).events == expected
