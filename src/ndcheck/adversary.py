@@ -41,6 +41,7 @@ from .core import (
     Verdict,
     Violation,
     dist,
+    dist_ratio,
     per_speed,
 )
 from .rational import EXACT, Num, Real
@@ -115,14 +116,21 @@ def check_adversary_feasible(
     ticks, starts = trace.ticks(num)
     # the least relay gap per (casting node, receiving node), in ticks
     gaps: dict[tuple[NodeId, NodeId], Real] = {}
+    (p, q), (m, n) = model.delta_relay.as_integer_ratio(), params.v_adv.as_integer_ratio()
 
     def least_gap(sender: NodeId, receiver: NodeId) -> Real:
         gap = gaps.get((sender, receiver))
         if gap is None:
-            bound = model.delta_relay
-            if not same_node_only:
-                bound += per_speed(dist(setting, sender, receiver, num), params.v_adv, "v_adv")
-            gap = gaps[(sender, receiver)] = ticks.ceil(bound)
+            if same_node_only:
+                gap = ticks.ceil(model.delta_relay)
+            elif ticks.den is None:
+                flight = per_speed(dist(setting, sender, receiver, num), params.v_adv, "v_adv")
+                gap = model.delta_relay + flight
+            else:
+                # delta_relay + (r/c)/v_adv = (p·c·m + r·n·q) / (q·c·m), read as ceil(·D)
+                r, c = dist_ratio(setting, sender, receiver)
+                gap = -(-(p * c * m + r * n * q) * ticks.den // (q * c * m))
+            gaps[(sender, receiver)] = gap
         return gap
 
     for e in trace:

@@ -25,7 +25,9 @@ Conventions baked in here:
 - messages and events are immutable values that compute their hash on
   first use and keep it, so sets, dicts and traces hash each one once,
 - in exact mode the checks compare instants as integers: each reads
-  every instant t as t·D, over one common denominator D (``Ticks``).
+  every instant t as t·D, over one common denominator D (``Ticks``),
+  and every distance as an integer r over the lcm c of the setting's
+  coordinate denominators (``dist_ratio``).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from functools import cached_property, lru_cache
 from operator import attrgetter
 from typing import Iterable, Iterator, KeysView, Mapping, Optional, Sequence, Union
 
-from .rational import EXACT, Num, Real
+from .rational import EXACT, Num, Real, not_a_square
 
 Point = tuple[Fraction, Fraction]
 NodeId = str
@@ -518,15 +520,20 @@ class Setting:
     each fact below is worked out at most once whatever checks run on
     it.  None is part of the setting's value: equality ignores them.
 
-    - ``dist``: one distance per unordered node pair and comparison mode,
-      keyed by ``(num.exact, a, b)`` with a <= b.
-    - ``time_of_flight``: one flight time per unordered node pair, mode
-      and signal speed, keyed by ``(num.exact, params.v, a, b)``.
+    - ``dist_ratio``, the root memo of exact mode: one int or None per
+      unordered pair of distinct nodes, keyed by ``(a, b)`` with a <= b.
+      The int is r = c·|ab|, with c the lcm of the coordinates'
+      denominators (``_lattice``), and None marks an irrational
+      distance.  Exact distances, flight times in ticks and relay gaps
+      are all read from it, in integers.
+    - ``dist`` in approximate mode: one float distance per unordered
+      pair of distinct nodes, keyed by ``(a, b)`` with a <= b.
     - ``inrange``: one bool per (sender, receiver, sector) a check asked
-      about, keyed by ``(a, b, direction, angle)``; the sender itself
-      and full-turn sectors are decided without it.  A check asks only
-      about reachable receivers, so it holds at most one entry per
-      declared link and distinct sector cast over it.
+      about, keyed by the two nodes and the integer ratios of direction
+      and angle; the sender itself and full-turn sectors are decided
+      without it.  A check asks only about reachable receivers, so it
+      holds at most one entry per declared link and distinct sector
+      cast over it.
     - ``_Physics.coverage``: per transmission, one tuple of ``(receiver,
       arrival, link up over the reception window)`` per reachable
       receiver the sector holds, keyed by the event under
@@ -537,8 +544,10 @@ class Setting:
       other memos it grows with the distinct transmissions checked, not
       with the setting: a long-lived setting keeps them all.
 
-    ``_grid`` also keeps, from the first exact physics pass on, the lcm
-    of the coordinates' denominators and that of the link bounds'.
+    ``_lattice`` keeps, from the first exact distance or physics pass
+    on, the lcm c of the coordinates' denominators, each node's
+    coordinates times c as ints, and the lcm of the link bounds'
+    denominators.
     """
 
     __slots__ = (
@@ -547,11 +556,11 @@ class Setting:
         "node_type",
         "link_schedule",
         "reachable",
+        "_roots",
         "_dist",
-        "_flight",
         "_sectors",
         "_coverage",
-        "_grid",
+        "_lattice",
     )
 
     def __init__(
@@ -564,16 +573,19 @@ class Setting:
         self.nodes: tuple[NodeId, ...] = tuple(sorted(nodes))
         self.loc: dict[NodeId, Point] = dict(loc)
         self.node_type: dict[NodeId, str] = dict(node_type)
-        seen_locs: set[Point] = set()
+        # locations are told apart by their integer ratios, which hash
+        # cheaply and are equal exactly when the coordinates are
+        seen_locs: set[tuple[int, int, int, int]] = set()
         for node in self.nodes:
             if node not in self.loc or node not in self.node_type:
                 raise UnknownNode(f"node {node!r} lacks a location or type")
             if self.node_type[node] not in (CORRECT, ADVERSARIAL):
                 raise ValueError(f"bad node type for {node!r}")
             p = self.loc[node]
-            if p in seen_locs:
+            ratios = p[0].as_integer_ratio() + p[1].as_integer_ratio()
+            if ratios in seen_locs:
                 raise ValueError(f"two nodes share location {p}")
-            seen_locs.add(p)
+            seen_locs.add(ratios)
         normalized: dict[tuple[NodeId, NodeId], tuple[Interval, ...]] = {}
         for (a, b), intervals in (link_schedule or {}).items():
             if a not in self.loc or b not in self.loc:
@@ -592,11 +604,11 @@ class Setting:
         self.reachable: dict[NodeId, tuple[NodeId, ...]] = {
             node: tuple(sorted(dests)) for node, dests in reach.items()
         }
-        self._dist: dict[tuple[bool, NodeId, NodeId], Real] = {}
-        self._flight: dict[tuple[bool, Fraction, NodeId, NodeId], Real] = {}
-        self._sectors: dict[tuple[NodeId, NodeId, Fraction, Fraction], bool] = {}
+        self._roots: dict[tuple[NodeId, NodeId], Optional[int]] = {}
+        self._dist: dict[tuple[NodeId, NodeId], Real] = {}
+        self._sectors: dict[tuple, bool] = {}
         self._coverage: Optional[dict[tuple[bool, Fraction], dict[Event, Coverage]]] = None
-        self._grid: Optional[tuple[int, int]] = None  # see _grid
+        self._lattice: Optional[tuple[int, dict[NodeId, tuple[int, int]], int]] = None
 
     @property
     def correct_nodes(self) -> tuple[NodeId, ...]:
@@ -624,11 +636,12 @@ class Setting:
 
 def _normalize_intervals(intervals: Sequence[Interval]) -> tuple[Interval, ...]:
     """Sort, validate disjointness, and merge adjacent half-open phases."""
-    items = sorted(intervals, key=lambda iv: (iv[0], iv[1] is not None, iv[1] or 0))
+    items = intervals
+    if len(items) > 1:  # most links have one phase: nothing to sort
+        items = sorted(intervals, key=lambda iv: (iv[0], iv[1] is not None, iv[1] or 0))
     merged: list[list] = []
     for start, end in items:
-        if start < 0:
-            raise ValueError("link interval start must be >= 0")
+        _check_time(start, "link interval start")
         if end is not None and end <= start:
             raise ValueError("link interval end must exceed its start")
         if merged and merged[-1][1] is None:
@@ -648,14 +661,70 @@ def sq_dist(p: Point, q: Point) -> Fraction:
     return dx * dx + dy * dy
 
 
-def dist(setting: Setting, a: NodeId, b: NodeId, num: Num = EXACT) -> Real:
-    """Euclidean distance between two nodes of the setting, read from and
-    kept in the setting's distance memo.
+def _lattice(setting: Setting) -> tuple[int, dict[NodeId, tuple[int, int]], int]:
+    """The setting's integer geometry: c, the lcm of the coordinates'
+    denominators; each node's coordinates times c, as ints; and the lcm
+    of the link bounds' denominators.  Worked out on first ask and kept
+    in the setting's slot of that name: O(n + links) once per setting."""
+    if setting._lattice is None:
+        loc = setting.loc
+        ratios = {n: (x.as_integer_ratio(), y.as_integer_ratio()) for n, (x, y) in loc.items()}
+        c = math.lcm(*[d for p in ratios.values() for _, d in p])
+        coords = {n: (x * (c // dx), y * (c // dy)) for n, ((x, dx), (y, dy)) in ratios.items()}
+        bounds = [b for phases in setting.link_schedule.values() for phase in phases for b in phase]
+        links = math.lcm(*[b.as_integer_ratio()[1] for b in bounds if b is not None])
+        setting._lattice = (c, coords, links)
+    return setting._lattice
 
-    In approximate mode a distance beyond float range raises an
+
+def dist_ratio(setting: Setting, a: NodeId, b: NodeId) -> tuple[int, int]:
+    """The exact distance between two nodes as integers (r, c), c > 0,
+    not reduced: c is the lcm of the setting's coordinate denominators
+    (``_lattice``) and r = c·|ab|.
+
+    r is math.isqrt of the pair's integer squared distance over the
+    1/c grid, read from and kept in the setting's root memo, so each
+    pair's root is taken once per setting; no Fraction is built.  An
+    irrational distance raises IrrationalDistance, with the message
+    ``rational.exact_sqrt`` gives for the squared distance.
+    """
+    c, coords, _ = _lattice(setting)
+    if a == b:
+        if a not in coords:
+            raise UnknownNode(f"node {a!r} not in setting")
+        return 0, c
+    key = (a, b) if a < b else (b, a)
+    try:
+        r = setting._roots[key]
+    except KeyError:
+        for node in (a, b):
+            if node not in coords:
+                raise UnknownNode(f"node {node!r} not in setting") from None
+        r = setting._roots[key] = _take_root(coords, *key)
+    if r is None:
+        raise not_a_square(sq_dist(setting.loc[a], setting.loc[b]))
+    return r, c
+
+
+def _take_root(coords: Mapping[NodeId, tuple[int, int]], a: NodeId, b: NodeId) -> Optional[int]:
+    """c·|ab| from the nodes' coordinates times c, or None when it is irrational."""
+    (xa, ya), (xb, yb) = coords[a], coords[b]
+    n = (xa - xb) ** 2 + (ya - yb) ** 2
+    r = math.isqrt(n)
+    return r if r * r == n else None
+
+
+def dist(setting: Setting, a: NodeId, b: NodeId, num: Num = EXACT) -> Real:
+    """Euclidean distance between two nodes of the setting.
+
+    In exact mode it is Fraction(r, c) from ``dist_ratio`` and the root
+    memo.  In approximate mode it is a float read from and kept in the
+    setting's distance memo, and a distance beyond float range raises an
     OverflowError that names both nodes.
     """
-    key = (num.exact, a, b) if a <= b else (num.exact, b, a)
+    if num.exact:
+        return Fraction(*dist_ratio(setting, a, b))
+    key = (a, b) if a <= b else (b, a)
     d = setting._dist.get(key)
     if d is None:
         for node in (a, b):
@@ -665,7 +734,7 @@ def dist(setting: Setting, a: NodeId, b: NodeId, num: Num = EXACT) -> Real:
             d = Fraction(0) if a == b else num.sqrt(sq_dist(setting.loc[a], setting.loc[b]))
         except OverflowError:
             raise OverflowError(
-                f"distance {key[1]}-{key[2]} is beyond float range in approximate mode"
+                f"distance {key[0]}-{key[1]} is beyond float range in approximate mode"
             ) from None
         setting._dist[key] = d
     return d
@@ -674,13 +743,10 @@ def dist(setting: Setting, a: NodeId, b: NodeId, num: Num = EXACT) -> Real:
 def time_of_flight(
     setting: Setting, params: SystemParams, a: NodeId, b: NodeId, num: Num = EXACT
 ) -> Real:
-    """Signal flight time between two nodes, read from and kept in the
-    setting's flight-time memo."""
-    key = (num.exact, params.v, a, b) if a <= b else (num.exact, params.v, b, a)
-    t = setting._flight.get(key)
-    if t is None:
-        t = setting._flight[key] = per_speed(dist(setting, a, b, num), params.v, "v")
-    return t
+    """Signal flight time between two nodes, dist / v: in exact mode a
+    Fraction from the setting's root memo, in approximate mode a float
+    from its distance memo."""
+    return per_speed(dist(setting, a, b, num), params.v, "v")
 
 
 def per_speed(d: Real, speed: Fraction, name: str) -> Real:
@@ -712,10 +778,10 @@ def _up_over(phases: Sequence[Interval], t0: Real, t1: Real) -> bool:
 
 
 _QUARTER_VECTORS = {
-    Fraction(0): (Fraction(1), Fraction(0)),
-    Fraction(1, 2): (Fraction(0), Fraction(1)),
-    Fraction(1): (Fraction(-1), Fraction(0)),
-    Fraction(3, 2): (Fraction(0), Fraction(-1)),
+    Fraction(0): (1, 0),
+    Fraction(1, 2): (0, 1),
+    Fraction(1): (-1, 0),
+    Fraction(3, 2): (0, -1),
 }
 
 
@@ -776,7 +842,7 @@ def inrange(
     """
     if b == a or angle >= FULL_TURN:
         return True
-    key = (a, b, direction, angle)
+    key = (a, b, *direction.as_integer_ratio(), *angle.as_integer_ratio())
     inside = setting._sectors.get(key)
     if inside is None:
         (ax, ay), (bx, by) = setting.loc[a], setting.loc[b]
@@ -973,18 +1039,15 @@ class Verdict:
 def _grid(setting: Setting, params: SystemParams) -> int:
     """A multiple of the denominator of every link bound and every rational flight time.
 
-    With c the lcm of the coordinates' denominators, a rational distance
-    between two points of the 1/c grid is a multiple of 1/c, so a
-    rational flight time is one of 1/(c·v.numerator): no flight time,
-    and no square root, is asked for.  The two lcms of the setting are
-    worked out once and kept in its ``_grid`` slot.
+    With c the lcm of the coordinates' denominators (``_lattice``), a
+    rational distance between two points of the 1/c grid is r/c for the
+    int r of the root memo (``dist_ratio``), so a rational flight time
+    is r·v.denominator/(c·v.numerator): no flight time, and no square
+    root, is asked for.  The grid is a multiple of c·v.numerator, so a
+    pass over it reads each flight time as an int, r times a factor of
+    the pass (``_Physics``).
     """
-    if setting._grid is None:
-        coords = [x.as_integer_ratio()[1] for p in setting.loc.values() for x in p]
-        bounds = [b for phases in setting.link_schedule.values() for phase in phases for b in phase]
-        dens = [b.as_integer_ratio()[1] for b in bounds if b is not None]
-        setting._grid = (math.lcm(*coords), math.lcm(*dens))
-    coords, links = setting._grid
+    coords, _, links = _lattice(setting)
     return math.lcm(coords * params.v.numerator, links)
 
 
@@ -993,21 +1056,33 @@ class _Physics:
 
     Each link's phases and each node pair's flight time are read in
     ticks the first time the pass asks for them, and kept for the pass.
+    In exact mode the ticks are over a multiple D of ``_grid``, and a
+    flight time of r/c over v reads as the int r·v.denominator·(D //
+    (c·v.numerator)), from the root memo (``dist_ratio``) and one
+    factor per pass, with no Fraction built.
     """
 
-    __slots__ = ("setting", "params", "num", "ticks", "memo", "links", "flights")
+    __slots__ = ("setting", "params", "num", "ticks", "memo", "links", "flights", "per_root")
 
     def __init__(self, setting: Setting, params: SystemParams, num: Num, ticks: Ticks):
         self.setting, self.params, self.num, self.ticks = setting, params, num, ticks
         self.memo: Optional[dict[Event, Coverage]] = None  # the setting's, for this mode and speed
         self.links: dict[tuple[NodeId, NodeId], tuple[tuple[Real, Optional[Real]], ...]] = {}
         self.flights: dict[tuple[NodeId, NodeId], Real] = {}
+        self.per_root: Optional[int] = None  # ticks per unit of r; exact mode only
+        if ticks.den is not None:
+            c = _lattice(setting)[0]
+            p, q = params.v.as_integer_ratio()
+            self.per_root = q * (ticks.den // (c * p))
 
     def flight(self, a: NodeId, b: NodeId) -> Real:
         t = self.flights.get((a, b))
         if t is None:
-            flight = time_of_flight(self.setting, self.params, a, b, self.num)
-            t = self.flights[(a, b)] = self.ticks.of(flight)
+            if self.per_root is None:
+                t = time_of_flight(self.setting, self.params, a, b, self.num)
+            else:
+                t = dist_ratio(self.setting, a, b)[0] * self.per_root
+            self.flights[(a, b)] = t
         return t
 
     def up(self, a: NodeId, b: NodeId, t0: Real, t1: Real) -> bool:

@@ -11,6 +11,14 @@ exactly what the randomized soundness searches assert.
 Node placements are collinear or drawn from a 3-4-5 rectangle family
 (corners plus center), so every pairwise distance is rational and exact
 arithmetic never fails.
+
+Draws are made in integers: a value on a 1/k grid is drawn as its
+integer count of 1/k steps, with the same random calls and the same
+arguments as when it was drawn in Fractions, and one Fraction is built
+per value drawn.  Receptions are induced once per transmission, through
+the setting's coverage memo and its integer root memo (see
+``core.Setting``).  So every seed keeps its draws: the same seed gives
+the same settings and traces, value for value.
 """
 
 from __future__ import annotations
@@ -44,26 +52,38 @@ from .core import (
     induced_receives,
 )
 from .protocols import InaccuracyParams, PT, protocol_spec
-from .rational import EXACT
+from .rational import EXACT, Real
 
 NODE_NAMES = ("A", "B", "C", "D", "E")
 
-# corners and center of a 3-4-5 rectangle: all ten pairwise distances rational
-_RECT_FAMILY: tuple[Point, ...] = (
-    (Fraction(0), Fraction(0)),
-    (Fraction(3), Fraction(0)),
-    (Fraction(0), Fraction(4)),
-    (Fraction(3), Fraction(4)),
-    (Fraction(3, 2), Fraction(2)),
-)
+# corners and center of a 3-4-5 rectangle, in halves: all ten pairwise
+# distances rational
+_RECT_HALVES: tuple[tuple[int, int], ...] = ((0, 0), (6, 0), (0, 8), (6, 8), (3, 4))
+_ZERO = Fraction(0)
 
 ALWAYS: tuple[Interval, ...] = ((Fraction(0), None),)
 
+# the values each choice draws from, built once
+_RANGES = tuple(map(Fraction, (4, 5, 6, 8, 10)))
+_DELAYS_ABOVE = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))  # beyond the threshold
+_DELAYS = (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2))
+_DURATIONS = (Fraction(1, 2), Fraction(1))
+_RELAY_SLACK = (Fraction(0), Fraction(1, 8), Fraction(1, 2), Fraction(2))
+_DIRECTIONS = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2))
+_ANGLES = (Fraction(2), Fraction(2), Fraction(1), Fraction(1, 2))
+_DECLARATION_DELAYS = (Fraction(1, 4), Fraction(1))
+_NO_INACCURACY = InaccuracyParams()
 
-def _frac(rng: random.Random, lo: Fraction, hi: Fraction, denominator: int = 8) -> Fraction:
-    lo_ticks = int(lo * denominator)
-    hi_ticks = int(hi * denominator)
-    return Fraction(rng.randint(lo_ticks, hi_ticks), denominator)
+
+def _frac(rng: random.Random, lo: Real, hi: Real, denominator: int = 8) -> Fraction:
+    """A multiple of 1/denominator in [lo, hi], for 0 <= lo <= hi."""
+    return Fraction(rng.randint(_steps(lo, denominator), _steps(hi, denominator)), denominator)
+
+
+def _steps(x: Real, denominator: int) -> int:
+    """floor(x·denominator) for x >= 0, in integers."""
+    n, d = x.as_integer_ratio()
+    return n * denominator // d
 
 
 def random_params(
@@ -72,48 +92,55 @@ def random_params(
     equal_speeds: bool,
 ) -> SystemParams:
     v = Fraction(1)
-    nd_range = rng.choice([Fraction(4), Fraction(5), Fraction(6), Fraction(8), Fraction(10)])
+    nd_range = rng.choice(_RANGES)
     v_adv = v if equal_speeds else v * rng.choice([1, 1, 2])
     threshold = nd_range / v
     if delta_at_least_threshold:
-        delta = threshold + rng.choice([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)])
+        delta = threshold + rng.choice(_DELAYS_ABOVE)
     else:
-        delta = rng.choice([Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2)])
+        delta = rng.choice(_DELAYS)
     return SystemParams(
         v=v,
         v_adv=v_adv,
         nd_range=nd_range,
         delta_relay=delta,
-        msg_duration_default=rng.choice([Fraction(1, 2), Fraction(1)]),
+        msg_duration_default=rng.choice(_DURATIONS),
     )
 
 
 def _placements(rng: random.Random, count: int, spread: Fraction) -> list[Point]:
-    if rng.random() < 0.5 or count > len(_RECT_FAMILY):
-        xs: set[Fraction] = set()
+    """Distinct points, in quarter units: each coordinate is one Fraction of
+    an integer over 4."""
+    if rng.random() < 0.5 or count > len(_RECT_HALVES):
+        xs: set[int] = set()
+        hi = _steps(spread, 4)
         while len(xs) < count:
-            xs.add(_frac(rng, Fraction(0), spread, denominator=4))
-        return [(x, Fraction(0)) for x in sorted(xs)]
-    scale = rng.choice([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)])
-    shift_x = _frac(rng, Fraction(0), Fraction(4), denominator=2)
-    shift_y = _frac(rng, Fraction(0), Fraction(4), denominator=2)
-    chosen = rng.sample(_RECT_FAMILY, count)
-    return [(x * scale + shift_x, y * scale + shift_y) for x, y in chosen]
+            xs.add(rng.randint(0, hi))
+        return [(Fraction(x, 4), _ZERO) for x in sorted(xs)]
+    scale = rng.choice([1, 2, 3, 4])  # in halves
+    shift_x, shift_y = rng.randint(0, 8), rng.randint(0, 8)  # in halves
+    chosen = rng.sample(_RECT_HALVES, count)
+    return [
+        (Fraction(x * scale + 2 * shift_x, 4), Fraction(y * scale + 2 * shift_y, 4))
+        for x, y in chosen
+    ]
 
 
 def _random_schedule(rng: random.Random, horizon: Fraction) -> tuple[Interval, ...]:
+    """Up-phases drawn in half units: one Fraction per bound."""
     roll = rng.random()
     if roll < 0.55:
         return ALWAYS
     if roll < 0.75:
         return ()
     phases = []
-    cursor = Fraction(0)
+    cursor = 0
+    longest = _steps(horizon, 1)  # horizon/2, in halves
     for _ in range(rng.randint(1, 2)):
-        start = cursor + _frac(rng, Fraction(0), Fraction(4), denominator=2)
-        end = start + _frac(rng, Fraction(1), horizon / 2, denominator=2)
-        phases.append((start, end))
-        cursor = end + Fraction(1, 2)
+        start = cursor + rng.randint(0, 8)
+        end = start + rng.randint(2, longest)
+        phases.append((Fraction(start, 2), Fraction(end, 2)))
+        cursor = end + 1
     return tuple(phases)
 
 
@@ -145,7 +172,7 @@ def random_setting(
     return Setting(names, dict(zip(names, points)), types, links)
 
 
-def _fresh_time(rng: random.Random, used: set[Fraction], lo: Fraction, hi: Fraction) -> Fraction:
+def _fresh_time(rng: random.Random, used: set[Fraction], lo: Real, hi: Real) -> Fraction:
     while True:
         t = _frac(rng, lo, hi)
         if t not in used:
@@ -166,9 +193,10 @@ def random_trace(
     spec = protocol_spec(protocol)
     used_times: dict[NodeId, set[Fraction]] = {n: set() for n in setting.nodes}
     sends: list[Event] = []
+    half = horizon / 2
     for node in setting.correct_nodes:
         for _ in range(rng.choice([0, 1, 1, 2])):
-            t = _fresh_time(rng, used_times[node], Fraction(0), horizon / 2)
+            t = _fresh_time(rng, used_times[node], 0, half)
             msg = spec.beacon(node, t, setting.loc[node], params)
             sends.append(Bcast(node, t, msg))
 
@@ -188,19 +216,14 @@ def random_trace(
                 bound = params.delta_relay
                 if origin.actor != node:
                     bound += dist(setting, node, origin.actor) / params.v_adv
-                t = origin.start + bound + rng.choice(
-                    [Fraction(0), Fraction(1, 8), Fraction(1, 2), Fraction(2)]
-                )
+                t = origin.start + bound + rng.choice(_RELAY_SLACK)
                 msg = origin.msg
             elif authored_beacons and adversary_kind in (DY_T, DY_GT):
                 creator = rng.choice(setting.adversarial_nodes)
-                t = _frac(rng, Fraction(0), horizon)
-                stamp = _frac(rng, Fraction(0), horizon)
+                t = _frac(rng, 0, horizon)
+                stamp = _frac(rng, 0, horizon)
                 if adversary_kind == DY_GT:
-                    claimed = (
-                        _frac(rng, Fraction(0), Fraction(12), denominator=4),
-                        _frac(rng, Fraction(0), Fraction(12), denominator=4),
-                    )
+                    claimed = (_frac(rng, 0, 12, denominator=4), _frac(rng, 0, 12, denominator=4))
                     msg = BeaconTL(creator, stamp, claimed, params.msg_duration_default)
                 else:
                     msg = BeaconT(creator, stamp, params.msg_duration_default)
@@ -212,14 +235,11 @@ def random_trace(
             if adversary_kind == RELAY_BCAST:
                 adversarial.append(Bcast(node, t, msg))
             else:
-                direction = rng.choice(
-                    [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2)]
-                )
-                angle = rng.choice([Fraction(2), Fraction(2), Fraction(1), Fraction(1, 2)])
+                direction, angle = rng.choice(_DIRECTIONS), rng.choice(_ANGLES)
                 adversarial.append(Dcast(node, t, direction, angle, msg))
 
     all_sends = sends + adversarial
-    receives = induced_receives(all_sends, setting, params)
+    receives = honest_receives + induced_receives(adversarial, setting, params)
 
     declarations: list[Event] = []
     for node in setting.correct_nodes:
@@ -230,9 +250,9 @@ def random_trace(
         for r in candidates:
             if declared >= 3 or rng.random() < 0.4:
                 continue
-            peer = spec.accepts(params, owner_loc, r, InaccuracyParams(), EXACT)
+            peer = spec.accepts(params, owner_loc, r, _NO_INACCURACY, EXACT)
             if peer is not None:
-                at = r.start + r.msg.duration + rng.choice([Fraction(1, 4), Fraction(1)])
+                at = r.start + r.msg.duration + rng.choice(_DECLARATION_DELAYS)
                 declarations.append(Neighbor(node, at, peer, r.start))
                 declared += 1
 

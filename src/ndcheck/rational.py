@@ -118,8 +118,13 @@ def exact_sqrt(squared: Fraction) -> Fraction:
     num = _isqrt_exact(squared.numerator)
     den = _isqrt_exact(squared.denominator)
     if num is None or den is None:
-        raise IrrationalDistance(f"{format_scalar(squared)} is not a rational square")
+        raise not_a_square(squared)
     return Fraction(num, den)
+
+
+def not_a_square(squared: Fraction) -> IrrationalDistance:
+    """The error for a squared length with no rational square root."""
+    return IrrationalDistance(f"{format_scalar(squared)} is not a rational square")
 
 
 def is_rational_square(squared: Fraction) -> bool:

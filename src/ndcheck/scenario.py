@@ -99,7 +99,7 @@ from .core import (
     Trace,
 )
 from .protocols import InaccuracyParams, PROTOCOL_NAMES, PROTOCOLS
-from .rational import echo, format_scalar, parse_scalar
+from .rational import MAX_ECHO_LENGTH, echo, format_scalar, parse_scalar
 
 
 class ScenarioError(ValueError):
@@ -125,11 +125,18 @@ def _check_name(name: str, what: str = "node id") -> str:
     return name
 
 
+def _header(section: str) -> str:
+    """A section's header for an error message, cut as ``rational.echo``
+    cuts a token when it is over-long."""
+    header = f"[{section}]"
+    return header if len(header) <= MAX_ECHO_LENGTH else echo(header)
+
+
 def _scalar(section: str, key: str, text: str) -> Fraction:
     try:
         return parse_scalar(text)
     except ValueError as exc:
-        raise ScenarioError(f"[{section}] {key}: {exc}") from None
+        raise ScenarioError(f"{_header(section)} {key}: {exc}") from None
 
 
 def _parse_intervals(section: str, text: str) -> tuple[Interval, ...]:
@@ -139,7 +146,7 @@ def _parse_intervals(section: str, text: str) -> tuple[Interval, ...]:
         if not part:
             continue
         if ":" not in part:
-            raise ScenarioError(f"[{section}] up: interval {echo(part)} is not start:end")
+            raise ScenarioError(f"{_header(section)} up: interval {echo(part)} is not start:end")
         lo, hi = part.split(":", 1)
         start = _scalar(section, "up", lo)
         end = None if hi.strip() == "inf" else _scalar(section, "up", hi)
@@ -277,21 +284,21 @@ def parse_scenario(text: str, exact: bool = True) -> Scenario:
         if kind == "node":
             node = _check_name(section[5:].strip(), "node id")
             if node in locs:
-                raise ScenarioError(f"duplicate node {node!r}")
+                raise ScenarioError(f"duplicate node {echo(node)}")
             locs[node] = (
                 _scalar(section, "x", _value(body, "x")),
                 _scalar(section, "y", _value(body, "y")),
             )
             node_type = _value(body, "type")
             if node_type not in (CORRECT, ADVERSARIAL):
-                raise ScenarioError(f"[{section}] type must be correct or adversarial")
+                raise ScenarioError(f"{_header(section)} type must be correct or adversarial")
             types[node] = node_type
         elif kind == "link":
             endpoints = section[5:].strip()
             both = "<->" in endpoints
             arrow = "<->" if both else "->"
             if arrow not in endpoints:
-                raise ScenarioError(f"[{section}]: expected 'A -> B' or 'A <-> B'")
+                raise ScenarioError(f"{_header(section)}: expected 'A -> B' or 'A <-> B'")
             left, right = (part.strip() for part in endpoints.split(arrow, 1))
             _check_name(left, "node id")
             _check_name(right, "node id")
@@ -301,7 +308,8 @@ def parse_scenario(text: str, exact: bool = True) -> Scenario:
                 intervals = phases[up] = _parse_intervals(section, up)
             for pair in ((left, right), (right, left)) if both else ((left, right),):
                 if pair in links:
-                    raise ScenarioError(f"duplicate link declaration {pair}")
+                    a, b = map(echo, pair)
+                    raise ScenarioError(f"duplicate link declaration ({a}, {b})")
                 links[pair] = intervals
 
     if not locs:
@@ -309,7 +317,7 @@ def parse_scenario(text: str, exact: bool = True) -> Scenario:
     for (a, b) in links:
         for node in (a, b):
             if node not in locs:
-                raise ScenarioError(f"link references undeclared node {node!r}")
+                raise ScenarioError(f"link references undeclared node {echo(node)}")
     try:
         setting = Setting(tuple(locs), locs, types, links)
     except ValueError as exc:
@@ -320,7 +328,7 @@ def parse_scenario(text: str, exact: bool = True) -> Scenario:
         if pair is not None:
             a, b = pair
             raise ScenarioError(
-                f"distance between {a!r} and {b!r} is irrational; "
+                f"distance between {echo(a)} and {echo(b)} is irrational; "
                 "exact mode needs rational pairwise distances"
             )
 

@@ -482,6 +482,7 @@ def test_help_exits_0(capsys):
 LINK = "[link A <-> B]\nup = 0:inf"
 NODE_C = "[node C]\nx = 50\ny = 120\ntype = correct\n\n[protocol]"
 NO_NODES = RADIO[: RADIO.index("[node A]")] + RADIO[RADIO.index("[protocol]"):]
+LONG_ID = "C" * 3000  # a valid node id of any length is accepted
 # case: (text of RADIO, what replaces it, the error reported)
 MALFORMED_SCENARIOS = {
     "phase-without-colon": (
@@ -545,6 +546,16 @@ MALFORMED_SCENARIOS = {
         "[params]\n" + "x" * 3000,
         "line 2: expected [section], key = value or a comment, got "
         f"{'x' * 64!r}... (3000 characters)",
+    ),
+    "overlong-node-id": (
+        "[protocol]",
+        f"[node {LONG_ID}]\nx = 50\ny = 120\ntype = bogus\n\n[protocol]",
+        f"{'[node ' + LONG_ID[:58]!r}... (3007 characters) type must be correct or adversarial",
+    ),
+    "overlong-undeclared-id": (
+        LINK,
+        f"[link A -> {LONG_ID}]\nup = 0:inf\n\n{LINK}",
+        f"link references undeclared node {LONG_ID[:64]!r}... (3000 characters)",
     ),
 }
 # case: (the trace's one line, the error reported)
@@ -616,5 +627,5 @@ def test_malformed_inputs_exit_1_with_one_error_line(case, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert "Traceback" not in captured.out
-    if case == "overlong-line":
+    if case.startswith("overlong"):
         assert len(captured.err.encode()) < 200

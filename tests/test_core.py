@@ -33,7 +33,7 @@ from ndcheck import (
     project_local,
     time_of_flight,
 )
-from ndcheck import RELAY, AdversaryModel, check_adversary_feasible, core, exact_sqrt, rational
+from ndcheck import RELAY, AdversaryModel, check_adversary_feasible, core
 
 F = Fraction
 ALWAYS = ((F(0), None),)
@@ -556,7 +556,7 @@ def test_each_transmission_covered_once_per_setting(unit_params, monkeypatch):
 
 
 def test_each_pair_square_root_taken_once_per_setting(unit_params, monkeypatch):
-    """Physics, induced receptions and the adversary check share the setting's distance memo."""
+    """Physics, induced receptions and the adversary check share the setting's root memo."""
     # along the 3-4-5 slope at 0, 1, 3 and 7: six pairs, six different rational distances
     names = "ABCD"
     s = Setting(
@@ -566,12 +566,13 @@ def test_each_pair_square_root_taken_once_per_setting(unit_params, monkeypatch):
         {(a, b): ALWAYS for a in names for b in names if a != b},
     )
     roots = []
+    take_root = core._take_root
 
-    def counting(squared):
-        roots.append(squared)
-        return exact_sqrt(squared)
+    def counting(coords, a, b):
+        roots.append(frozenset((a, b)))
+        return take_root(coords, a, b)
 
-    monkeypatch.setattr(rational, "exact_sqrt", counting)
+    monkeypatch.setattr(core, "_take_root", counting)
     msg = beacon("A")
     sends = [
         Bcast("A", F(0), msg),
@@ -589,7 +590,7 @@ def test_each_pair_square_root_taken_once_per_setting(unit_params, monkeypatch):
 
 def test_each_sector_and_flight_time_decided_once_per_setting(unit_params, monkeypatch):
     """Physics, induced receptions and the adversary check share the setting's
-    sector and flight-time memos."""
+    sector and root memos."""
     # along the 3-4-5 slope at 0, 1, 3 and 7: A and B lie at 233 degrees from D
     names = "ABCD"
 
@@ -602,19 +603,19 @@ def test_each_sector_and_flight_time_decided_once_per_setting(unit_params, monke
         )
 
     s = line()
-    decided, divided = [], []
-    in_sector, flight_dist = core._in_sector, core.dist
+    decided, rooted = [], []
+    in_sector, take_root = core._in_sector, core._take_root
 
     def deciding(u, direction, angle):
         decided.append((u, direction, angle))
         return in_sector(u, direction, angle)
 
-    def dividing(setting, a, b, num):
-        divided.append(frozenset((a, b)))
-        return flight_dist(setting, a, b, num)
+    def rooting(coords, a, b):
+        rooted.append(frozenset((a, b)))
+        return take_root(coords, a, b)
 
     monkeypatch.setattr(core, "_in_sector", deciding)
-    monkeypatch.setattr(core, "dist", dividing)
+    monkeypatch.setattr(core, "_take_root", rooting)
     msg = beacon("A")
     sends = [
         Bcast("A", F(0), msg),
@@ -639,8 +640,9 @@ def test_each_sector_and_flight_time_decided_once_per_setting(unit_params, monke
     ]
     assert sorted(decided) == sorted(asked)
     assert [e.actor for e in receptions if e.sender == "C"] == ["C", "D"]
-    assert sorted(divided, key=sorted) == sorted(
-        {frozenset((r.sender, r.actor)) for r in receptions}, key=sorted
+    # a node's flight time to itself is 0 and takes no root
+    assert sorted(rooted, key=sorted) == sorted(
+        {frozenset((r.sender, r.actor)) for r in receptions if r.sender != r.actor}, key=sorted
     )
     assert s == line()  # the memos are not part of the value
 

@@ -7,6 +7,7 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 from itertools import zip_longest
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from ndcheck import (
     PGT,
     PGT_APPROX,
     PT,
+    RELAY,
     RELAY_BCAST,
     RELAY_LOCAL,
     AdversaryModel,
@@ -55,9 +57,10 @@ from ndcheck import (
     sq_dist,
     time_of_flight,
 )
-from ndcheck import scenario
+from ndcheck import adversary, core, scenario
 from ndcheck.adversary import ADVERSARY_NAMES, AdversaryModel
-from ndcheck.core import Verdict, Violation
+from ndcheck.core import Ticks, Verdict, Violation
+from ndcheck.rational import IrrationalDistance, exact_sqrt
 from ndcheck.protocols import PROTOCOLS
 from ndcheck.generators import random_params, random_setting, random_trace
 
@@ -950,6 +953,64 @@ def _point_sets(draw):
     grid = st.tuples(st.integers(-6, 6).map(F), st.integers(-6, 6).map(F))
     point = st.one_of(_on_line(base, main), _on_line(base, main), _on_line(base, other), grid)
     return draw(st.lists(point, min_size=2, max_size=6, unique=True))
+
+
+_SPEEDS = st.sampled_from((F(2), F(1, 3), F(7, 5), F(300_000_000))) | st.fractions(
+    F(1, 9), 9, max_denominator=13
+).filter(lambda v: v != 1)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_integer_geometry_matches_fraction_formulas(data):
+    """Distances, flight times, physics flight ticks and the adversary's least
+    relay gap, read in integers from the setting's root memo, equal the
+    Fraction formulas, over coordinates of mixed denominators; an irrational
+    pair raises the IrrationalDistance that exact_sqrt gives for it."""
+    points = data.draw(_point_sets())
+    names = "ABCDEF"[: len(points)]
+    loc = dict(zip(names, points))
+    setting = Setting(names, loc, dict.fromkeys(names, ADVERSARIAL))
+    v = data.draw(_SPEEDS, "v")
+    v_adv = v * data.draw(st.sampled_from((1, F(3, 2), 2, F(7, 3))), "v_adv / v")
+    delta_relay = data.draw(st.fractions(0, 3, max_denominator=11), "delta_relay")
+    params = SystemParams(v, v_adv, F(10), delta_relay, F(1))
+    ticks = Ticks(core._grid(setting, params) * data.draw(st.integers(1, 12), "D / grid"))
+    phys = core._Physics(setting, params, EXACT, ticks)
+    # the adversary's least-gap function, over the ticks of a one-cast trace
+    start = data.draw(st.fractions(0, 5, max_denominator=17), "cast start")
+    trace = Trace([Dcast(names[0], start, F(0), F(2), Opaque("m", F(1)))])
+    gaps = []
+    relay_justified = adversary._relay_justified
+
+    def keeping(e, trace, setting, starts, least_gap, *rest):
+        gaps.append(least_gap)
+        return relay_justified(e, trace, setting, starts, least_gap, *rest)
+
+    with mock.patch.object(adversary, "_relay_justified", keeping):
+        check_adversary_feasible(trace, setting, params, AdversaryModel(RELAY, delta_relay))
+    (least_gap,) = gaps
+    trace_ticks = trace.ticks(EXACT)[0]
+    for a in names:
+        for b in names:
+            squared = sq_dist(loc[a], loc[b])
+            try:
+                d = exact_sqrt(squared)
+            except IrrationalDistance as exc:
+                for read in (
+                    lambda: dist(setting, a, b),
+                    lambda: time_of_flight(setting, params, a, b),
+                    lambda: phys.flight(a, b),
+                    lambda: least_gap(a, b),
+                ):
+                    with pytest.raises(IrrationalDistance) as raised:
+                        read()
+                    assert str(raised.value) == str(exc)
+                continue
+            assert (type(dist(setting, a, b)), dist(setting, a, b)) == (Fraction, d)
+            assert time_of_flight(setting, params, a, b) == d / v
+            assert phys.flight(a, b) == ticks.of(d / v)
+            assert least_gap(a, b) == trace_ticks.ceil(delta_relay + d / v_adv)
 
 
 @settings(max_examples=200)
