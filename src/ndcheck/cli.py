@@ -20,11 +20,17 @@ with a false neighbor declaration; 4 requested construction infeasible
 
 All output is deterministic: identical inputs give byte-identical
 reports.
+
+``main(argv)`` may be called any number of times in one process.  The
+argument parser is built on the first call and shared by every later
+one; a shell invocation of ``ndcheck`` is one process, so it still
+builds the parser once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -382,6 +388,8 @@ def _add_common_options(parser: argparse.ArgumentParser, suppress: bool) -> None
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser of the command line, which the caller may change;
+    ``main`` keeps one of its own."""
     parser = _Parser(
         prog="ndcheck",
         description="Feasibility checking and attack synthesis for neighbor discovery",
@@ -441,8 +449,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command line (``sys.argv[1:]`` when argv is None) and return
+    its exit code; a usage error or ``--help`` raises SystemExit.
+
+    May be called any number of times in one process: the parser is built
+    on the first call and shared after that, since parsing keeps no state
+    between calls.  A shell invocation still builds it once per process.
+    """
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, OverflowError) as exc:

@@ -39,7 +39,7 @@ from functools import cached_property, lru_cache
 from operator import attrgetter
 from typing import Iterable, Iterator, KeysView, Mapping, Optional, Sequence, Union
 
-from .rational import EXACT, Num, Real, not_a_square
+from .rational import EXACT, Num, Real, echo, format_scalar, not_a_square
 
 Point = tuple[Fraction, Fraction]
 NodeId = str
@@ -575,21 +575,24 @@ class Setting:
         self.node_type: dict[NodeId, str] = dict(node_type)
         # locations are told apart by their integer ratios, which hash
         # cheaply and are equal exactly when the coordinates are
-        seen_locs: set[tuple[int, int, int, int]] = set()
+        placed: dict[tuple[int, int, int, int], NodeId] = {}
         for node in self.nodes:
             if node not in self.loc or node not in self.node_type:
-                raise UnknownNode(f"node {node!r} lacks a location or type")
+                raise UnknownNode(f"node {echo(node)} lacks a location or type")
             if self.node_type[node] not in (CORRECT, ADVERSARIAL):
-                raise ValueError(f"bad node type for {node!r}")
+                raise ValueError(f"bad node type for {echo(node)}")
             p = self.loc[node]
             ratios = p[0].as_integer_ratio() + p[1].as_integer_ratio()
-            if ratios in seen_locs:
-                raise ValueError(f"two nodes share location {p}")
-            seen_locs.add(ratios)
+            if ratios in placed:
+                x, y = (echo(format_scalar(c), quote=False) for c in p)
+                raise ValueError(
+                    f"nodes {echo(placed[ratios])} and {echo(node)} share location ({x}, {y})"
+                )
+            placed[ratios] = node
         normalized: dict[tuple[NodeId, NodeId], tuple[Interval, ...]] = {}
         for (a, b), intervals in (link_schedule or {}).items():
             if a not in self.loc or b not in self.loc:
-                raise UnknownNode(f"link ({a!r}, {b!r}) references undeclared node")
+                raise UnknownNode(f"link ({echo(a)}, {echo(b)}) references undeclared node")
             if a == b:
                 raise ValueError("self-links are implicit and may not be declared")
             merged = _normalize_intervals(intervals)

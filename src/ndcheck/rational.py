@@ -38,11 +38,13 @@ MAX_SCALAR_LENGTH = 1000
 MAX_ECHO_LENGTH = 64
 
 
-def echo(token: str) -> str:
-    """The repr of an input token for an error message, cut when over-long."""
+def echo(token: str, quote: bool = True) -> str:
+    """The repr of an input token for an error message (with quote=False,
+    the token as it is), cut when over-long."""
+    show = repr if quote else str
     if len(token) <= MAX_ECHO_LENGTH:
-        return repr(token)
-    return f"{token[:MAX_ECHO_LENGTH]!r}... ({len(token)} characters)"
+        return show(token)
+    return f"{show(token[:MAX_ECHO_LENGTH])}... ({len(token)} characters)"
 
 
 def parse_scalar(text: str) -> Fraction:

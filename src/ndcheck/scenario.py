@@ -97,6 +97,7 @@ from .core import (
     Setting,
     SystemParams,
     Trace,
+    _normalize_intervals,
 )
 from .protocols import InaccuracyParams, PROTOCOL_NAMES, PROTOCOLS
 from .rational import MAX_ECHO_LENGTH, echo, format_scalar, parse_scalar
@@ -151,7 +152,10 @@ def _parse_intervals(section: str, text: str) -> tuple[Interval, ...]:
         start = _scalar(section, "up", lo)
         end = None if hi.strip() == "inf" else _scalar(section, "up", hi)
         intervals.append((start, end))
-    return tuple(intervals)
+    try:
+        return _normalize_intervals(intervals)
+    except ValueError as exc:
+        raise ScenarioError(f"{_header(section)} up: {exc}") from None
 
 
 def _first_irrational_pair(setting: Setting) -> Optional[tuple[NodeId, NodeId]]:

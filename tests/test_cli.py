@@ -1,10 +1,12 @@
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from ndcheck import Scenario, save_scenario, save_trace
+from ndcheck import cli
 from ndcheck.cli import main
 from ndcheck.generators import make_ordering_corpus
 
@@ -479,10 +481,131 @@ def test_help_exits_0(capsys):
     assert capsys.readouterr().out.startswith("usage: ndcheck check")
 
 
-LINK = "[link A <-> B]\nup = 0:inf"
+def _exit_code(argv):
+    """main's exit code, or the code of the SystemExit a usage error or
+    --help raises."""
+    try:
+        return run(argv)
+    except SystemExit as stop:
+        return stop.code
+
+
+def test_main_builds_the_parser_once(tmp_path, radio_scenario, capsys, monkeypatch):
+    builds = []
+    build = cli.build_parser
+
+    def counting_build():
+        builds.append(1)
+        return build()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    wit = tmp_path / "wit"
+    assert run(["witness", radio_scenario, "--distance", "80", "--out-dir", wit]) == 0
+    assert run(["check", wit / "witness.scn", wit / "witness.trc"]) == 0
+    sweep = ["sweep", radio_scenario, "--from", "0", "--to", "1/10000000", "--step", "1/10000000"]
+    assert run(sweep) == 0
+    assert _exit_code(["check", "--bogus", "a", "b"]) == 1
+    assert _exit_code(["check", "--help"]) == 0
+    capsys.readouterr()
+    assert len(builds) == 1
+
+
+# each run's working directory holds RADIO as radio.scn and, as diag.scn and
+# diag.trc, a pair whose irrational distance only approximate mode accepts
+DIAG_ARRIVAL = Fraction((70 * 2**0.5) / 300000000).limit_denominator(10**15)
+DIAG_TRACE = (
+    "bcast B 0 opaque:id-B:1/1000000\n"
+    "receive B 0 B opaque:id-B:1/1000000\n"
+    f"receive A {DIAG_ARRIVAL} B opaque:id-B:1/1000000\n"
+)
+WITNESS = ["wit/witness.scn", "wit/witness.trc"]
+SHARED_PARSER_SEQUENCE = [
+    ["witness", "radio.scn", "--distance", "80", "--out-dir", "wit"],
+    ["--format", "structured", "check", *WITNESS],
+    ["check", "--format", "structured", *WITNESS],
+    ["check", *WITNESS],
+    ["--out", "top.txt", "check", *WITNESS],
+    ["check", *WITNESS, "--out", "sub.txt"],
+    ["check", *WITNESS],
+    ["--approx", "1/1000", "check", "diag.scn", "diag.trc"],
+    ["check", "diag.scn", "diag.trc"],
+    ["check", "--bogus", "a", "b"],
+    ["--format", "structured", "order", "wit", "--weaker", "relay", "--stronger", "dy-t"],
+    ["order", "wit", "--weaker", "relay", "--stronger", "dy-t"],
+    ["attack", "radio.scn", "--variant", "wormhole", "--out-dir", "worm"],
+    ["attack", "radio.scn", "--out-dir", "single"],
+    ["sweep", "radio.scn", "--from", "0", "--to", "1/10000000", "--step", "1/10000000"],
+]
+
+
+def _run_sequence(workdir, fresh, capsys, monkeypatch):
+    """Exit code, stdout and stderr of each command of the sequence, and the
+    bytes of every file it wrote, run in workdir; with fresh=True each
+    command gets a newly built parser."""
+    workdir.mkdir()
+    (workdir / "radio.scn").write_text(RADIO)
+    (workdir / "diag.scn").write_text(
+        RADIO.replace("x = 100\ny = 0", "x = 70\ny = 70").replace("name = pt", "name = naive")
+    )
+    (workdir / "diag.trc").write_text(DIAG_TRACE)
+    monkeypatch.chdir(workdir)
+    capsys.readouterr()
+    runs = []
+    for argv in SHARED_PARSER_SEQUENCE:
+        if fresh:
+            cli._parser.cache_clear()
+        code = _exit_code(argv)
+        captured = capsys.readouterr()
+        runs.append((argv, code, captured.out, captured.err))
+    files = {
+        str(path.relative_to(workdir)): path.read_bytes()
+        for path in sorted(workdir.rglob("*"))
+        if path.is_file()
+    }
+    return runs, files
+
+
+def test_runs_on_a_shared_parser_match_runs_on_fresh_ones(tmp_path, capsys, monkeypatch):
+    fresh = _run_sequence(tmp_path / "fresh", True, capsys, monkeypatch)
+    cli._parser.cache_clear()
+    shared = _run_sequence(tmp_path / "shared", False, capsys, monkeypatch)
+    assert shared == fresh
+    runs, files = fresh
+    codes = [code for _, code, _, _ in runs]
+    # the exact run after an approximate one refuses the irrational distance,
+    # and the usage error in between exits 1
+    assert codes[7:10] == [0, 1, 1]
+    structured, text = runs[2][2], runs[3][2]
+    assert json.loads(structured)["result"] == "ok" and text.startswith("scenario: ")
+    assert {"top.txt", "sub.txt", "worm/summary.txt", "single/summary.txt"} <= set(files)
+
+
+def test_main_without_argv_reads_each_call_s_sys_argv(tmp_path, radio_scenario, capsys, monkeypatch):
+    out = tmp_path / "wit"
+    assert run(["witness", radio_scenario, "--distance", "80", "--out-dir", out]) == 0
+    pair = [str(out / "witness.scn"), str(out / "witness.trc")]
+    argvs = (["--format", "structured", "check", *pair], ["check", *pair])
+    capsys.readouterr()
+    expected = []
+    for argv in argvs:
+        assert main(argv) == 0
+        expected.append(capsys.readouterr().out)
+    got = []
+    for argv in argvs:
+        monkeypatch.setattr(sys, "argv", ["ndcheck", *argv])
+        assert main() == 0
+        got.append(capsys.readouterr().out)
+    assert got == expected
+    assert json.loads(got[0])["result"] == "ok"
+    assert got[1].startswith("scenario: ")
+
+
+LINK ="[link A <-> B]\nup = 0:inf"
 NODE_C = "[node C]\nx = 50\ny = 120\ntype = correct\n\n[protocol]"
 NO_NODES = RADIO[: RADIO.index("[node A]")] + RADIO[RADIO.index("[protocol]"):]
 LONG_ID = "C" * 3000  # a valid node id of any length is accepted
+ONES = "1" * 900
 # case: (text of RADIO, what replaces it, the error reported)
 MALFORMED_SCENARIOS = {
     "phase-without-colon": (
@@ -515,8 +638,13 @@ MALFORMED_SCENARIOS = {
         "msg_duration_default = 0",
         "[params]: msg_duration_default must be > 0",
     ),
-    "negative-phase": ("up = 0:inf", "up = -1:inf", "link interval start must be >= 0"),
-    "overlapping-phases": ("up = 0:inf", "up = 0:5, 3:8", "overlapping link intervals"),
+    "negative-phase": (
+        "up = 0:inf", "up = -1:inf", "[link A <-> B] up: link interval start must be >= 0"
+    ),
+    "overlapping-phases": (
+        "up = 0:inf", "up = 0:5, 3:8", "[link A <-> B] up: overlapping link intervals"
+    ),
+    "shared-location": ("x = 100", "x = 0", "nodes 'A' and 'B' share location (0, 0)"),
     # forms outside the closed grammar; an INI reader accepts most of them,
     # so a misspelled section or key would give a verdict on a setting the
     # user did not write
@@ -551,6 +679,11 @@ MALFORMED_SCENARIOS = {
         "[protocol]",
         f"[node {LONG_ID}]\nx = 50\ny = 120\ntype = bogus\n\n[protocol]",
         f"{'[node ' + LONG_ID[:58]!r}... (3007 characters) type must be correct or adversarial",
+    ),
+    "overlong-shared-location": (
+        "x = 0\ny = 0\ntype = correct\n\n[node B]\nx = 100",
+        f"x = {ONES}\ny = 0\ntype = correct\n\n[node B]\nx = {ONES}",
+        f"nodes 'A' and 'B' share location ({ONES[:64]}... (900 characters), 0)",
     ),
     "overlong-undeclared-id": (
         LINK,
