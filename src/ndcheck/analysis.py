@@ -37,6 +37,15 @@ from .rational import format_scalar
 
 @dataclass(frozen=True)
 class BoundaryReport:
+    """Closed-form boundaries at one parameter set.
+
+    pgt_vulnerable is delta_relay < 2*(delta + tau), strict, while the
+    attack construction builds the pgt-approx relay at equality too
+    (``attacks.build_attack_settings`` takes delta_relay <= 2*(delta + tau)
+    for a relay on the segment): exactly at the boundary this field reads
+    False for an attack that is built.
+    """
+
     pt_threshold: Fraction
     single_relay_max_dist: Fraction
     wormhole_max_dist: Fraction

@@ -1,37 +1,45 @@
 """Constructive relay and wormhole attacks against neighbor discovery.
 
-The central construction: take an honest two-node run in which A hears
-B's beacon and declares it a neighbor, then re-stage the same run in an
+The construction: take an honest two-node run in which A hears B's
+beacon and declares it a neighbor, then re-stage the same run in an
 attack setting where the A-B link is permanently down and one or two
-adversarial relays forward the beacon so that it still arrives at the
-original instant.  Both correct nodes observe identical local views, so
-any protocol deciding on local views alone accepts the declaration,
-which is now false: the declared neighbor is not linked.
+adversarial relays forward the beacon.  A keeps its declaration, which
+is now false: the declared neighbor is not linked.
 
 Geometry of the re-staging (all placements on the x axis, A at the
 origin, so every distance is rational and the arithmetic exact):
 
 - wormhole C near A, D near B: the beacon enters at one end, crosses
-  the adversary channel at its own speed, and exits at the other end;
-  the relay margin is the honest flight time minus the flight times of
-  the two end offsets and must cover the adversary's minimum processing
-  delay plus the channel flight time, i.e.
-  |A,C| + |D,B| + (v/v_adv)*|C,D| + v*delta_relay <= |A,B|;
+  the adversary channel at its own speed and exits at the other, over
+  path = |A,C| + |D,B| + (v/v_adv)*|C,D|;
 - single relay C: a wormhole whose two ends coincide (C = D), so the
-  channel term vanishes and the end offsets add up to the detour
-  sender -> C -> victim.
+  channel term vanishes and path is the detour sender -> C -> victim.
 
-Both variants are built by one construction over the relay chain
-(C,) or (C, D); only the placement and the wording of an infeasibility
-message differ between them.
+One construction over the relay chain, (C,) or (C, D), builds both
+variants for every protocol, under one feasibility inequality in time
+units:
 
-For the exact time+location protocol the beacon pins B's position, so
-the victim-side distance cannot be shortened and the construction fails
-for every positive processing delay unless the adversary channel is
-faster than the wireless signal.  For the slack-tolerant variant a
-separate construction trades the sender's permitted stamp skew plus the
-receiver's acceptance window against the processing delay; it succeeds
-exactly when the delay is at most twice the combined error bound.
+    (path - ref)/v + delta_relay <= slack
+
+ref and slack come from the protocol table (``ProtocolSpec.bounds``):
+
+- an exact protocol (naive, pt, pgt) has no slack and ref is the honest
+  distance: the relay lands the beacon at its honest arrival, so every
+  correct node's local view is preserved and a protocol deciding on
+  local views alone accepts the declaration;
+- a protocol with measurement error bounds (pgt-approx: delta, tau)
+  accepts an arrival within delta + tau of what the beacon's stamps
+  imply.  The honest run's beacon is stamped from B's attack-side
+  position, skewed by (delta, tau*v), so ref is the attack-side distance
+  and the beacon may land up to 2*(delta + tau) after ref/v.
+
+The exit relay casts at the later of the instant that lands the beacon
+ref/v after its transmission and the earliest the adversary can (entry
++ delta_relay + channel flight); the declaration moves with the arrival,
+which the protocol's acceptance test must still take.  The time+location
+protocols pin B where its beacon claims, so for exact pgt the construction
+fails for every positive processing delay unless the adversary channel
+is faster than the wireless signal.
 """
 
 from __future__ import annotations
@@ -53,7 +61,6 @@ from .adversary import (
 from .core import (
     ADVERSARIAL,
     Bcast,
-    BeaconTL,
     CORRECT,
     Dcast,
     Event,
@@ -73,17 +80,14 @@ from .core import (
     induced_receives,
     link_up_over,
     project_local,
-    sq_dist,
 )
 from .protocols import (
     InaccuracyParams,
-    PGT_APPROX,
     PT,
-    pgt_approx_accepts,
     protocol_spec,
     protocol_verdict,
 )
-from .rational import EXACT, Num, exact_sqrt, format_scalar
+from .rational import EXACT, Num, format_scalar
 
 SINGLE_RELAY = "single-relay"
 WORMHOLE = "wormhole"
@@ -208,7 +212,7 @@ def synth_honest_trace(
     if arrival is None:
         raise NoWitness(f"{declarer} never hears {beaconer}: link down")
     owner_loc = setting.loc[declarer]
-    if spec.accepts(params, owner_loc, arrival, inacc or InaccuracyParams(), EXACT) is None:
+    if spec.accepts(params, owner_loc, arrival, spec.bounds(inacc), EXACT) is None:
         raise NoWitness(f"{protocol} rejects the beacon received at {arrival.start}")
     declaration = Neighbor(
         declarer,
@@ -249,24 +253,35 @@ def _free_relay_ids(taken: set[NodeId], count: int) -> list[NodeId]:
     raise ValueError("could not allocate relay node identifiers")
 
 
+def _attack_side_distance(d_ab: Fraction, params: SystemParams, protocol: str) -> Fraction:
+    """Where the default placements put B: pinned at d_ab by the
+    time+location protocols, whose beacon claims its position, and
+    otherwise moved in just far enough to fund the processing delay."""
+    if protocol_spec(protocol).flavor == TL_FLAVOR:
+        return d_ab
+    return d_ab - params.v * params.delta_relay
+
+
+def _ref_and_slack(
+    bounds: Optional[InaccuracyParams], d_ab: Fraction, b_x: Fraction
+) -> tuple[Fraction, Fraction]:
+    """The terms of (path - ref)/v + delta_relay <= slack for a protocol's
+    error bounds (``ProtocolSpec.bounds``): (d_ab, 0) for an exact
+    protocol, (b_x, 2*(delta + tau)) for one with measurement error."""
+    return (d_ab, Fraction(0)) if bounds is None else (b_x, 2 * bounds.window)
+
+
 def default_single_relay_placement(
     d_ab: Fraction, params: SystemParams, protocol: str
 ) -> SingleRelayPlacement:
-    """Midpoint relay; B moved just close enough to fund the processing delay.
-
-    The time+location protocols pin B at its claimed position, so there
-    the attack-side distance stays d_ab.
-    """
-    if protocol_spec(protocol).flavor == TL_FLAVOR:
-        b_x = d_ab
-    else:
-        b_x = d_ab - params.v * params.delta_relay
-        if b_x <= 0:
-            raise PlacementInfeasible(
-                "relay margin exhausted: v*delta_relay "
-                f"({format_scalar(params.v * params.delta_relay)}) >= distance "
-                f"({format_scalar(d_ab)})"
-            )
+    """Midpoint relay, B at the protocol's attack-side distance."""
+    b_x = _attack_side_distance(d_ab, params, protocol)
+    if b_x <= 0:
+        raise PlacementInfeasible(
+            "relay margin exhausted: v*delta_relay "
+            f"({format_scalar(params.v * params.delta_relay)}) >= distance "
+            f"({format_scalar(d_ab)})"
+        )
     return SingleRelayPlacement(relay_x=b_x / 2, b_x=b_x)
 
 
@@ -276,34 +291,43 @@ def default_wormhole_placement(
     protocol: str,
     b_x: Optional[Fraction] = None,
 ) -> WormholePlacement:
+    """Relays pushed toward the endpoints, placed as for zero error bounds."""
+    return _wormhole_placement(d_ab, params, protocol, None, b_x)
+
+
+def _wormhole_placement(
+    d_ab: Fraction,
+    params: SystemParams,
+    protocol: str,
+    inacc: Optional[InaccuracyParams],
+    b_x: Optional[Fraction],
+) -> WormholePlacement:
     """Relays pushed toward the endpoints with a margin solved exactly.
 
-    With the ends at offset e from A and B the timing constraint reads
-    2e(1 - v/v_adv) <= (d_ab - v*delta_relay) - (v/v_adv)*b_x, which for
-    equal speeds is independent of e and otherwise bounds it.
+    With the ends at offset e from A and B the feasibility inequality
+    reads 2e(1 - v/v_adv) <= (ref + v*slack - v*delta_relay) - (v/v_adv)*b_x,
+    which for equal speeds is independent of e and otherwise bounds it.
     """
     if b_x is None:
-        if protocol_spec(protocol).flavor == TL_FLAVOR:
-            b_x = d_ab
-        else:
-            b_x = d_ab - params.v * params.delta_relay
+        b_x = _attack_side_distance(d_ab, params, protocol)
     if b_x <= 0:
         raise PlacementInfeasible("attack-side distance must be positive")
+    ref, slack = _ref_and_slack(protocol_spec(protocol).bounds(inacc), d_ab, b_x)
     ratio = params.v / params.v_adv
-    slack = d_ab - params.v * params.delta_relay - ratio * b_x
+    spare = ref + params.v * (slack - params.delta_relay) - ratio * b_x
     if ratio == 1:
-        if slack < 0:
+        if spare < 0:
             raise PlacementInfeasible(
                 "wormhole margin exhausted: distance + v*delta_relay exceeds the budget"
             )
         edge = b_x / 4
     else:
-        if slack <= 0:
+        if spare <= 0:
             raise PlacementInfeasible(
                 "wormhole margin exhausted: channel speed advantage cannot cover "
                 f"{format_scalar(b_x)} at this processing delay"
             )
-        edge = min(slack / (2 * (1 - ratio)) / 2, b_x / 4)
+        edge = min(spare / (2 * (1 - ratio)) / 2, b_x / 4)
     return WormholePlacement(c_x=edge, d_x=b_x - edge, b_x=b_x)
 
 
@@ -322,9 +346,10 @@ def build_attack_settings(
     In the attack setting the declarer-beaconer link is permanently
     down and the relay chain, (C,) or (C, D), sits on the segment
     between them: the declarer is linked to the chain's first relay and
-    the beaconer to its last.  The wormhole timing inequality, which a
-    single relay meets with C = D, is validated here and reported with
-    its margin when violated.
+    the beaconer to its last.  The feasibility inequality
+    (path - ref)/v + delta_relay <= slack, which a single relay meets
+    with C = D, is validated here and reported with its margin when
+    violated.
     """
     if not 0 < d_ab <= params.nd_range:
         raise PlacementInfeasible(
@@ -339,9 +364,7 @@ def build_attack_settings(
         relay_xs = (place.relay_x,)
         terms = "detour"
     elif variant == WORMHOLE:
-        if protocol == PGT_APPROX:
-            raise ValueError("the wormhole variant is not supported for pgt-approx")
-        place = placement or default_wormhole_placement(d_ab, params, protocol)
+        place = placement or _wormhole_placement(d_ab, params, protocol, inacc, None)
         if not place.c_x < place.d_x:
             raise PlacementInfeasible("wormhole ends out of order")
         relay_xs = (place.c_x, place.d_x)
@@ -377,23 +400,22 @@ def build_attack_settings(
         + dist(attack, near_b, beaconer)
         + (params.v / params.v_adv) * dist(attack, near_a, near_b)
     )
-    if protocol == PGT_APPROX:
-        window = (inacc or InaccuracyParams()).window
-        budget = 2 * window - (path - dist(attack, declarer, beaconer)) / params.v
-        if params.delta_relay > budget:
-            raise PlacementInfeasible(
-                "slack window exhausted: delta_relay "
-                f"({format_scalar(params.delta_relay)}) > 2*(delta+tau) - detour "
-                f"({format_scalar(budget)})"
-            )
-    else:
-        lhs = path + params.v * params.delta_relay
-        if lhs > d_ab:
-            raise PlacementInfeasible(
-                f"{terms} + v*delta_relay = {format_scalar(lhs)} exceeds the honest "
-                f"distance {format_scalar(d_ab)} (margin {format_scalar(d_ab - lhs)})"
-            )
-    return honest, attack, place
+    bounds = protocol_spec(protocol).bounds(inacc)
+    ref, slack = _ref_and_slack(bounds, d_ab, place.b_x)
+    # the feasibility inequality, as its margin in time units
+    margin = slack - (path - ref) / params.v - params.delta_relay
+    if margin >= 0:
+        return honest, attack, place
+    if bounds is not None:
+        raise PlacementInfeasible(
+            "slack window exhausted: delta_relay "
+            f"({format_scalar(params.delta_relay)}) > 2*(delta+tau) - detour "
+            f"({format_scalar(margin + params.delta_relay)})"
+        )
+    raise PlacementInfeasible(
+        f"{terms} + v*delta_relay = {format_scalar(d_ab - params.v * margin)} exceeds "
+        f"the honest distance {format_scalar(d_ab)} (margin {format_scalar(params.v * margin)})"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -430,17 +452,27 @@ def synth_relay_trace(
     declarer: NodeId,
     beaconer: NodeId,
     relay_route: Mapping[NodeId, tuple[NodeId, NodeId]],
+    protocol: str,
+    inacc: Optional[InaccuracyParams],
 ) -> tuple[Trace, dict[str, Fraction]]:
     """Re-stage a base trace with relays forwarding all correct traffic.
 
     relay_route maps each correct sender to its (entry, exit) relay
-    pair; the exit relay casts toward the other correct node exactly one
-    honest flight time after the original transmission, so that node's
-    receptions keep their original instants and local views are
-    preserved.  Raises when any relay margin falls below the adversary's
-    minimum processing delay (plus channel flight for two-ended routes).
+    pair.  The exit relay casts toward the other correct node at the
+    later of the instant that lands the message ref/v after its
+    transmission (the honest arrival for an exact protocol, the lower
+    edge of the acceptance window with measurement error) and the
+    earliest the adversary can: entry + delta_relay, plus the channel
+    flight on two-ended routes.  Raises PlacementInfeasible when that
+    is more than the protocol's slack after the first, or when the
+    protocol's acceptance test refuses a declaration at its arrival,
+    which a declaration follows when the arrival moves.
     """
-    honest_flight = dist(setting_honest, declarer, beaconer) / params.v
+    spec = protocol_spec(protocol)
+    bounds = spec.bounds(inacc)
+    d_ab = dist(setting_honest, declarer, beaconer)
+    honest_flight = d_ab / params.v
+    ref, slack = _ref_and_slack(bounds, d_ab, dist(setting_attack, declarer, beaconer))
     other = {declarer: beaconer, beaconer: declarer}
     sends: list[Event] = []
 
@@ -459,6 +491,8 @@ def synth_relay_trace(
     if entry_b != exit_b:
         deltas["channel_flight"] = dist(setting_attack, entry_b, exit_b) / params.v_adv
 
+    # (victim, honest arrival) -> how far the relayed arrival moved from it
+    moved: dict[tuple[NodeId, Fraction], Fraction] = {}
     min_gap: Fraction | None = None
     min_margin: Fraction | None = None
     for e in base_trace.of_kind(Bcast):
@@ -468,18 +502,24 @@ def synth_relay_trace(
         victim = other[e.actor]
         entry, exit_ = relay_route[e.actor]
         entry_time = e.start + dist(setting_attack, e.actor, entry) / params.v
-        cast_time = e.start + honest_flight - dist(setting_attack, exit_, victim) / params.v
-        gap = cast_time - entry_time
+        exit_flight = dist(setting_attack, exit_, victim) / params.v
+        due = e.start + ref / params.v - exit_flight  # lands the message ref/v after e
         bound = params.delta_relay + dist(setting_attack, entry, exit_) / params.v_adv
-        if gap < bound:
+        earliest = entry_time + bound
+        margin = due + slack - earliest
+        if margin < 0:
             raise PlacementInfeasible(
-                f"relay margin {format_scalar(gap)} below the required "
-                f"{format_scalar(bound)} for traffic from {e.actor}"
+                f"relay margin {format_scalar(due + slack - entry_time)} below the "
+                f"required {format_scalar(bound)} for traffic from {e.actor}"
             )
+        cast_time = max(due, earliest)
+        arrival = e.start + honest_flight
+        if cast_time + exit_flight != arrival:
+            moved[victim, arrival] = cast_time + exit_flight - arrival
         direction, angle = _aim_half_plane(setting_attack.loc[exit_], setting_attack.loc[victim])
         sends.append(Dcast(exit_, cast_time, direction, angle, e.msg))
+        gap = cast_time - entry_time
         min_gap = gap if min_gap is None else min(min_gap, gap)
-        margin = gap - bound
         min_margin = margin if min_margin is None else min(min_margin, margin)
     if min_gap is not None:
         deltas["relay_gap"] = min_gap
@@ -487,69 +527,19 @@ def synth_relay_trace(
 
     receives = induced_receives(sends, setting_attack, params)
     neighbors = list(base_trace.of_kind(Neighbor))
-    return Trace(sends + receives + neighbors), deltas
-
-
-def _synth_inaccuracy_relay(
-    base_trace: Trace,
-    setting_attack: Setting,
-    params: SystemParams,
-    declarer: NodeId,
-    beaconer: NodeId,
-    relay: NodeId,
-    inacc: InaccuracyParams,
-) -> tuple[Trace, dict[str, Fraction]]:
-    """Slack-window relay: forward late by exactly the processing delay.
-
-    No attempt is made to preserve the victim's view; the declaration is
-    justified because the stamp skew of the (legitimately imprecise)
-    beacon plus the acceptance window absorb the relay delay.
-    """
-    sends: list[Event] = []
-    beacon_bcasts = [e for e in base_trace.of_kind(Bcast) if e.actor == beaconer]
-    deltas: dict[str, Fraction] = {}
-    cast_events = []
-    for e in beacon_bcasts:
-        sends.append(e)
-        entry_time = e.start + dist(setting_attack, beaconer, relay) / params.v
-        cast_time = entry_time + params.delta_relay
-        direction, angle = _aim_half_plane(
-            setting_attack.loc[relay], setting_attack.loc[declarer]
-        )
-        cast = Dcast(relay, cast_time, direction, angle, e.msg)
-        sends.append(cast)
-        cast_events.append(cast)
-        deltas["entry_delay"] = entry_time - e.start
-        deltas["relay_gap"] = params.delta_relay
-    receives = induced_receives(sends, setting_attack, params)
-    neighbors = []
-    for cast in cast_events:
-        arrival = next(
-            (r for r in receives if r.actor == declarer and r.sender == cast.actor), None
-        )
-        if arrival is None:
-            raise PlacementInfeasible("the relay cannot reach the declarer")
-        if not pgt_approx_accepts(
-            params, setting_attack.loc[declarer], arrival.start, arrival.msg, inacc
+    for i, n in enumerate(neighbors):
+        shift = moved.get((n.actor, n.peer_time))
+        if shift is None:
+            continue
+        n = neighbors[i] = Neighbor(n.actor, n.start + shift, n.peer, n.peer_time + shift)
+        owner_loc = setting_attack.loc[n.actor]
+        if not any(
+            r.actor == n.actor
+            and r.start == n.peer_time
+            and spec.accepts(params, owner_loc, r, bounds, EXACT) == n.peer
+            for r in receives
         ):
-            raise PlacementInfeasible(
-                "slack window exhausted: the relayed beacon is rejected"
-            )
-        neighbors.append(
-            Neighbor(
-                declarer,
-                arrival.start + arrival.msg.duration + DECLARE_OFFSET,
-                beaconer,
-                arrival.start,
-            )
-        )
-        deltas["attack_arrival"] = arrival.start
-        loc_estimate = (
-            exact_sqrt(sq_dist(setting_attack.loc[declarer], arrival.msg.beacon_loc))
-            / params.v
-        )
-        slack = (arrival.start - arrival.msg.beacon_time) - loc_estimate
-        deltas["window_margin"] = inacc.window - abs(slack)
+            raise PlacementInfeasible("slack window exhausted: the relayed beacon is rejected")
     return Trace(sends + receives + neighbors), deltas
 
 
@@ -565,37 +555,43 @@ def plan_relay_attack(
 ) -> AttackPlan:
     """Build the full attack artifact: settings, honest run, relayed run.
 
+    The honest run's beacon is stamped from x = ref, skewed by the
+    protocol's error bounds (delta, tau*v), zero for an exact protocol.
     Raises PlacementInfeasible when no geometry satisfies the timing
-    inequalities (for instance whenever the processing delay reaches
+    inequality (for instance whenever the processing delay reaches
     range/speed for the time-stamped protocol, or for any positive delay
-    for the exact time+location protocol at equal channel speeds).
+    for the exact time+location protocol at equal channel speeds), when
+    an exact protocol's relayed run shows a correct node more than its
+    honest view, or when B stands farther than tau*v from the location
+    its beacon claims in either run.
     """
     honest, attack, place = build_attack_settings(
         d_ab, variant, params, placement, protocol, inacc, declarer, beaconer
     )
-    if protocol == PGT_APPROX:
-        ia = inacc or InaccuracyParams()
-        skew_loc = (place.b_x + ia.tau * params.v, Fraction(0))
-        beacon = BeaconTL(
-            beaconer, ia.delta, skew_loc, params.msg_duration_default
+    spec = protocol_spec(protocol)
+    bounds = spec.bounds(inacc)
+    skew = bounds or InaccuracyParams()
+    ref, _ = _ref_and_slack(bounds, d_ab, place.b_x)
+    tau_v = skew.tau * params.v
+    stamp_x = ref + tau_v
+    beacon = spec.beacon(beaconer, skew.delta, (stamp_x, Fraction(0)), params)
+    base = synth_honest_trace(honest, protocol, params, declarer, beaconer, beacon, inacc)
+    relays = sorted(attack.adversarial_nodes, key=lambda n: attack.loc[n][0])
+    near_a, near_b = relays[0], relays[-1]
+    route = {declarer: (near_a, near_b), beaconer: (near_b, near_a)}
+    relay_trace, deltas = synth_relay_trace(
+        base, honest, attack, params, declarer, beaconer, route, protocol, inacc
+    )
+    if bounds is None and not local_views_equal(base, relay_trace, (declarer, beaconer)):
+        raise PlacementInfeasible(
+            "relay coverage leaks extra receptions into a correct node's view"
         )
-        base = synth_honest_trace(
-            honest, protocol, params, declarer, beaconer, beacon=beacon, inacc=ia
-        )
-        relay_trace, deltas = _synth_inaccuracy_relay(
-            base, attack, params, declarer, beaconer, attack.adversarial_nodes[0], ia
-        )
-    else:
-        base = synth_honest_trace(honest, protocol, params, declarer, beaconer)
-        relays = sorted(attack.adversarial_nodes, key=lambda n: attack.loc[n][0])
-        near_a, near_b = relays[0], relays[-1]
-        route = {declarer: (near_a, near_b), beaconer: (near_b, near_a)}
-        relay_trace, deltas = synth_relay_trace(
-            base, honest, attack, params, declarer, beaconer, route
-        )
-        if not local_views_equal(base, relay_trace, (declarer, beaconer)):
+    if spec.flavor == TL_FLAVOR:
+        offset = max(abs(stamp_x - d_ab), abs(stamp_x - place.b_x))
+        if offset > tau_v:
             raise PlacementInfeasible(
-                "relay coverage leaks extra receptions into a correct node's view"
+                f"placement moves {beaconer} {format_scalar(offset)} from the location "
+                f"its beacon claims, beyond the location bound tau*v ({format_scalar(tau_v)})"
             )
     return AttackPlan(
         variant=variant,

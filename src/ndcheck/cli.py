@@ -4,7 +4,8 @@ Commands:
 
   check    run every feasibility checker plus the neighbor-correctness
            check over a scenario/trace pair
-  attack   synthesize a relay or wormhole attack for a two-node scenario
+  attack   synthesize a relay or wormhole attack for a two-node scenario;
+           both variants work for every stamped protocol
   witness  emit a successful honest discovery run at a given distance
   sweep    tabulate security boundaries across a parameter range
   order    test trace-set inclusion between two adversary models on a
@@ -406,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("trace")
     p_check.set_defaults(func=cmd_check)
 
-    p_attack = sub.add_parser("attack", parents=[common], help="synthesize a relay attack")
+    p_attack = sub.add_parser("attack", parents=[common], help="synthesize a relay or wormhole attack")
     p_attack.add_argument("scenario")
     p_attack.add_argument(
         "--variant", choices=(SINGLE_RELAY, WORMHOLE), default=SINGLE_RELAY

@@ -248,6 +248,13 @@ class ProtocolSpec:
     ]
     keys: tuple[str, ...] = ()
 
+    def bounds(self, inacc: Optional[InaccuracyParams]) -> Optional[InaccuracyParams]:
+        """The measurement error bounds its stamps and acceptance test admit:
+        inacc, zero when None, for a protocol that reads any (``keys``), and
+        None for an exact one.  The attack construction takes its slack from
+        them."""
+        return (inacc or InaccuracyParams()) if self.keys else None
+
 
 def _tl_beacon(
     creator: NodeId, at: Fraction, loc: Optional[Point], params: SystemParams

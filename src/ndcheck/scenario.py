@@ -306,6 +306,10 @@ def parse_scenario(text: str, exact: bool = True) -> Scenario:
             left, right = (part.strip() for part in endpoints.split(arrow, 1))
             _check_name(left, "node id")
             _check_name(right, "node id")
+            if left == right:
+                raise ScenarioError(
+                    f"{_header(section)}: self-links are implicit and may not be declared"
+                )
             up = _value(body, "up")
             intervals = phases.get(up)
             if intervals is None:

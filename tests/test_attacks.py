@@ -307,6 +307,71 @@ def test_pgt_approx_attack_flips_at_twice_the_window(unit_params):
         assert feasible == expected
 
 
+@pytest.mark.parametrize("delta_relay", [F(0), F(1, 100), F(8, 100)])
+def test_pgt_approx_wormhole_at_equal_speeds(delta_relay):
+    """The wormhole's margin is funded from the same slack as the single
+    relay's: at v_adv = v it absorbs a delay up to 2*(delta + tau)."""
+    inacc = InaccuracyParams(F(3, 100), F(1, 100))
+    params = SystemParams(F(1), F(1), F(10), delta_relay, F(1))
+    plan = plan_relay_attack(F(8), params, PGT_APPROX, WORMHOLE, inacc=inacc)
+    assert_attack_succeeds(plan, params, inacc, expect_views_equal=delta_relay == 0)
+    assert plan.deltas["relay_margin"] == 2 * inacc.window - delta_relay
+
+
+def test_pgt_approx_wormhole_refused_beyond_twice_the_window():
+    inacc = InaccuracyParams(F(3, 100), F(1, 100))
+    params = SystemParams(F(1), F(1), F(10), F(9, 100), F(1))
+    with pytest.raises(PlacementInfeasible):
+        plan_relay_attack(F(8), params, PGT_APPROX, WORMHOLE, inacc=inacc)
+
+
+def test_pgt_approx_wormhole_with_faster_channel_waits_for_the_window():
+    """At v_adv = 2v the earliest relayed arrival falls before the window's
+    lower edge; the relay waits for it, which keeps the views."""
+    inacc = InaccuracyParams(F(3, 100), F(1, 100))
+    params = SystemParams(F(1), F(2), F(10), F(1, 20), F(1))
+    plan = plan_relay_attack(F(8), params, PGT_APPROX, WORMHOLE, inacc=inacc)
+    assert_attack_succeeds(plan, params, inacc)
+    assert plan.deltas["relay_gap"] > params.delta_relay + plan.deltas["channel_flight"]
+    with pytest.raises(PlacementInfeasible) as caught:
+        plan_relay_attack(
+            F(8), params, PGT_APPROX, WORMHOLE, WormholePlacement(F(1), F(12), F(8)), inacc
+        )
+    assert str(caught.value) == (
+        "slack window exhausted: delta_relay (1/20) > 2*(delta+tau) - detour (-121/50)"
+    )
+
+
+@pytest.mark.parametrize(
+    "protocol, inacc, message",
+    [
+        (PGT, None, "placement moves B 2 from the location its beacon claims, "
+         "beyond the location bound tau*v (0)"),
+        (PGT_APPROX, InaccuracyParams(F(1), F(1, 2)), "placement moves B 3/2 from the "
+         "location its beacon claims, beyond the location bound tau*v (1/2)"),
+    ],
+    ids=["pgt", "pgt-approx"],
+)
+def test_placement_that_moves_a_located_beaconer_is_refused(protocol, inacc, message):
+    """A time+location beacon claims one position in both runs: a placement
+    that puts B farther than tau*v from it would break the protocol."""
+    params = SystemParams(F(1), F(10), F(10), F(1, 2), F(1))
+    with pytest.raises(PlacementInfeasible) as caught:
+        plan_relay_attack(
+            F(10), params, protocol, SINGLE_RELAY, SingleRelayPlacement(F(4), F(8)), inacc
+        )
+    assert str(caught.value) == message
+
+
+def test_pgt_approx_beaconer_moved_within_the_location_bound():
+    inacc = InaccuracyParams(F(1), F(1, 2))
+    params = SystemParams(F(1), F(10), F(10), F(1, 2), F(1))
+    plan = plan_relay_attack(
+        F(10), params, PGT_APPROX, SINGLE_RELAY, SingleRelayPlacement(F(9, 2), F(9)), inacc
+    )
+    assert_attack_succeeds(plan, params, inacc, expect_views_equal=False)
+
+
 # ---------------------------------------------------------------------------
 # neighbor correctness
 
@@ -355,7 +420,7 @@ def test_relay_handles_two_way_traffic(unit_params):
     relay = attack.adversarial_nodes[0]
     route = {"A": (relay, relay), "B": (relay, relay)}
     relayed, deltas = synth_relay_trace(
-        base, honest, attack, unit_params, "A", "B", route
+        base, honest, attack, unit_params, "A", "B", route, PT, None
     )
     assert check_setting_feasible(relayed, attack, unit_params).ok
     assert local_views_equal(base, relayed, ("A", "B"))

@@ -429,13 +429,17 @@ def test_attack_from_scenario_with_bystander_adversary(tmp_path, capsys):
     assert run(["check", out / "attack.scn", out / "relay.trc"]) == 3
 
 
-def test_attack_rejects_unsupported_variant_combo(tmp_path, capsys):
+def test_attack_builds_pgt_approx_wormhole(tmp_path, capsys):
+    """The wormhole variant works for the slack-tolerant protocol too: the
+    relayed run is a feasible attack and the honest run checks clean."""
     text = RADIO.replace("name = pt", "name = pgt-approx\ndelta = 1/100\ntau = 0")
     scn = tmp_path / "combo.scn"
     scn.write_text(text)
-    code = run(["attack", scn, "--variant", "wormhole", "--out-dir", tmp_path / "o"])
-    assert code == 1
-    assert "not supported" in capsys.readouterr().err
+    out = tmp_path / "o"
+    assert run(["attack", scn, "--variant", "wormhole", "--out-dir", out]) == 0
+    assert run(["check", out / "attack.scn", out / "relay.trc"]) == 3
+    assert run(["check", out / "honest.scn", out / "base.trc"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 RULES = Path(__file__).resolve().parent / "golden" / "rules"
@@ -620,6 +624,16 @@ MALFORMED_SCENARIOS = {
     ),
     "link-twice": (
         LINK, f"{LINK}\n\n[link A -> B]\nup = 0:inf", "duplicate link declaration ('A', 'B')"
+    ),
+    "self-link": (
+        "[link A <-> B]",
+        "[link A -> A]",
+        "[link A -> A]: self-links are implicit and may not be declared",
+    ),
+    "two-way-self-link": (
+        "[link A <-> B]",
+        "[link A <-> A]",
+        "[link A <-> A]: self-links are implicit and may not be declared",
     ),
     "no-nodes": (RADIO, NO_NODES, "no nodes declared"),
     "pgt-approx-without-slack": (
