@@ -37,9 +37,10 @@ The exit relay casts at the later of the instant that lands the beacon
 ref/v after its transmission and the earliest the adversary can (entry
 + delta_relay + channel flight); the declaration moves with the arrival,
 which the protocol's acceptance test must still take.  The time+location
-protocols pin B where its beacon claims, so for exact pgt the construction
-fails for every positive processing delay unless the adversary channel
-is faster than the wireless signal.
+protocols pin B where its beacon claims (the protocol's own stamp rule,
+``beacon_violation``, refuses a placement that moves it farther), so for
+exact pgt the construction fails for every positive processing delay
+unless the adversary channel is faster than the wireless signal.
 """
 
 from __future__ import annotations
@@ -84,6 +85,7 @@ from .core import (
 from .protocols import (
     InaccuracyParams,
     PT,
+    beacon_violation,
     protocol_spec,
     protocol_verdict,
 )
@@ -92,7 +94,8 @@ from .rational import EXACT, Num, format_scalar
 SINGLE_RELAY = "single-relay"
 WORMHOLE = "wormhole"
 
-ALWAYS = ((Fraction(0), None),)
+ZERO = Fraction(0)
+ALWAYS = ((ZERO, None),)
 
 # neighbor declarations happen this long after the justifying reception ends
 DECLARE_OFFSET = Fraction(1)
@@ -263,12 +266,12 @@ def _attack_side_distance(d_ab: Fraction, params: SystemParams, protocol: str) -
 
 
 def _ref_and_slack(
-    bounds: Optional[InaccuracyParams], d_ab: Fraction, b_x: Fraction
+    bounds: Optional[InaccuracyParams], d_ab: Fraction, b_x: Optional[Fraction]
 ) -> tuple[Fraction, Fraction]:
     """The terms of (path - ref)/v + delta_relay <= slack for a protocol's
-    error bounds (``ProtocolSpec.bounds``): (d_ab, 0) for an exact
-    protocol, (b_x, 2*(delta + tau)) for one with measurement error."""
-    return (d_ab, Fraction(0)) if bounds is None else (b_x, 2 * bounds.window)
+    error bounds (``ProtocolSpec.bounds``): (d_ab, 0), b_x unread, for an
+    exact protocol and (b_x, 2*(delta + tau)) for one with measurement error."""
+    return (d_ab, ZERO) if bounds is None else (b_x, 2 * bounds.window)
 
 
 def default_single_relay_placement(
@@ -291,7 +294,7 @@ def default_wormhole_placement(
     protocol: str,
     b_x: Optional[Fraction] = None,
 ) -> WormholePlacement:
-    """Relays pushed toward the endpoints, placed as for zero error bounds."""
+    """Relays pushed toward the endpoints, placed with no slack and ref = d_ab."""
     return _wormhole_placement(d_ab, params, protocol, None, b_x)
 
 
@@ -299,35 +302,34 @@ def _wormhole_placement(
     d_ab: Fraction,
     params: SystemParams,
     protocol: str,
-    inacc: Optional[InaccuracyParams],
+    bounds: Optional[InaccuracyParams],
     b_x: Optional[Fraction],
 ) -> WormholePlacement:
     """Relays pushed toward the endpoints with a margin solved exactly.
 
     With the ends at offset e from A and B the feasibility inequality
-    reads 2e(1 - v/v_adv) <= (ref + v*slack - v*delta_relay) - (v/v_adv)*b_x,
-    which for equal speeds is independent of e and otherwise bounds it.
+    reads 2e(1 - v/v_adv) <= spare = ref + v*(slack - delta_relay) - (v/v_adv)*b_x,
+    independent of e for equal speeds and otherwise a bound on it.  Under
+    error bounds a refusal names spare/v, the margin in time units.
     """
     if b_x is None:
         b_x = _attack_side_distance(d_ab, params, protocol)
     if b_x <= 0:
         raise PlacementInfeasible("attack-side distance must be positive")
-    ref, slack = _ref_and_slack(protocol_spec(protocol).bounds(inacc), d_ab, b_x)
+    ref, slack = _ref_and_slack(bounds, d_ab, b_x)
     ratio = params.v / params.v_adv
     spare = ref + params.v * (slack - params.delta_relay) - ratio * b_x
-    if ratio == 1:
-        if spare < 0:
-            raise PlacementInfeasible(
-                "wormhole margin exhausted: distance + v*delta_relay exceeds the budget"
+    if spare < 0 or spare == 0 and ratio != 1:
+        reason = "distance + v*delta_relay exceeds the budget" if ratio == 1 else (
+            f"channel speed advantage cannot cover {format_scalar(b_x)} at this processing delay"
+        )
+        if bounds is not None:
+            reason += (
+                f" (margin {format_scalar(spare / params.v)} within the slack "
+                f"2*(delta+tau) = {format_scalar(slack)})"
             )
-        edge = b_x / 4
-    else:
-        if spare <= 0:
-            raise PlacementInfeasible(
-                "wormhole margin exhausted: channel speed advantage cannot cover "
-                f"{format_scalar(b_x)} at this processing delay"
-            )
-        edge = min(spare / (2 * (1 - ratio)) / 2, b_x / 4)
+        raise PlacementInfeasible(f"wormhole margin exhausted: {reason}")
+    edge = b_x / 4 if ratio == 1 else min(spare / (2 * (1 - ratio)) / 2, b_x / 4)
     return WormholePlacement(c_x=edge, d_x=b_x - edge, b_x=b_x)
 
 
@@ -357,14 +359,13 @@ def build_attack_settings(
             f"(0, {format_scalar(params.nd_range)}]"
         )
     honest = honest_pair_setting(d_ab, declarer, beaconer)
-    zero = Fraction(0)
-
+    bounds = protocol_spec(protocol).bounds(inacc)
     if variant == SINGLE_RELAY:
         place = placement or default_single_relay_placement(d_ab, params, protocol)
         relay_xs = (place.relay_x,)
         terms = "detour"
     elif variant == WORMHOLE:
-        place = placement or _wormhole_placement(d_ab, params, protocol, inacc, None)
+        place = placement or _wormhole_placement(d_ab, params, protocol, bounds, None)
         if not place.c_x < place.d_x:
             raise PlacementInfeasible("wormhole ends out of order")
         relay_xs = (place.c_x, place.d_x)
@@ -375,9 +376,9 @@ def build_attack_settings(
     relays = tuple(_free_relay_ids({declarer, beaconer}, len(relay_xs)))
     near_a, near_b = relays[0], relays[-1]
     locs = {
-        declarer: (zero, zero),
-        beaconer: (place.b_x, zero),
-        **{relay: (x, zero) for relay, x in zip(relays, relay_xs)},
+        declarer: (ZERO, ZERO),
+        beaconer: (place.b_x, ZERO),
+        **{relay: (x, ZERO) for relay, x in zip(relays, relay_xs)},
     }
     if len(set(locs.values())) != 2 + len(relays):
         raise PlacementInfeasible("placement collapses two nodes onto one point")
@@ -400,21 +401,19 @@ def build_attack_settings(
         + dist(attack, near_b, beaconer)
         + (params.v / params.v_adv) * dist(attack, near_a, near_b)
     )
-    bounds = protocol_spec(protocol).bounds(inacc)
     ref, slack = _ref_and_slack(bounds, d_ab, place.b_x)
-    # the feasibility inequality, as its margin in time units
-    margin = slack - (path - ref) / params.v - params.delta_relay
-    if margin >= 0:
+    late = (path - ref) / params.v + params.delta_relay  # the feasibility inequality
+    if late <= slack:
         return honest, attack, place
     if bounds is not None:
         raise PlacementInfeasible(
             "slack window exhausted: delta_relay "
             f"({format_scalar(params.delta_relay)}) > 2*(delta+tau) - detour "
-            f"({format_scalar(margin + params.delta_relay)})"
+            f"({format_scalar(slack - late + params.delta_relay)})"
         )
-    raise PlacementInfeasible(
-        f"{terms} + v*delta_relay = {format_scalar(d_ab - params.v * margin)} exceeds "
-        f"the honest distance {format_scalar(d_ab)} (margin {format_scalar(params.v * margin)})"
+    raise PlacementInfeasible(  # no slack: the margin is -v*late
+        f"{terms} + v*delta_relay = {format_scalar(d_ab + params.v * late)} exceeds "
+        f"the honest distance {format_scalar(d_ab)} (margin {format_scalar(-params.v * late)})"
     )
 
 
@@ -472,7 +471,8 @@ def synth_relay_trace(
     bounds = spec.bounds(inacc)
     d_ab = dist(setting_honest, declarer, beaconer)
     honest_flight = d_ab / params.v
-    ref, slack = _ref_and_slack(bounds, d_ab, dist(setting_attack, declarer, beaconer))
+    attack_side = None if bounds is None else dist(setting_attack, declarer, beaconer)
+    ref, slack = _ref_and_slack(bounds, d_ab, attack_side)
     other = {declarer: beaconer, beaconer: declarer}
     sends: list[Event] = []
 
@@ -491,6 +491,7 @@ def synth_relay_trace(
     if entry_b != exit_b:
         deltas["channel_flight"] = dist(setting_attack, entry_b, exit_b) / params.v_adv
 
+    ref_flight = ref / params.v
     # (victim, honest arrival) -> how far the relayed arrival moved from it
     moved: dict[tuple[NodeId, Fraction], Fraction] = {}
     min_gap: Fraction | None = None
@@ -503,22 +504,23 @@ def synth_relay_trace(
         entry, exit_ = relay_route[e.actor]
         entry_time = e.start + dist(setting_attack, e.actor, entry) / params.v
         exit_flight = dist(setting_attack, exit_, victim) / params.v
-        due = e.start + ref / params.v - exit_flight  # lands the message ref/v after e
+        cast_time = e.start + ref_flight - exit_flight  # lands the message ref/v after e
+        gap = cast_time - entry_time
         bound = params.delta_relay + dist(setting_attack, entry, exit_) / params.v_adv
-        earliest = entry_time + bound
-        margin = due + slack - earliest
+        margin = gap + slack - bound
         if margin < 0:
             raise PlacementInfeasible(
-                f"relay margin {format_scalar(due + slack - entry_time)} below the "
+                f"relay margin {format_scalar(gap + slack)} below the "
                 f"required {format_scalar(bound)} for traffic from {e.actor}"
             )
-        cast_time = max(due, earliest)
-        arrival = e.start + honest_flight
-        if cast_time + exit_flight != arrival:
-            moved[victim, arrival] = cast_time + exit_flight - arrival
+        shift = ref_flight - honest_flight  # how far the arrival moves from the honest one
+        if gap < bound:  # within the slack: cast at the earliest instant instead
+            shift += bound - gap
+            cast_time, gap = entry_time + bound, bound
+        if shift:
+            moved[victim, e.start + honest_flight] = shift
         direction, angle = _aim_half_plane(setting_attack.loc[exit_], setting_attack.loc[victim])
         sends.append(Dcast(exit_, cast_time, direction, angle, e.msg))
-        gap = cast_time - entry_time
         min_gap = gap if min_gap is None else min(min_gap, gap)
         min_margin = margin if min_margin is None else min(min_margin, margin)
     if min_gap is not None:
@@ -528,8 +530,8 @@ def synth_relay_trace(
     receives = induced_receives(sends, setting_attack, params)
     neighbors = list(base_trace.of_kind(Neighbor))
     for i, n in enumerate(neighbors):
-        shift = moved.get((n.actor, n.peer_time))
-        if shift is None:
+        shift = moved and moved.get((n.actor, n.peer_time))
+        if not shift:
             continue
         n = neighbors[i] = Neighbor(n.actor, n.start + shift, n.peer, n.peer_time + shift)
         owner_loc = setting_attack.loc[n.actor]
@@ -570,11 +572,10 @@ def plan_relay_attack(
     )
     spec = protocol_spec(protocol)
     bounds = spec.bounds(inacc)
-    skew = bounds or InaccuracyParams()
-    ref, _ = _ref_and_slack(bounds, d_ab, place.b_x)
-    tau_v = skew.tau * params.v
-    stamp_x = ref + tau_v
-    beacon = spec.beacon(beaconer, skew.delta, (stamp_x, Fraction(0)), params)
+    beacon = None  # an exact protocol's own, stamped from x = d_ab = ref at time 0
+    if bounds is not None:  # stamped from x = ref, skewed by (delta, tau*v)
+        ref, _ = _ref_and_slack(bounds, d_ab, place.b_x)
+        beacon = spec.beacon(beaconer, bounds.delta, (ref + bounds.tau * params.v, ZERO), params)
     base = synth_honest_trace(honest, protocol, params, declarer, beaconer, beacon, inacc)
     relays = sorted(attack.adversarial_nodes, key=lambda n: attack.loc[n][0])
     near_a, near_b = relays[0], relays[-1]
@@ -586,9 +587,11 @@ def plan_relay_attack(
         raise PlacementInfeasible(
             "relay coverage leaks extra receptions into a correct node's view"
         )
-    if spec.flavor == TL_FLAVOR:
-        offset = max(abs(stamp_x - d_ab), abs(stamp_x - place.b_x))
-        if offset > tau_v:
+    stamped = next(base.of_kind(Bcast))
+    for setting in (honest, attack):  # the protocol's own stamp rule, in both runs
+        if beacon_violation(spec, stamped, setting, params, bounds, EXACT) is not None:
+            offset = abs(stamped.msg.beacon_loc[0] - setting.loc[beaconer][0])
+            tau_v = (bounds or InaccuracyParams()).tau * params.v
             raise PlacementInfeasible(
                 f"placement moves {beaconer} {format_scalar(offset)} from the location "
                 f"its beacon claims, beyond the location bound tau*v ({format_scalar(tau_v)})"

@@ -494,7 +494,7 @@ _STAMP_DETAILS = {
 }
 
 
-def _beacon_violation(
+def beacon_violation(
     spec: ProtocolSpec,
     e: Bcast,
     setting: Setting,
@@ -553,7 +553,7 @@ def _check_stamped(
     """Direct conformance to a protocol whose correct nodes send stamped beacons.
 
     A correct node's broadcast is compared with the beacon the protocol
-    table has it send (``_beacon_violation``).  A declaration is backed
+    table has it send (``beacon_violation``).  A declaration is backed
     when ``spec.accepts`` takes one of its owner's completed receptions
     for the declared peer; only the receptions that num.eq matches with
     the peer time are tried: those starting in [peer_time - eps,
@@ -581,7 +581,7 @@ def _check_stamped(
         if e.actor not in correct:
             continue
         if isinstance(e, Bcast):
-            wrong = _beacon_violation(spec, e, setting, params, inacc, num)
+            wrong = beacon_violation(spec, e, setting, params, inacc, num)
             if wrong is not None:
                 violations.append(wrong)
         elif isinstance(e, Neighbor):

@@ -321,8 +321,12 @@ def test_pgt_approx_wormhole_at_equal_speeds(delta_relay):
 def test_pgt_approx_wormhole_refused_beyond_twice_the_window():
     inacc = InaccuracyParams(F(3, 100), F(1, 100))
     params = SystemParams(F(1), F(1), F(10), F(9, 100), F(1))
-    with pytest.raises(PlacementInfeasible):
+    with pytest.raises(PlacementInfeasible) as caught:
         plan_relay_attack(F(8), params, PGT_APPROX, WORMHOLE, inacc=inacc)
+    assert str(caught.value) == (
+        "wormhole margin exhausted: distance + v*delta_relay exceeds the budget "
+        "(margin -1/100 within the slack 2*(delta+tau) = 2/25)"
+    )
 
 
 def test_pgt_approx_wormhole_with_faster_channel_waits_for_the_window():
@@ -339,6 +343,13 @@ def test_pgt_approx_wormhole_with_faster_channel_waits_for_the_window():
         )
     assert str(caught.value) == (
         "slack window exhausted: delta_relay (1/20) > 2*(delta+tau) - detour (-121/50)"
+    )
+    slow = SystemParams(F(1), F(2), F(10), F(5), F(1))
+    with pytest.raises(PlacementInfeasible) as caught:
+        plan_relay_attack(F(8), slow, PGT_APPROX, WORMHOLE, inacc=inacc)
+    assert str(caught.value) == (
+        "wormhole margin exhausted: channel speed advantage cannot cover 8 at this "
+        "processing delay (margin -23/25 within the slack 2*(delta+tau) = 2/25)"
     )
 
 

@@ -316,7 +316,7 @@ def test_integer_stamp_location_bound_matches_fraction_formula(data):
     skew = data.draw(st.sampled_from((F(0), delta, -delta))) + data.draw(st.sampled_from(_TINY))
     beacon = BeaconTL("A", max(F(0), start + skew), (loc[0] + dx, loc[1] + dy), F(1))
     e = Bcast("A", start, beacon)
-    found = protocols._beacon_violation(PROTOCOLS[PGT_APPROX], e, setting, params, inacc, EXACT)
+    found = protocols.beacon_violation(PROTOCOLS[PGT_APPROX], e, setting, params, inacc, EXACT)
     assert (found and found.rule) == _reference_stamp_rule(e, setting, params, inacc)
 
 
