@@ -40,11 +40,9 @@ from .core import (
     Trace,
     Verdict,
     Violation,
-    dist,
-    dist_ratio,
-    per_speed,
+    flight_ticks,
 )
-from .rational import EXACT, Num, Real
+from .rational import EXACT, Num
 
 RELAY = "relay"
 RELAY_BCAST = "relay-bcast"
@@ -71,18 +69,17 @@ def _relay_justified(
     e: Event,
     trace: Trace,
     setting: Setting,
-    starts: Mapping[Event, Real],
-    least_gap: Callable[[NodeId, NodeId], Real],
-    num: Num,
+    starts: Mapping[Event, int],
+    least_gap: Callable[[NodeId, NodeId], int],
     same_node_only: bool,
 ) -> bool:
     """Some qualifying earlier reception of the same message exists.
 
     A reception r qualifies when the relay gap e.start - r.start is at
     least delta_relay plus the adversary-channel flight time between the
-    two nodes (none under relay-local).  The gap is read by the trace's
-    ticks (``Trace.ticks``, the trace's own D) and the bound rounded up,
-    as ``least_gap`` keeps it per node pair for the check.
+    two nodes (none under relay-local), less epsilon.  The gap is read
+    by the check's ticks and the bound rounded up, as ``least_gap`` keeps
+    it per node pair for the check.
     """
     for r in trace.receptions_of(e.msg):
         if same_node_only:
@@ -90,7 +87,7 @@ def _relay_justified(
                 continue
         elif not setting.is_adversarial(r.actor):
             continue
-        if num.ge(starts[e] - starts[r], least_gap(e.actor, r.actor)):
+        if starts[e] - starts[r] >= least_gap(e.actor, r.actor):
             return True
     return False
 
@@ -107,29 +104,33 @@ def check_adversary_feasible(
     The trace is assumed physically consistent.  Payloads outside a
     Dolev-Yao model's beacon space are reported as violations rather
     than raised, so corpus-wide ordering comparisons stay total.
+
+    Instants are read by the trace's ticks over the lcm of the trace's D
+    and the denominator of num.epsilon (``Trace.ticks``).  A relay gap
+    qualifies when it is at least the bound less epsilon: in ticks, the
+    ceiling of the bound's ticks less E = epsilon·D, which is exact
+    because E is an int.  The bound holds at most one square root, the
+    adversary-channel distance, read as ``flight_ticks`` reads it.
     """
     violations: list[Violation] = []
     beacon_type = {DY_T: BeaconT, DY_GT: BeaconTL}.get(model.kind)
     # a relayed copy needs an early enough reception: at the casting node
     # itself under relay-local, at any adversarial node otherwise
     same_node_only = model.kind == RELAY_LOCAL
-    ticks, starts = trace.ticks(num)
+    eps, eps_den = num.epsilon.as_integer_ratio()
+    ticks, starts = trace.ticks(eps_den)
+    slack = eps * (ticks.den // eps_den)  # E
     # the least relay gap per (casting node, receiving node), in ticks
-    gaps: dict[tuple[NodeId, NodeId], Real] = {}
-    (p, q), (m, n) = model.delta_relay.as_integer_ratio(), params.v_adv.as_integer_ratio()
+    gaps: dict[tuple[NodeId, NodeId], int] = {}
+    bound = flight_ticks(setting, params.v_adv, ticks.den, num.exact, model.delta_relay)
 
-    def least_gap(sender: NodeId, receiver: NodeId) -> Real:
+    def least_gap(sender: NodeId, receiver: NodeId) -> int:
         gap = gaps.get((sender, receiver))
         if gap is None:
             if same_node_only:
-                gap = ticks.ceil(model.delta_relay)
-            elif ticks.den is None:
-                flight = per_speed(dist(setting, sender, receiver, num), params.v_adv, "v_adv")
-                gap = model.delta_relay + flight
-            else:
-                # delta_relay + (r/c)/v_adv = (p·c·m + r·n·q) / (q·c·m), read as ceil(·D)
-                r, c = dist_ratio(setting, sender, receiver)
-                gap = -(-(p * c * m + r * n * q) * ticks.den // (q * c * m))
+                gap = ticks.ceil(model.delta_relay) - slack
+            else:  # the ceiling of delta_relay + dist / v_adv
+                gap = bound(sender, receiver)[1] - slack
             gaps[(sender, receiver)] = gap
         return gap
 
@@ -173,7 +174,7 @@ def check_adversary_feasible(
             detail = "beacon of a correct creator was never received early enough"
         else:
             detail = "no sufficiently early reception of this message"
-        if not _relay_justified(e, trace, setting, starts, least_gap, num, same_node_only):
+        if not _relay_justified(e, trace, setting, starts, least_gap, same_node_only):
             violations.append(Violation("relay-unjustified", (e,), detail))
     return Verdict(tuple(violations))
 

@@ -20,6 +20,7 @@ between the two halves of the package.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from decimal import Context, Decimal
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -169,8 +170,18 @@ def render_table(rows: Sequence[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# twelve significant digits, the display columns' precision
+_DISPLAY = Context(prec=12)
+
+
 def _dec(x: Fraction) -> str:
-    return format(float(x), ".12g")
+    """x to twelve significant digits: float's text, or, beyond float
+    range, the same text worked out from x's exact digits."""
+    try:
+        return format(float(x), ".12g")
+    except OverflowError:
+        digits = _DISPLAY.divide(Decimal(x.numerator), Decimal(x.denominator))
+        return format(digits.normalize(_DISPLAY), ".12g")
 
 
 def _yesno(flag: bool) -> str:

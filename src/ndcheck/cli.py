@@ -12,9 +12,9 @@ Commands:
            corpus directory of .scn/.trc pairs
 
 Exit codes: 0 success / inclusion holds / no violation; 1 a usage
-error (printed with the usage line), a parse or validation failure, a
-number beyond float range in approximate mode, or an unreadable input
-or unwritable output path;
+error (printed with the usage line), a parse or validation failure, an
+irrational distance where the command needs a rational one, or an
+unreadable input or unwritable output path;
 2 feasibility violation (or ordering counterexample); 3 feasible trace
 with a false neighbor declaration; 4 requested construction infeasible
 (placement or distance).
@@ -56,7 +56,7 @@ from .attacks import (
     verify_attack_plan,
 )
 from .core import Trace, Verdict, check_setting_feasible, dist
-from .rational import EXACT, IrrationalDistance, Num, approx_num, format_scalar, parse_scalar
+from .rational import EXACT, IrrationalDistance, Num, approx_num, echo, format_scalar, parse_scalar
 from .scenario import (
     Scenario,
     ScenarioError,
@@ -224,7 +224,13 @@ def cmd_attack(args) -> int:
             f"attack synthesis needs exactly two correct nodes, found {len(correct)}"
         )
     declarer, beaconer = correct
-    d_ab = dist(scenario.setting, declarer, beaconer)
+    try:
+        d_ab = dist(scenario.setting, declarer, beaconer)
+    except IrrationalDistance as exc:
+        raise ScenarioError(
+            f"attack synthesis needs a rational distance between the correct nodes "
+            f"{echo(declarer)} and {echo(beaconer)}: {exc}"
+        ) from None
     placement = _placement_from_flags(args, args.variant)
 
     out_dir = Path(args.out_dir)
@@ -466,7 +472,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, OverflowError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -14,8 +14,8 @@ Conventions baked in here:
 
 - angles are expressed as rational multiples of pi (so 1/2 means a
   quarter turn); sector boundaries at quarter-turn multiples are decided
-  with exact rational arithmetic, all other boundaries fall back to
-  floating point,
+  with exact rational arithmetic, the other sector rays in floating
+  point, the one place a float enters a verdict,
 - a directional sector is closed at both boundary rays and contains its
   apex, which makes a full-circle directional cast behave exactly like a
   broadcast, including self-reception,
@@ -24,22 +24,24 @@ Conventions baked in here:
 - link up-phases are half-open intervals [start, end),
 - messages and events are immutable values that compute their hash on
   first use and keep it, so sets, dicts and traces hash each one once,
-- in exact mode the checks compare instants as integers: each reads
+- the checks compare instants as integers, in both modes: each reads
   every instant t as t·D, over one common denominator D (``Ticks``),
   and every distance as an integer r over the lcm c of the setting's
-  coordinate denominators (``dist_ratio``).
+  coordinate denominators (``dist_ratio``); approximate mode reads an
+  irrational flight time as the two ticks around it (``flight_ticks``).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import attrgetter
-from typing import Iterable, Iterator, KeysView, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, KeysView, Mapping, Optional, Sequence, Union
 
-from .rational import EXACT, Num, Real, echo, format_scalar, not_a_square
+from .rational import EXACT, IrrationalDistance, Num, echo, format_scalar, not_a_square
 
 Point = tuple[Fraction, Fraction]
 NodeId = str
@@ -220,7 +222,7 @@ class BeaconTL(_HashSlot):
 Message = Union[Opaque, BeaconT, BeaconTL]
 
 
-def _check_time(t: Real, name: str) -> None:
+def _check_time(t: Fraction, name: str) -> None:
     # a Fraction's or int's sign is its numerator's, which compares with 0
     # without Fraction's dispatch through the numbers ABCs
     if getattr(t, "numerator", t) < 0:
@@ -311,7 +313,7 @@ class Neighbor(_OrderSlot):
 Event = Union[Bcast, Dcast, Receive, Neighbor]
 
 
-def _start_prefix(start: Real) -> float:
+def _start_prefix(start: Fraction) -> float:
     """The start rounded to a float, monotone non-decreasing in the start."""
     try:
         return float(start)
@@ -339,31 +341,26 @@ def event_end(e: Event) -> Fraction:
 
 
 class Ticks:
-    """How one check reads instants.
+    """How one check reads instants, over a common denominator ``den``, D.
 
-    In exact mode ``den`` is an int D: an instant t on the grid (t·D an
-    integer) reads as t·D, and a threshold x as floor(x·D) or ceil(x·D),
-    so that an integer is at most x exactly when it is at most floor(x·D),
-    and at least x exactly when it is at least ceil(x·D).  In
-    approximate mode ``den`` is None and every value reads as it is.
+    An instant t on the grid (t·D an integer) reads as t·D, and a
+    threshold x as floor(x·D) or ceil(x·D), so that an integer is at
+    most x exactly when it is at most floor(x·D), and at least x exactly
+    when it is at least ceil(x·D).
     """
 
     __slots__ = ("den",)
 
-    def __init__(self, den: Optional[int]):
+    def __init__(self, den: int):
         self.den = den
 
-    def floor(self, x: Real) -> Real:
-        if self.den is None:
-            return x
+    def floor(self, x: Fraction) -> int:
         n, d = x.as_integer_ratio()
         return n * self.den // d
 
     of = floor  # an instant on the grid is its own floor
 
-    def ceil(self, x: Real) -> Real:
-        if self.den is None:
-            return x
+    def ceil(self, x: Fraction) -> int:
         n, d = x.as_integer_ratio()
         return -(-n * self.den // d)
 
@@ -390,7 +387,7 @@ class Trace:
     no key again.  The kept keys cost one tuple per event for the life
     of the event.
 
-    The first exact check or projection at a cutoff (``ticks``) works
+    The first check or projection at a cutoff (``ticks``) works
     out the trace's D, the lcm of the denominators of every start,
     message duration and beacon time, and each event's start as the
     integer start·D, and keeps them for the life of the trace.  They
@@ -465,11 +462,9 @@ class Trace:
             self._by_msg = {m: tuple(own) for m, own in grouped.items()}
         return self._by_msg.get(msg, ())
 
-    def ticks(self, num: Num, den: int = 1) -> tuple[Ticks, dict[Event, Real]]:
+    def ticks(self, den: int = 1) -> tuple[Ticks, dict[Event, int]]:
         """The ticks of a check of this trace, over the lcm of the trace's
         D and den, and each event's start read by them, in canonical order."""
-        if not num.exact:
-            return Ticks(None), {e: e.start for e in self.events}
         if self._ticks is None:
             ratios = [e.start.as_integer_ratio() for e in self.events]
             msgs = {e.msg for e in self.events if not isinstance(e, Neighbor)}
@@ -490,7 +485,7 @@ class Trace:
             self._views = {}
         index = self._views.get(node)
         if index is None:
-            index = self._views[node] = _ViewIndex(self.by_actor(node), *self.ticks(EXACT))
+            index = self._views[node] = _ViewIndex(self.by_actor(node), *self.ticks())
         return index
 
 
@@ -498,8 +493,8 @@ class Trace:
 # settings
 
 Interval = tuple[Fraction, Optional[Fraction]]  # [start, end), end=None means unbounded
-# (receiver, arrival, link up over the reception window) per receiver a transmission reaches
-Coverage = tuple[tuple[NodeId, Real, bool], ...]
+# (receiver, link up over the reception window) per receiver a transmission reaches
+Coverage = tuple[tuple[NodeId, bool], ...]
 
 
 class Setting:
@@ -515,34 +510,32 @@ class Setting:
     from the declared links, in O(n + links log links), and holds one
     reference per node and per link.
 
-    The setting also keeps four memos, each filled the first time a
+    The setting also keeps three memos, each filled the first time a
     check asks for an entry and kept for the life of the setting, so
     each fact below is worked out at most once whatever checks run on
     it.  None is part of the setting's value: equality ignores them.
 
-    - ``dist_ratio``, the root memo of exact mode: one int or None per
-      unordered pair of distinct nodes, keyed by ``(a, b)`` with a <= b.
-      The int is r = c·|ab|, with c the lcm of the coordinates'
-      denominators (``_lattice``), and None marks an irrational
-      distance.  Exact distances, flight times in ticks and relay gaps
-      are all read from it, in integers.
-    - ``dist`` in approximate mode: one float distance per unordered
-      pair of distinct nodes, keyed by ``(a, b)`` with a <= b.
+    - ``dist_ratio``, the root memo: one int or None per unordered pair
+      of distinct nodes, keyed by ``(a, b)`` with a <= b.  The int is
+      r = c·|ab|, with c the lcm of the coordinates' denominators
+      (``_lattice``), and None marks an irrational distance.  Exact
+      distances, flight times in ticks and relay gaps are all read from
+      it, in integers.
     - ``inrange``: one bool per (sender, receiver, sector) a check asked
       about, keyed by the two nodes and the integer ratios of direction
       and angle; the sender itself and full-turn sectors are decided
       without it.  A check asks only about reachable receivers, so it
       holds at most one entry per declared link and distinct sector
       cast over it.
-    - ``_Physics.coverage``: per transmission, one tuple of ``(receiver,
-      arrival, link up over the reception window)`` per reachable
-      receiver the sector holds, keyed by the event under
-      ``(num.exact, params.v)``; the table for a mode and speed is made
-      when its first transmission is covered.  ``induced_receives`` and
-      ``check_setting_feasible`` share it, and it keeps instants, not
-      ticks, so checks over any denominator share it too.  Unlike the
-      other memos it grows with the distinct transmissions checked, not
-      with the setting: a long-lived setting keeps them all.
+    - ``_Physics.coverage``: per transmission, one ``(receiver, link up
+      over the reception window)`` pair per reachable receiver the
+      sector holds, keyed by the event under ``params.v``; the table for
+      a speed is made when its first transmission is covered.
+      ``induced_receives`` and ``check_setting_feasible`` share it, in
+      either mode, and it keeps no instant, so checks over any
+      denominator share it too.  Unlike the other memos it grows with
+      the distinct transmissions checked, not with the setting: a
+      long-lived setting keeps them all.
 
     ``_lattice`` keeps, from the first exact distance or physics pass
     on, the lcm c of the coordinates' denominators, each node's
@@ -557,7 +550,6 @@ class Setting:
         "link_schedule",
         "reachable",
         "_roots",
-        "_dist",
         "_sectors",
         "_coverage",
         "_lattice",
@@ -608,9 +600,8 @@ class Setting:
             node: tuple(sorted(dests)) for node, dests in reach.items()
         }
         self._roots: dict[tuple[NodeId, NodeId], Optional[int]] = {}
-        self._dist: dict[tuple[NodeId, NodeId], Real] = {}
         self._sectors: dict[tuple, bool] = {}
-        self._coverage: Optional[dict[tuple[bool, Fraction], dict[Event, Coverage]]] = None
+        self._coverage: Optional[dict[Fraction, dict[Event, Coverage]]] = None
         self._lattice: Optional[tuple[int, dict[NodeId, tuple[int, int]], int]] = None
 
     @property
@@ -680,94 +671,120 @@ def _lattice(setting: Setting) -> tuple[int, dict[NodeId, tuple[int, int]], int]
     return setting._lattice
 
 
-def dist_ratio(setting: Setting, a: NodeId, b: NodeId) -> tuple[int, int]:
-    """The exact distance between two nodes as integers (r, c), c > 0,
-    not reduced: c is the lcm of the setting's coordinate denominators
-    (``_lattice``) and r = c·|ab|.
+def _root(
+    setting: Setting, coords: Mapping[NodeId, tuple[int, int]], a: NodeId, b: NodeId
+) -> Optional[int]:
+    """r = c·|ab| (see ``dist_ratio``), or None when the distance is irrational.
 
-    r is math.isqrt of the pair's integer squared distance over the
-    1/c grid, read from and kept in the setting's root memo, so each
-    pair's root is taken once per setting; no Fraction is built.  An
-    irrational distance raises IrrationalDistance, with the message
-    ``rational.exact_sqrt`` gives for the squared distance.
+    r is math.isqrt of the pair's integer squared distance over the 1/c
+    grid (coords, from ``_lattice``), read from and kept in the setting's
+    root memo, so each pair's root is taken once per setting; no
+    Fraction is built.
     """
-    c, coords, _ = _lattice(setting)
     if a == b:
         if a not in coords:
             raise UnknownNode(f"node {a!r} not in setting")
-        return 0, c
+        return 0
     key = (a, b) if a < b else (b, a)
     try:
-        r = setting._roots[key]
+        return setting._roots[key]
     except KeyError:
         for node in (a, b):
             if node not in coords:
                 raise UnknownNode(f"node {node!r} not in setting") from None
         r = setting._roots[key] = _take_root(coords, *key)
-    if r is None:
-        raise not_a_square(sq_dist(setting.loc[a], setting.loc[b]))
-    return r, c
+        return r
 
 
 def _take_root(coords: Mapping[NodeId, tuple[int, int]], a: NodeId, b: NodeId) -> Optional[int]:
     """c·|ab| from the nodes' coordinates times c, or None when it is irrational."""
-    (xa, ya), (xb, yb) = coords[a], coords[b]
-    n = (xa - xb) ** 2 + (ya - yb) ** 2
+    n = _squared(coords, a, b)
     r = math.isqrt(n)
     return r if r * r == n else None
 
 
-def dist(setting: Setting, a: NodeId, b: NodeId, num: Num = EXACT) -> Real:
-    """Euclidean distance between two nodes of the setting.
+def _squared(coords: Mapping[NodeId, tuple[int, int]], a: NodeId, b: NodeId) -> int:
+    """(c·|ab|)², from the nodes' coordinates times c."""
+    (xa, ya), (xb, yb) = coords[a], coords[b]
+    return (xa - xb) ** 2 + (ya - yb) ** 2
 
-    In exact mode it is Fraction(r, c) from ``dist_ratio`` and the root
-    memo.  In approximate mode it is a float read from and kept in the
-    setting's distance memo, and a distance beyond float range raises an
-    OverflowError that names both nodes.
+
+def _irrational(setting: Setting, a: NodeId, b: NodeId) -> IrrationalDistance:
+    """The IrrationalDistance of a pair, with the message ``rational.exact_sqrt``
+    gives for its squared distance."""
+    return not_a_square(sq_dist(setting.loc[a], setting.loc[b]))
+
+
+def dist_ratio(setting: Setting, a: NodeId, b: NodeId) -> tuple[int, int]:
+    """The exact distance between two nodes as integers (r, c), c > 0,
+    not reduced: c is the lcm of the setting's coordinate denominators
+    (``_lattice``) and r = c·|ab|, from the root memo.  An irrational
+    distance raises IrrationalDistance.
     """
-    if num.exact:
-        return Fraction(*dist_ratio(setting, a, b))
-    key = (a, b) if a <= b else (b, a)
-    d = setting._dist.get(key)
-    if d is None:
-        for node in (a, b):
-            if node not in setting.loc:
-                raise UnknownNode(f"node {node!r} not in setting")
-        try:
-            d = Fraction(0) if a == b else num.sqrt(sq_dist(setting.loc[a], setting.loc[b]))
-        except OverflowError:
-            raise OverflowError(
-                f"distance {key[0]}-{key[1]} is beyond float range in approximate mode"
-            ) from None
-        setting._dist[key] = d
-    return d
+    c, coords, _ = _lattice(setting)
+    r = _root(setting, coords, a, b)
+    if r is None:
+        raise _irrational(setting, a, b)
+    return r, c
 
 
-def time_of_flight(
-    setting: Setting, params: SystemParams, a: NodeId, b: NodeId, num: Num = EXACT
-) -> Real:
-    """Signal flight time between two nodes, dist / v: in exact mode a
-    Fraction from the setting's root memo, in approximate mode a float
-    from its distance memo."""
-    return per_speed(dist(setting, a, b, num), params.v, "v")
+def flight_ticks(
+    setting: Setting,
+    speed: Fraction,
+    den: int,
+    exact: bool = True,
+    lead: Fraction = Fraction(0),
+) -> Callable[[NodeId, NodeId], tuple[int, int]]:
+    """The reader of the instant lead + |ab|/speed, for node pairs (a, b),
+    in ticks of 1/den, as its floor and its ceiling: equal when the
+    instant is on the grid.  The constants are worked out once, here.
+
+    With r = c·|ab| as in ``dist_ratio``, the instant times den is one
+    fraction whose numerator holds r times an int k.  A rational r gives
+    it exactly.  An irrational r raises IrrationalDistance in exact mode;
+    in approximate mode k·r is read as its floor, math.isqrt of (k·r)²,
+    and that plus one, which give the floor and the ceiling of the
+    instant exactly: the instant is irrational, so it lies strictly
+    between two ticks.
+    """
+    (p, q), (m, n) = lead.as_integer_ratio(), speed.as_integer_ratio()
+    c, coords, _ = _lattice(setting)
+    # den·(p/q + (r/c)/(m/n)) = (p·c·m·den + r·k) / (q·c·m)
+    k, head, under = n * q * den, p * c * m * den, q * c * m
+
+    def read(a: NodeId, b: NodeId) -> tuple[int, int]:
+        r = _root(setting, coords, a, b)
+        if r is not None:
+            low = high = r * k
+        elif exact:
+            raise _irrational(setting, a, b)
+        else:
+            low = math.isqrt(_squared(coords, a, b) * k * k)
+            high = low + 1
+        return (head + low) // under, -(-(head + high) // under)
+
+    return read
 
 
-def per_speed(d: Real, speed: Fraction, name: str) -> Real:
-    """d / speed, which in approximate mode names a speed that rounds to 0.0."""
-    try:
-        return d / speed
-    except ZeroDivisionError:
-        raise OverflowError(f"speed {name} rounds to 0.0 in approximate mode") from None
+def dist(setting: Setting, a: NodeId, b: NodeId) -> Fraction:
+    """Euclidean distance between two nodes of the setting: Fraction(r, c)
+    from ``dist_ratio`` and the root memo."""
+    return Fraction(*dist_ratio(setting, a, b))
 
 
-def link_up_over(setting: Setting, a: NodeId, b: NodeId, t0: Real, t1: Real) -> bool:
+def time_of_flight(setting: Setting, params: SystemParams, a: NodeId, b: NodeId) -> Fraction:
+    """Signal flight time between two nodes, dist / v, from the setting's root memo."""
+    return dist(setting, a, b) / params.v
+
+
+def link_up_over(setting: Setting, a: NodeId, b: NodeId, t0: Fraction, t1: Fraction) -> bool:
     """True iff the directed link a -> b is up at every point of the closed interval [t0, t1]."""
     if t0 > t1:
         raise ValueError("empty interval")
     return a == b or _up_over(setting.link_schedule.get((a, b), ()), t0, t1)
 
 
-def _up_over(phases: Sequence[Interval], t0: Real, t1: Real) -> bool:
+def _up_over(phases: Sequence[Interval], t0: Fraction, t1: Fraction) -> bool:
     """Whether the union of the sorted, merged phases holds all of [t0, t1]."""
     cursor = t0
     for start, end in phases:
@@ -788,7 +805,11 @@ _QUARTER_VECTORS = {
 }
 
 
-def _direction_vector(units: Fraction) -> tuple[Real, Real]:
+# a sector ray's direction: ints at quarter turns, floats at other angles (F2)
+Ray = tuple[float, float]
+
+
+def _direction_vector(units: Fraction) -> Ray:
     u = units % FULL_TURN
     exact = _QUARTER_VECTORS.get(u)
     if exact is not None:
@@ -798,9 +819,7 @@ def _direction_vector(units: Fraction) -> tuple[Real, Real]:
 
 
 @lru_cache(maxsize=256)
-def _sector_rays(
-    direction: Fraction, angle: Fraction
-) -> tuple[tuple[Real, Real], tuple[Real, Real]]:
+def _sector_rays(direction: Fraction, angle: Fraction) -> tuple[Ray, Ray]:
     """The opening and closing ray vectors of a sector.
 
     Kept for the last 256 sectors.  A setting's sector memo decides each
@@ -811,11 +830,11 @@ def _sector_rays(
     return _direction_vector(direction), _direction_vector(direction + angle)
 
 
-def _cross(a: tuple[Real, Real], b: tuple[Real, Real]) -> Real:
+def _cross(a: Union[Ray, Point], b: Union[Ray, Point]) -> Union[float, Fraction]:
     return a[0] * b[1] - a[1] * b[0]
 
 
-def _in_sector(u: tuple[Real, Real], direction: Fraction, angle: Fraction) -> bool:
+def _in_sector(u: Point, direction: Fraction, angle: Fraction) -> bool:
     """Whether the offset u from the apex lies in the closed sector, for
     u != (0, 0) and angle < 2."""
     e0, e1 = _sector_rays(direction, angle)
@@ -923,7 +942,7 @@ class LocalView:
             if tick < cutoff and isinstance(e, Receive)
         )
 
-    def receptions_at(self, t: Real) -> list[LocalReceive]:
+    def receptions_at(self, t: Fraction) -> list[LocalReceive]:
         """The view's receptions that start at t."""
         at = t.as_integer_ratio()  # as exact as ==, and cheaper on Fractions
         if self._cut is None:
@@ -1047,8 +1066,8 @@ def _grid(setting: Setting, params: SystemParams) -> int:
     int r of the root memo (``dist_ratio``), so a rational flight time
     is r·v.denominator/(c·v.numerator): no flight time, and no square
     root, is asked for.  The grid is a multiple of c·v.numerator, so a
-    pass over it reads each flight time as an int, r times a factor of
-    the pass (``_Physics``).
+    pass over it reads each rational flight time as an int
+    (``flight_ticks``).
     """
     coords, _, links = _lattice(setting)
     return math.lcm(coords * params.v.numerator, links)
@@ -1057,38 +1076,24 @@ def _grid(setting: Setting, params: SystemParams) -> int:
 class _Physics:
     """One physics pass: its ticks, and what it reads by them.
 
-    Each link's phases and each node pair's flight time are read in
-    ticks the first time the pass asks for them, and kept for the pass.
-    In exact mode the ticks are over a multiple D of ``_grid``, and a
-    flight time of r/c over v reads as the int r·v.denominator·(D //
-    (c·v.numerator)), from the root memo (``dist_ratio``) and one
-    factor per pass, with no Fraction built.
+    Each link's phases are read in ticks the first time the pass asks
+    for them, and kept for the pass.  ``flight(a, b)`` reads the flight
+    time from a to b in ticks, as (floor, ceiling) (``flight_ticks``):
+    the ticks are over a multiple D of ``_grid``, so a rational flight
+    time is one int, from the root memo, with no Fraction built.  An
+    irrational one raises IrrationalDistance in exact mode and reads as
+    the two ticks around it in approximate mode.
     """
 
-    __slots__ = ("setting", "params", "num", "ticks", "memo", "links", "flights", "per_root")
+    __slots__ = ("setting", "params", "ticks", "memo", "links", "flight")
 
-    def __init__(self, setting: Setting, params: SystemParams, num: Num, ticks: Ticks):
-        self.setting, self.params, self.num, self.ticks = setting, params, num, ticks
-        self.memo: Optional[dict[Event, Coverage]] = None  # the setting's, for this mode and speed
-        self.links: dict[tuple[NodeId, NodeId], tuple[tuple[Real, Optional[Real]], ...]] = {}
-        self.flights: dict[tuple[NodeId, NodeId], Real] = {}
-        self.per_root: Optional[int] = None  # ticks per unit of r; exact mode only
-        if ticks.den is not None:
-            c = _lattice(setting)[0]
-            p, q = params.v.as_integer_ratio()
-            self.per_root = q * (ticks.den // (c * p))
+    def __init__(self, setting: Setting, params: SystemParams, exact: bool, ticks: Ticks):
+        self.setting, self.params, self.ticks = setting, params, ticks
+        self.memo: Optional[dict[Event, Coverage]] = None  # the setting's, for this speed
+        self.links: dict[tuple[NodeId, NodeId], tuple[tuple[int, Optional[int]], ...]] = {}
+        self.flight = flight_ticks(setting, params.v, ticks.den, exact)
 
-    def flight(self, a: NodeId, b: NodeId) -> Real:
-        t = self.flights.get((a, b))
-        if t is None:
-            if self.per_root is None:
-                t = time_of_flight(self.setting, self.params, a, b, self.num)
-            else:
-                t = dist_ratio(self.setting, a, b)[0] * self.per_root
-            self.flights[(a, b)] = t
-        return t
-
-    def up(self, a: NodeId, b: NodeId, t0: Real, t1: Real) -> bool:
+    def up(self, a: NodeId, b: NodeId, t0: int, t1: int) -> bool:
         """link_up_over, on ticks."""
         if a == b:
             return True
@@ -1102,25 +1107,28 @@ class _Physics:
         return _up_over(phases, t0, t1)
 
     def coverage(self, e: Union[Bcast, Dcast]) -> Coverage:
-        """(node, arrival, link up) for every node a transmission reaches, in node order.
+        """(node, link up) for every node a transmission reaches, in node order.
 
         A broadcast reaches every node, the sender included; a directional
         cast reaches the nodes its sector holds.  A reached node receives
         one flight time after the start if its link from the sender is up
-        over the whole reception window, which the third field tells.  An
+        over the whole reception window, which the second field tells.  An
         undeclared link is never up, so only the nodes in
         ``setting.reachable`` are listed.  The tuple is read from and kept
         in the setting's coverage memo (see ``Setting``), so each
-        transmission's flight-time sums, window sums and link scans are
-        done once per setting, mode and signal speed, on the ticks of the
-        pass that first covers it.  The arrival kept is the instant
-        itself, not its tick, so passes with other ticks share the memo.
+        transmission's sector tests and link scans are done once per
+        setting and signal speed, whatever the mode or the ticks of the
+        pass; each pass adds the start and flight ticks itself.
+
+        The window of an irrational arrival is scanned from the arrival's
+        floor tick.  That is exact: phase bounds are ticks, and a tick is
+        at most an irrational instant exactly when it is at most its floor.
         """
         setting, memo = self.setting, self.memo
         if memo is None:
             if setting._coverage is None:
                 setting._coverage = {}
-            memo = self.memo = setting._coverage.setdefault((self.num.exact, self.params.v), {})
+            memo = self.memo = setting._coverage.setdefault(self.params.v, {})
         cover = memo.get(e)
         if cover is None:
             reach = setting.reachable.get(e.actor)
@@ -1131,9 +1139,8 @@ class _Physics:
             for dest in reach:
                 if isinstance(e, Dcast) and not inrange(setting, actor, e.direction, e.angle, dest):
                     continue
-                at = start + self.flight(actor, dest)
-                up = self.up(actor, dest, at, at + span)
-                entries.append((dest, at if ticks.den is None else Fraction(at, ticks.den), up))
+                at = start + self.flight(actor, dest)[0]
+                entries.append((dest, self.up(actor, dest, at, at + span)))
             cover = memo[e] = tuple(entries)
         return cover
 
@@ -1154,24 +1161,27 @@ def check_setting_feasible(
     - every directional cast is performed by an adversarial node and is
       received by exactly the covered, link-enabled nodes.
 
-    In exact mode every instant is compared as the integer t·D (see
-    ``Ticks``).  D is the lcm of the trace's D (see ``Trace``), of every
-    link bound's denominator and of a multiple of every rational flight
-    time's (``_grid``, from the coordinates, asking for no flight time).
-    It is put together at each call from the D the trace keeps and the
-    lcms the setting keeps; the link phases and flight times the call
-    asks for are taken to ticks once each and dropped when it returns.
-    In approximate mode instants are compared as they are, with
-    ``num.eq``.
+    Every instant is compared as the integer t·D (see ``Ticks``).  D is
+    the lcm of the trace's D (see ``Trace``), of every link bound's
+    denominator, of a multiple of every rational flight time's
+    (``_grid``, from the coordinates, asking for no flight time) and of
+    the denominator of num.epsilon, which reads as E = epsilon·D ticks
+    (0 in exact mode).  It is put together at each call from the D the
+    trace keeps and the lcms the setting keeps; the link phases and
+    flight times the call asks for are taken to ticks once each and
+    dropped when it returns.  A flight time reads as its floor F and
+    ceiling C (``flight_ticks``, F = C when it is rational), and a
+    reception at A is one flight time after a send at S, within epsilon,
+    exactly when S + C - E <= A <= S + F + E.
 
     Matching goes through indexes built at each call and dropped when it
     returns: the broadcast starts and directional casts keyed by
     ``(sender, msg)`` and the reception starts keyed by ``(receiver,
-    sender, msg)``, built in one pass; and, in exact mode, the arrivals
-    of the transmissions met so far, keyed by ``(receiver, sender,
-    msg)`` and read from the setting's coverage memo (see ``Setting``).
-    A covered node is compared with the receptions of its message
-    between its two nodes only.
+    sender, msg)``, built in one pass; and, when E = 0, the arrivals on
+    the grid of the transmissions met so far, keyed by ``(receiver,
+    sender, msg)``, with the link facts of the setting's coverage memo
+    (see ``Setting``).  A covered node is compared with the receptions
+    of its message between its two nodes only.
 
     A reception whose start equals an indexed arrival takes its match
     (broadcast, directional cast or both) and its link fact from those
@@ -1183,17 +1193,19 @@ def check_setting_feasible(
     other receptions are matched by a scan of their sender's
     transmissions of the message, one flight time earlier, and their
     link is scanned afresh: those over an undeclared link, those at an
-    instant no transmission explains, and every reception in
-    approximate mode.
+    instant no transmission explains, and every reception when E > 0.
     """
     violations: list[Violation] = []
     known = set(setting.nodes)
-    ticks, starts = trace.ticks(num, _grid(setting, params) if num.exact else 1)
-    phys = _Physics(setting, params, num, ticks)
+    eps, eps_den = num.epsilon.as_integer_ratio()
+    ticks, starts = trace.ticks(math.lcm(_grid(setting, params), eps_den))
+    slack = eps * (ticks.den // eps_den)  # E
+    phys = _Physics(setting, params, num.exact, ticks)
 
-    bcast_starts: dict[tuple[NodeId, Message], list[Real]] = {}
-    dcasts: dict[tuple[NodeId, Message], list[tuple[Real, Dcast]]] = {}
-    receive_starts: dict[tuple[NodeId, NodeId, Message], list[Real]] = {}
+    # starts come in canonical order, so each list of starts is sorted (bisect)
+    bcast_starts: dict[tuple[NodeId, Message], list[int]] = {}
+    dcasts: dict[tuple[NodeId, Message], list[tuple[int, Dcast]]] = {}
+    receive_starts: dict[tuple[NodeId, NodeId, Message], list[int]] = {}
     for e, at in starts.items():
         if isinstance(e, Bcast):
             bcast_starts.setdefault((e.actor, e.msg), []).append(at)
@@ -1202,7 +1214,7 @@ def check_setting_feasible(
         elif isinstance(e, Receive):
             receive_starts.setdefault((e.actor, e.sender, e.msg), []).append(at)
 
-    # (arrival, sent by broadcast, link up) per covered receiver; exact mode only
+    # (arrival, sent by broadcast, link up) per covered receiver; E = 0 only
     arrivals: dict[tuple[NodeId, NodeId, Message], list[tuple[int, bool, bool]]] = {}
 
     for e, at in starts.items():
@@ -1226,11 +1238,14 @@ def check_setting_feasible(
                         dcast_match = True
             if link_up is None:
                 link_up = phys.up(e.sender, e.actor, at, at + ticks.of(e.msg.duration))
-                send_time = at - phys.flight(e.sender, e.actor)
+                floor, ceil = phys.flight(e.sender, e.actor)
+                # the sends S with S + C - E <= at <= S + F + E
+                low, high = at - floor - slack, at - ceil + slack
                 source = (e.sender, e.msg)
-                bcast_match = any(num.eq(start, send_time) for start in bcast_starts.get(source, ()))
+                sent = bcast_starts.get(source, ())
+                bcast_match = bisect_left(sent, low) < bisect_right(sent, high)
                 dcast_match = any(
-                    num.eq(start, send_time)
+                    low <= start <= high
                     and inrange(setting, e.sender, d.direction, d.angle, e.actor)
                     for start, d in dcasts.get(source, ())
                 )
@@ -1273,15 +1288,14 @@ def check_setting_feasible(
                             "directional transmission is reserved to adversarial nodes",
                         )
                     )
-            for dest, arrival, up in phys.coverage(e):
+            for dest, up in phys.coverage(e):
+                floor, ceil = phys.flight(e.actor, dest)
+                # the receptions A with S + C - E <= A <= S + F + E
+                low, high = at + ceil - slack, at + floor + slack
+                if not slack and floor == ceil:
+                    arrivals.setdefault((dest, e.actor, e.msg), []).append((low, by_bcast, up))
                 found = receive_starts.get((dest, e.actor, e.msg), ())
-                if num.exact:
-                    arrival = ticks.of(arrival)
-                    arrivals.setdefault((dest, e.actor, e.msg), []).append((arrival, by_bcast, up))
-                    present = arrival in found
-                else:
-                    present = any(num.eq(start, arrival) for start in found)
-                if up and not present:
+                if up and bisect_left(found, low) == bisect_right(found, high):
                     violations.append(
                         Violation(rule, (e,), f"{dest} {reach} but no matching reception")
                     )
@@ -1289,29 +1303,30 @@ def check_setting_feasible(
     return Verdict(tuple(violations))
 
 
-def induced_receives(
-    sends: Iterable[Event],
-    setting: Setting,
-    params: SystemParams,
-    num: Num = EXACT,
-) -> list[Receive]:
+def induced_receives(sends: Iterable[Event], setting: Setting, params: SystemParams) -> list[Receive]:
     """All receptions that the given transmissions force to exist.
 
     Reads each transmission's coverage from the setting's coverage memo
     (``_Physics.coverage``), filling it where the transmission is new, on
     ticks over the lcm of the sends' start and duration denominators and
-    ``_grid``'s, and keeps the entries whose link is up.  It is the same table
-    check_setting_feasible matches receptions against, so a trace
-    assembled from sends plus their induced receives passes the
-    physical-consistency check by construction, and checking it against
-    the same setting works out no coverage again: in exact mode each of
-    its receptions is a table hit, with no flight-time subtraction and
-    no link scan.
+    ``_grid``'s, and keeps the receivers whose link is up, one flight
+    time after the start.  It is the same table check_setting_feasible
+    matches receptions against, so a trace assembled from sends plus
+    their induced receives passes the physical-consistency check by
+    construction, and checking it against the same setting works out no
+    coverage again: in exact mode each of its receptions is a table hit,
+    with no flight-time subtraction and no link scan.  An irrational distance
+    raises IrrationalDistance: its arrival is no instant of a trace.
     """
     sends = [e for e in sends if isinstance(e, (Bcast, Dcast))]
     times = [t.as_integer_ratio()[1] for e in sends for t in (e.start, e.msg.duration)]
-    ticks = Ticks(math.lcm(_grid(setting, params), *times) if num.exact else None)
-    phys = _Physics(setting, params, num, ticks)
-    return [
-        Receive(dest, at, e.actor, e.msg) for e in sends for dest, at, up in phys.coverage(e) if up
-    ]
+    ticks = Ticks(math.lcm(_grid(setting, params), *times))
+    phys = _Physics(setting, params, True, ticks)
+    induced = []
+    for e in sends:
+        start = ticks.of(e.start)
+        for dest, up in phys.coverage(e):
+            if up:
+                at = Fraction(start + phys.flight(e.actor, dest)[0], ticks.den)
+                induced.append(Receive(dest, at, e.actor, e.msg))
+    return induced

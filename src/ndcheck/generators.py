@@ -52,7 +52,7 @@ from .core import (
     induced_receives,
 )
 from .protocols import InaccuracyParams, PT, protocol_spec
-from .rational import EXACT, Real
+from .rational import EXACT
 
 NODE_NAMES = ("A", "B", "C", "D", "E")
 
@@ -75,12 +75,12 @@ _DECLARATION_DELAYS = (Fraction(1, 4), Fraction(1))
 _NO_INACCURACY = InaccuracyParams()
 
 
-def _frac(rng: random.Random, lo: Real, hi: Real, denominator: int = 8) -> Fraction:
+def _frac(rng: random.Random, lo: Fraction, hi: Fraction, denominator: int = 8) -> Fraction:
     """A multiple of 1/denominator in [lo, hi], for 0 <= lo <= hi."""
     return Fraction(rng.randint(_steps(lo, denominator), _steps(hi, denominator)), denominator)
 
 
-def _steps(x: Real, denominator: int) -> int:
+def _steps(x: Fraction, denominator: int) -> int:
     """floor(x·denominator) for x >= 0, in integers."""
     n, d = x.as_integer_ratio()
     return n * denominator // d
@@ -172,7 +172,7 @@ def random_setting(
     return Setting(names, dict(zip(names, points)), types, links)
 
 
-def _fresh_time(rng: random.Random, used: set[Fraction], lo: Real, hi: Real) -> Fraction:
+def _fresh_time(rng: random.Random, used: set[Fraction], lo: Fraction, hi: Fraction) -> Fraction:
     while True:
         t = _frac(rng, lo, hi)
         if t not in used:

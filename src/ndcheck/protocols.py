@@ -71,11 +71,9 @@ from .core import (
     Trace,
     Verdict,
     Violation,
-    per_speed,
     project_local,
-    sq_dist,
 )
-from .rational import EXACT, Num, Real
+from .rational import EXACT, Num
 
 NAIVE = "naive"
 PT = "pt"
@@ -164,19 +162,9 @@ def pgt_accepts(
     beacon: BeaconTL,
     num: Num = EXACT,
 ) -> bool:
-    """Exact agreement of the time- and location-derived distance estimates.
-
-    Compared on squared distances, in exact mode as integers with every
-    denominator cleared; the time estimate stands for a distance, so >= 0.
-    """
-    if num.exact:
-        n, d = _sq_dist_ratio(owner_loc, beacon.beacon_loc)
-        t, s = _diff_ratio(receive_start, beacon.beacon_time)
-        p, q = params.v.as_integer_ratio()
-        return t >= 0 and (p * t) ** 2 * d == n * (q * s) ** 2  # (v·dt)² == n/d
-    dt = receive_start - beacon.beacon_time
-    squared = sq_dist(owner_loc, beacon.beacon_loc)
-    return dt >= 0 and num.eq(dt, per_speed(num.sqrt(squared), params.v, "v"))
+    """Agreement of the time- and location-derived distance estimates,
+    exact, or within num.epsilon in approximate mode (``_estimates_agree``)."""
+    return _estimates_agree(params, owner_loc, receive_start, beacon, num.epsilon)
 
 
 def pgt_approx_accepts(
@@ -186,15 +174,29 @@ def pgt_approx_accepts(
     beacon: BeaconTL,
     inacc: InaccuracyParams,
 ) -> bool:
-    """|time estimate - location estimate| <= delta + tau, decided exactly.
+    """|time estimate - location estimate| <= delta + tau (``_estimates_agree``)."""
+    return _estimates_agree(params, owner_loc, receive_start, beacon, inacc.window)
+
+
+def _estimates_agree(
+    params: SystemParams,
+    owner_loc: Point,
+    receive_start: Fraction,
+    beacon: BeaconTL,
+    window: Fraction,
+) -> bool:
+    """|time estimate - location estimate| <= window, decided exactly.
 
     The location estimate is sqrt(squared)/v and may be irrational, so
     both window bounds are compared as integers by sign-aware squaring.
+    At window 0 this is exact agreement, with a time estimate >= 0.
     """
     n, d = _sq_dist_ratio(owner_loc, beacon.beacon_loc)
     t, s = _diff_ratio(receive_start, beacon.beacon_time)
-    w, z = inacc.window.as_integer_ratio()
+    w, z = window.as_integer_ratio()
     p, q = params.v.as_integer_ratio()
+    if not w:  # the two squarings below agree: one equality decides
+        return t >= 0 and (p * t) ** 2 * d == n * (q * s) ** 2
     # v·(dt ± window) = p·(t·z ± w·s) / (q·s·z), compared squared with n/d
     upper, lower = t * z + w * s, t * z - w * s
     scaled = n * (q * s * z) ** 2
@@ -508,8 +510,8 @@ def beacon_violation(
 
     With measurement slack the stamp may be off by up to delta in time
     and tau·v in location, compared exactly.  Without, there is no slack:
-    the time must be num.eq to the start (within num.epsilon in
-    approximate mode) and the location must be the node's.
+    the time must be the start, within num.epsilon in approximate mode,
+    and the location must be the node's.
     """
     msg = e.msg
     due = spec.beacon(e.actor, e.start, setting.loc[e.actor], params)
@@ -526,7 +528,7 @@ def beacon_violation(
             "beacon duration differs from the default message duration",
         )
     time_detail, location_detail = _STAMP_DETAILS[inacc is not None]
-    # num.eq(a, b) is abs(a - b) <= num.epsilon, which is 0 in exact mode
+    # num.epsilon is 0 in exact mode
     delta, tau = (num.epsilon, Fraction(0)) if inacc is None else (inacc.delta, inacc.tau)
     if abs(msg.beacon_time - due.beacon_time) > delta:
         return Violation("beacon-time-mismatch", (e,), time_detail)
@@ -555,10 +557,9 @@ def _check_stamped(
     A correct node's broadcast is compared with the beacon the protocol
     table has it send (``beacon_violation``).  A declaration is backed
     when ``spec.accepts`` takes one of its owner's completed receptions
-    for the declared peer; only the receptions that num.eq matches with
-    the peer time are tried: those starting in [peer_time - eps,
-    peer_time + eps], with eps = num.epsilon in approximate mode and 0 in
-    exact mode, found by bisection.  The index behind it is built in one
+    for the declared peer; only the receptions that start within
+    num.epsilon of the peer time are tried (exactly at it in exact mode),
+    found by bisection.  The index behind it is built in one
     pass at each call and dropped when it returns: each correct node's
     receptions with their starts, in canonical order, which sorts them by
     start.
@@ -569,14 +570,13 @@ def _check_stamped(
     """
     violations: list[Violation] = []
     correct = set(setting.correct_nodes)
-    ticks, starts = trace.ticks(num)
-    receives_by_actor: dict[NodeId, list[tuple[Real, Receive]]] = {}
+    ticks, starts = trace.ticks()
+    receives_by_actor: dict[NodeId, list[tuple[int, Receive]]] = {}
     for r, at in starts.items():
         if isinstance(r, Receive) and r.actor in correct:
             receives_by_actor.setdefault(r.actor, []).append((at, r))
 
-    # num.eq(start, peer_time) holds exactly for starts in [peer_time - eps, peer_time + eps]
-    eps = 0 if num.exact else num.epsilon
+    eps = num.epsilon or 0  # an int 0 tests false without a call
     for e, now in starts.items():
         if e.actor not in correct:
             continue

@@ -3,7 +3,9 @@
 All quantities in the model (times, coordinates, speeds) are rational
 numbers.  Exact mode compares them with plain equality; approximate mode
 relaxes equality to a caller-supplied epsilon and allows irrational
-distances (evaluated in floating point).
+distances.  Both modes decide every comparison exactly, in integers: an
+irrational flight time is read as the integer ticks just below and just
+above it (see ``core.Ticks``), never as a float.
 """
 
 from __future__ import annotations
@@ -11,9 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
-
-Real = Union[Fraction, float]
 
 
 class IrrationalDistance(ValueError):
@@ -117,11 +116,11 @@ def exact_sqrt(squared: Fraction) -> Fraction:
     """Exact square root of a rational, or IrrationalDistance."""
     if squared < 0:
         raise ValueError("square root of negative value")
-    num = _isqrt_exact(squared.numerator)
-    den = _isqrt_exact(squared.denominator)
-    if num is None or den is None:
+    top = _isqrt_exact(squared.numerator)
+    bottom = _isqrt_exact(squared.denominator)
+    if top is None or bottom is None:
         raise not_a_square(squared)
-    return Fraction(num, den)
+    return Fraction(top, bottom)
 
 
 def not_a_square(squared: Fraction) -> IrrationalDistance:
@@ -139,28 +138,16 @@ def is_rational_square(squared: Fraction) -> bool:
 
 @dataclass(frozen=True)
 class Num:
-    """Comparison context: exact rational, or epsilon-tolerant floating."""
+    """Comparison context.
+
+    exact     whether an irrational distance is an error (exact mode) or
+              is compared by the ticks around it (approximate mode)
+    epsilon   how far two instants may differ and still count as equal;
+              0 in exact mode
+    """
 
     exact: bool = True
     epsilon: Fraction = Fraction(0)
-
-    def sqrt(self, squared: Real) -> Real:
-        if self.exact:
-            return exact_sqrt(squared)
-        return math.sqrt(squared)
-
-    def eq(self, a: Real, b: Real) -> bool:
-        if self.exact:
-            return a == b
-        return abs(a - b) <= self.epsilon
-
-    def le(self, a: Real, b: Real) -> bool:
-        if self.exact:
-            return a <= b
-        return a <= b + self.epsilon
-
-    def ge(self, a: Real, b: Real) -> bool:
-        return self.le(b, a)
 
 
 EXACT = Num()

@@ -331,8 +331,10 @@ def test_approx_mode_scenario_with_irrational_geometry(tmp_path, capsys):
 
 
 def test_coordinates_beyond_float_range(tmp_path, capsys):
-    """Exact mode stays exact at any scale; approximate mode reports the
-    overflow as an error naming the distance's two nodes, not a traceback."""
+    """Both modes decide exactly at any scale, with no float distance to
+    overflow: approximate mode gives exact mode's report under an epsilon
+    below delta_relay, and under a wider one also lets B's own reception
+    at 0 justify its cast at 0 (a gap of 0 >= delta_relay - epsilon)."""
     scn = tmp_path / "far.scn"
     far = "x = 1e400\ny = 0\ntype = adversarial"
     scn.write_text(RADIO.replace("x = 100\ny = 0\ntype = correct", far))
@@ -351,16 +353,20 @@ def test_coordinates_beyond_float_range(tmp_path, capsys):
     assert data["setting_feasible"]["ok"] is True
     assert [v["rule"] for v in data["adversary_feasible"]["violations"]] == ["relay-unjustified"]
     capsys.readouterr()
-    assert run(["--approx", "1/1000", "check", scn, trc]) == 1
-    assert capsys.readouterr().err == (
-        "error: distance A-B is beyond float range in approximate mode\n"
-    )
+    approx = tmp_path / "approx.json"
+    argv = ["--format", "structured", "--out", approx, "check", scn, trc]
+    assert run(["--approx", "1/1000000000", *argv]) == 2
+    assert approx.read_text() == report.read_text()
+    assert run(["--approx", "1/1000", *argv]) == 0
+    data = json.loads(approx.read_text())
+    assert data["setting_feasible"]["ok"] and data["adversary_feasible"]["ok"]
+    assert capsys.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize("v_adv", ["300000000", "1e-997"])
 def test_speed_that_rounds_to_zero_in_approximate_mode(tmp_path, capsys, v_adv):
-    """Exact mode checks as usual; approximate mode, where v = 1e-997
-    rounds to 0.0, reports the speed as an error, not a traceback."""
+    """v = 1e-997 rounds to 0.0 as a float; both modes check it exactly
+    and give one report."""
     scn = tmp_path / "slow.scn"
     scn.write_text(
         RADIO.replace("v = 300000000\nv_adv = 300000000", f"v = 1e-997\nv_adv = {v_adv}")
@@ -368,9 +374,42 @@ def test_speed_that_rounds_to_zero_in_approximate_mode(tmp_path, capsys, v_adv):
     trc = tmp_path / "slow.trc"
     trc.write_text("bcast B 0 opaque:id-B:1/1000000\nreceive B 0 B opaque:id-B:1/1000000\n")
     assert run(["check", scn, trc]) == 2
-    capsys.readouterr()
-    assert run(["--approx", "1/1000", "check", scn, trc]) == 1
-    assert capsys.readouterr().err == "error: speed v rounds to 0.0 in approximate mode\n"
+    exact = capsys.readouterr()
+    assert run(["--approx", "1/1000", "check", scn, trc]) == 2
+    assert capsys.readouterr() == exact
+
+
+def test_attack_on_an_irrational_pair_names_both_nodes(tmp_path, capsys):
+    """A scenario with A and B sqrt(2) apart loads in approximate mode, and
+    attack synthesis refuses it with an error that says why and names both
+    nodes; exact mode refuses it when it loads."""
+    scn = tmp_path / "diag.scn"
+    scn.write_text(RADIO.replace("x = 100\ny = 0", "x = 1\ny = 1"))
+    assert run(["--approx", "1/1000", "attack", scn, "--out-dir", tmp_path / "out"]) == 1
+    assert capsys.readouterr().err == (
+        "error: attack synthesis needs a rational distance between the correct nodes "
+        "'A' and 'B': 2 is not a rational square\n"
+    )
+    assert run(["attack", scn, "--out-dir", tmp_path / "out"]) == 1
+    assert "exact mode needs rational pairwise distances" in capsys.readouterr().err
+
+
+def test_sweep_beyond_float_range(tmp_path, capsys):
+    """A range of 1e400 m sweeps: every exact column is written, and a
+    display column beyond float range shows twelve significant digits of
+    the exact value, in float's notation."""
+    scn = tmp_path / "far.scn"
+    scn.write_text(RADIO.replace("nd_range = 100", "nd_range = 1e400"))
+    assert run(["sweep", scn, "--from", "0", "--to", "1/10000000", "--step", "1/10000000"]) == 0
+    header, first, second = (line.split("\t") for line in capsys.readouterr().out.splitlines())
+    rows = [dict(zip(header, first)), dict(zip(header, second))]
+    assert rows[0]["pt_threshold"] == f"{10**392}/3"
+    for row in rows:
+        assert row["pt_threshold_float"] == "3.33333333333e+391"
+        assert row["pt_effective_range_float"] == "1e+400"
+    assert rows[1]["value_float"] == "1e-07"  # in float range: float's own text
+    assert rows[1]["single_relay_max_dist"] == str(10**400 - 30)
+    assert rows[1]["single_relay_max_dist_float"] == "1e+400"
 
 
 def test_generated_worlds_survive_the_full_file_loop(tmp_path, capsys):

@@ -716,18 +716,23 @@ def test_trace_order_is_the_sort_key_order(events, rng):
 # approximate mode
 
 
-def test_approx_mode_handles_irrational_distances(unit_params):
-    from ndcheck import approx_num
-
-    diagonal = Setting(
+def diagonal_setting():
+    """A at (0, 0) and B at (1, 1): sqrt(2) apart, an irrational distance."""
+    return Setting(
         nodes=("A", "B"),
         loc={"A": (F(0), F(0)), "B": (F(1), F(1))},
         node_type={"A": CORRECT, "B": CORRECT},
         link_schedule={("A", "B"): ALWAYS, ("B", "A"): ALWAYS},
     )
+
+
+def test_approx_mode_handles_irrational_distances(unit_params):
+    from ndcheck import approx_num
+
+    diagonal = diagonal_setting()
+    with pytest.raises(IrrationalDistance, match="^2 is not a rational square$"):
+        dist(diagonal, "A", "B")
     num = approx_num(F(1, 10**9))
-    flight = dist(diagonal, "A", "B", num)
-    assert abs(flight - 2**0.5) < 1e-12
     msg = beacon()
     arrival = F(1414213562373095, 10**15)  # sqrt(2) to 16 digits
     trace = Trace(
@@ -750,6 +755,56 @@ def test_approx_mode_handles_irrational_distances(unit_params):
     assert check_setting_feasible(
         coarse, diagonal, unit_params, approx_num(F(1, 100))
     ).ok
+
+
+# sqrt(2) to 16 digits, 4.9e-17 below it, and to 4 digits, 1.4e-5 above it
+_SQRT2_BELOW, _SQRT2_COARSE = F(1414213562373095, 10**15), F(14143, 10**4)
+
+
+def test_approx_mode_decides_the_diagonal_without_float_roots(unit_params, monkeypatch):
+    """Physics, the direct pgt route and the relay rule decide a sqrt(2)
+    distance with math.sqrt unusable: every comparison is in integers, and
+    a window wider than the distance to sqrt(2) is exactly what accepts."""
+    from ndcheck import approx_num, check_pgt_feasible
+
+    def no_float_root(x):
+        raise AssertionError("math.sqrt called")
+
+    monkeypatch.setattr(math, "sqrt", no_float_root)
+    fine, loose, zero = approx_num(F(1, 10**9)), approx_num(F(1, 10**4)), approx_num(F(0))
+    diagonal = diagonal_setting()
+    msg = BeaconTL("B", F(0), (F(1), F(1)), F(1))
+    for arrival, accepted_by in ((_SQRT2_BELOW, (fine, loose)), (_SQRT2_COARSE, (loose,))):
+        trace = Trace(
+            [
+                Bcast("B", F(0), msg),
+                Receive("B", F(0), "B", msg),
+                Receive("A", arrival, "B", msg),
+                Neighbor("A", arrival + 2, "B", arrival),
+            ]
+        )
+        for num in (fine, loose, zero):
+            physics = check_setting_feasible(trace, diagonal, unit_params, num)
+            pgt = check_pgt_feasible(trace, diagonal, unit_params, None, num)
+            if num in accepted_by:
+                assert physics.ok and pgt.ok, (arrival, num)
+            else:
+                assert physics.rules() == {"receive-without-transmission", "bcast-missing-receive"}
+                assert pgt.rules() == {"neighbor-unjustified"}
+    # A relays C's message from B's reception, over a sqrt(2) channel
+    relays = Setting(
+        nodes=("A", "B", "C"),
+        loc={"A": (F(0), F(0)), "B": (F(1), F(1)), "C": (F(1), F(0))},
+        node_type={"A": ADVERSARIAL, "B": ADVERSARIAL, "C": CORRECT},
+    )
+    model = AdversaryModel(RELAY, unit_params.delta_relay)
+    heard = Receive("B", F(1), "C", msg)
+    for gap, accepted_by in ((_SQRT2_BELOW, (fine, loose)), (_SQRT2_COARSE, (fine, loose, zero))):
+        cast = Dcast("A", heard.start + unit_params.delta_relay + gap, F(0), F(2), msg)
+        trace = Trace([Bcast("C", F(0), msg), heard, cast])
+        for num in (fine, loose, zero):
+            verdict = check_adversary_feasible(trace, relays, unit_params, model, num)
+            assert verdict.ok == (num in accepted_by), (gap, num)
 
 
 def test_projection_tl_requires_setting():

@@ -320,12 +320,16 @@ def test_integer_stamp_location_bound_matches_fraction_formula(data):
     assert (found and found.rule) == _reference_stamp_rule(e, setting, params, inacc)
 
 
-def test_pgt_approx_mode_names_a_speed_that_rounds_to_zero():
+def test_pgt_approx_mode_decides_a_speed_that_rounds_to_zero():
+    """A speed that rounds to 0.0 as a float is decided exactly: the
+    location estimate 5/v is 5·10**997, and the window is epsilon about it."""
     v = F(1, 10**997)
     params = SystemParams(v, v, F(1), F(0), F(1))
-    beacon = BeaconTL("B", 0, (3, 4), 1)
-    with pytest.raises(OverflowError, match="speed v rounds to 0.0"):
-        pgt_accepts(params, (0, 0), 5, beacon, approx_num(F(1, 1000)))
+    beacon = BeaconTL("B", F(0), (F(3), F(4)), F(1))
+    num = approx_num(F(1, 1000))
+    assert not pgt_accepts(params, (F(0), F(0)), F(5), beacon, num)
+    for shift, accepted in ((F(0), True), (F(1, 1000), True), (-F(1, 1000), True), (F(1, 999), False)):
+        assert pgt_accepts(params, (F(0), F(0)), 5 / v + shift, beacon, num) == accepted
 
 
 # ---------------------------------------------------------------------------
