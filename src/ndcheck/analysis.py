@@ -12,9 +12,10 @@ Quantities derived from the system parameters alone:
 - whether the slack-tolerant time+location protocol is attackable
   (delay strictly below twice the combined error bound).
 
-Sweeps recompute the closed forms row by row and cross-check them
-against the constructive attack synthesizer, which is the oracle tie
-between the two halves of the package.
+Sweeps recompute the closed forms row by row and read both attack
+flags from them. The constructive attack synthesizer is their oracle:
+the tests and CI build the canonical pt attack at every row they check
+and compare.
 """
 
 from __future__ import annotations
@@ -24,15 +25,8 @@ from decimal import Context, Decimal
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .attacks import (
-    PlacementInfeasible,
-    SINGLE_RELAY,
-    WORMHOLE,
-    default_wormhole_placement,
-    plan_relay_attack,
-)
 from .core import SystemParams
-from .protocols import InaccuracyParams, PT
+from .protocols import InaccuracyParams
 from .rational import format_scalar
 
 
@@ -69,31 +63,24 @@ def compute_boundaries(
     )
 
 
-def _attack_flag(params: SystemParams, variant: str) -> bool:
-    """Does the canonical attack construction go through at these parameters?
-
-    Canonical means: honest distance equal to the discovery range and the
-    default placement (for wormholes, reaching for half the amplified
-    bound so the flag tracks the amplified headroom).
-    """
-    try:
-        if variant == WORMHOLE:
-            bound = compute_boundaries(params).wormhole_max_dist
-            if bound <= 0:
-                return False
-            placement = default_wormhole_placement(
-                params.nd_range, params, PT, b_x=bound / 2
-            )
-            plan_relay_attack(params.nd_range, params, PT, WORMHOLE, placement)
-        else:
-            plan_relay_attack(params.nd_range, params, PT, SINGLE_RELAY)
-        return True
-    except PlacementInfeasible:
-        return False
-
-
 @dataclass(frozen=True)
 class SweepRow:
+    """One sweep row: the closed forms at one value of the varied
+    parameter, and whether the canonical pt attack is built there.
+
+    Canonical means the honest distance equal to nd_range and the default
+    placement; for a wormhole, B at half the amplified bound. Each flag is
+    exactly its bound's sign, with h = nd_range - v*delta_relay:
+
+    - single relay: the default placement puts B at b_x = h and refuses
+      only b_x <= 0; otherwise the path A-C-B is b_x, so the construction's
+      lateness (path - nd_range)/v + delta_relay is 0, within its zero slack;
+    - wormhole: with B at b_x = (v_adv/v)*h/2 the spare is h/2 > 0; the
+      path is (v/v_adv)*b_x = h/2 plus, since v/v_adv <= 1
+      (``SystemParams`` enforces v_adv >= v), at most spare/2 = h/4 for
+      the end offsets, so v*lateness <= h/4 - h/2 < 0.
+    """
+
     varied: str
     value: Fraction
     report: BoundaryReport
@@ -128,14 +115,18 @@ def sweep(
         raise ValueError(f"cannot sweep {varied!r}; one of {_SWEEPABLE}")
     rows = []
     for value in values:
-        row_params = replace(params, **{varied: value})
+        try:
+            row_params = replace(params, **{varied: value})
+        except ValueError as exc:
+            raise ValueError(f"sweep value {varied} = {format_scalar(value)}: {exc}") from exc
+        report = compute_boundaries(row_params, inacc)
         rows.append(
             SweepRow(
                 varied=varied,
                 value=value,
-                report=compute_boundaries(row_params, inacc),
-                single_relay_attack=_attack_flag(row_params, SINGLE_RELAY),
-                wormhole_attack=_attack_flag(row_params, WORMHOLE),
+                report=report,
+                single_relay_attack=report.single_relay_max_dist > 0,
+                wormhole_attack=report.wormhole_max_dist > 0,
             )
         )
     return rows

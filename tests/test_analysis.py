@@ -1,3 +1,5 @@
+import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,12 +10,15 @@ from ndcheck import (
     PlacementInfeasible,
     SINGLE_RELAY,
     SystemParams,
+    WORMHOLE,
     compute_boundaries,
     plan_relay_attack,
     render_table,
     sweep,
     sweep_values,
+    verify_attack_plan,
 )
+from ndcheck.attacks import default_wormhole_placement
 
 F = Fraction
 C = F(300_000_000)
@@ -70,33 +75,67 @@ def test_sweep_values():
         sweep_values(F(0), F(1), F(0))
 
 
-def test_sweep_oracle_agreement(unit_params):
-    """Closed-form vulnerability must match the constructive synthesizer row by row."""
-    threshold = unit_params.nd_range / unit_params.v
-    values = sweep_values(F(0), threshold * F(5, 4), threshold / 16)
-    rows = sweep(unit_params, "delta_relay", values)
-    assert len(rows) == len(values)
-    for row in rows:
-        closed_form = row.report.single_relay_max_dist > 0
-        assert row.single_relay_attack == closed_form
-        assert row.wormhole_attack == closed_form
-        constructive = True
-        try:
-            plan_relay_attack(
-                unit_params.nd_range,
-                SystemParams(
-                    unit_params.v,
-                    unit_params.v_adv,
-                    unit_params.nd_range,
-                    row.value,
-                    unit_params.msg_duration_default,
-                ),
-                PT,
-                SINGLE_RELAY,
-            )
-        except PlacementInfeasible:
-            constructive = False
-        assert constructive == closed_form
+# the oracle test below tries 2,744 constructions and checks 112 built attacks
+# (about 1.5 s on Python 3.11); it must take this long at most
+SWEEP_ORACLE_BUDGET_S = 20
+
+
+def _canonical_plan(params, variant):
+    """The canonical pt attack a sweep flag stands for, or None where the
+    construction refuses it: honest distance nd_range, the default
+    placement, and for a wormhole B at half the amplified bound."""
+    try:
+        placement = None
+        if variant == WORMHOLE:
+            b_x = compute_boundaries(params).wormhole_max_dist / 2
+            placement = default_wormhole_placement(params.nd_range, params, PT, b_x=b_x)
+        return plan_relay_attack(params.nd_range, params, PT, variant, placement)
+    except PlacementInfeasible:
+        return None
+
+
+def test_sweep_oracle_agreement():
+    """Both sweep flags, read from the closed forms, equal the outcome of
+    the attack construction row by row, and every attack built within 1/4
+    of the flip passes the whole checker stack.
+
+    Grid: v in {1, 3/2}, v_adv/v in {1, 3/2, 2, 3}; delta_relay on a 1/4
+    grid up to R/v + 1 plus R/v and R/v +- 1/1000 for R in {5, 10, 12};
+    nd_range on a 1/4 grid from 1/4 to 15 at delta_relay = 2."""
+    start = time.perf_counter()
+    rows = verified = 0
+    for v in (F(1), F(3, 2)):
+        for ratio in (F(1), F(3, 2), F(2), F(3)):
+            axes = []
+            for nd_range in (F(5), F(10), F(12)):
+                flip = nd_range / v
+                eps = F(1, 1000)
+                values = sorted({*sweep_values(F(0), flip + 1, F(1, 4)), flip - eps, flip, flip + eps})
+                params = SystemParams(v, ratio * v, nd_range, F(0), F(1))
+                axes.append((params, "delta_relay", values, flip))
+            params = SystemParams(v, ratio * v, F(1), F(2), F(1))
+            axes.append((params, "nd_range", sweep_values(F(1, 4), F(15), F(1, 4)), 2 * v))
+            for params, varied, values, flip in axes:
+                for row in sweep(params, varied, values):
+                    row_params = replace(params, **{varied: row.value})
+                    for variant, flag in (
+                        (SINGLE_RELAY, row.single_relay_attack),
+                        (WORMHOLE, row.wormhole_attack),
+                    ):
+                        plan = _canonical_plan(row_params, variant)
+                        assert flag == (plan is not None), (varied, row.value, variant, row_params)
+                        if plan is not None and abs(row.value - flip) <= F(1, 4):
+                            verdicts = verify_attack_plan(plan, row_params)
+                            for key in ("setting_honest", "setting_attack", "protocol_honest",
+                                        "protocol_attack", "adversary_relay", "correctness_honest"):
+                                assert verdicts[key].ok, (key, row.value, variant, row_params)
+                            assert verdicts["views_equal"]
+                            assert len(verdicts["correctness_attack"].violations) == 1
+                            verified += 1
+                    rows += 1
+    elapsed = time.perf_counter() - start
+    assert (rows, verified) == (1372, 112)
+    assert elapsed < SWEEP_ORACLE_BUDGET_S
 
 
 def test_sweep_monotonicity(unit_params):

@@ -193,6 +193,21 @@ def test_sweep_single_point(tmp_path, radio_scenario, capsys):
     assert len(out.splitlines()) == 2
 
 
+@pytest.mark.parametrize(
+    "vary, message",
+    [
+        ("nd_range", "sweep value nd_range = 0: nd_range must be > 0"),
+        ("v_adv", "sweep value v_adv = 0: v_adv must be >= v"),
+    ],
+)
+def test_sweep_invalid_row_names_itself(radio_scenario, capsys, vary, message):
+    argv = ["sweep", radio_scenario, "--vary", vary, "--from", "0", "--to", "2", "--step", "1"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_order_inclusion_and_counterexample(tmp_path, unit_params, capsys):
     corpus_dir = tmp_path / "corpus"
     corpus_dir.mkdir()
