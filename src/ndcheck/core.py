@@ -14,8 +14,8 @@ Conventions baked in here:
 
 - angles are expressed as rational multiples of pi (so 1/2 means a
   quarter turn); sector boundaries at quarter-turn multiples are decided
-  with exact rational arithmetic, the other sector rays in floating
-  point, the one place a float enters a verdict,
+  exactly, in ints on the setting's integer lattice, the other sector
+  rays in floating point, the one place a float enters a verdict,
 - a directional sector is closed at both boundary rays and contains its
   apex, which makes a full-circle directional cast behave exactly like a
   broadcast, including self-reception,
@@ -537,9 +537,9 @@ class Setting:
       the distinct transmissions checked, not with the setting: a
       long-lived setting keeps them all.
 
-    ``_lattice`` keeps, from the first exact distance or physics pass
-    on, the lcm c of the coordinates' denominators, each node's
-    coordinates times c as ints, and the lcm of the link bounds'
+    ``_lattice`` keeps, from the first exact distance, sector decision
+    or physics pass on, the lcm c of the coordinates' denominators, each
+    node's coordinates times c as ints, and the lcm of the link bounds'
     denominators.
     """
 
@@ -797,59 +797,74 @@ def _up_over(phases: Sequence[Interval], t0: Fraction, t1: Fraction) -> bool:
     return False
 
 
-_QUARTER_VECTORS = {
-    Fraction(0): (1, 0),
-    Fraction(1, 2): (0, 1),
-    Fraction(1): (-1, 0),
-    Fraction(3, 2): (0, -1),
-}
-
+# a sector as the integer ratios of its direction and angle: (dn, dd, an, ad)
+Sector = tuple[int, int, int, int]
 
 # a sector ray's direction: ints at quarter turns, floats at other angles (F2)
-Ray = tuple[float, float]
+Ray = Union[tuple[int, int], tuple[float, float]]
+
+# the ray k quarter turns from the x axis
+_QUARTER_VECTORS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
-def _direction_vector(units: Fraction) -> Ray:
-    u = units % FULL_TURN
-    exact = _QUARTER_VECTORS.get(u)
-    if exact is not None:
-        return exact
-    radians = math.pi * float(u)
+def _direction_vector(n: int, d: int) -> Ray:
+    """The unit vector at n/d of pi, for d > 0: ints at quarter turns,
+    floats of n/d elsewhere (int true division rounds correctly, so this is
+    float(Fraction(n, d)))."""
+    n %= 2 * d
+    if 2 * n % d == 0:
+        return _QUARTER_VECTORS[2 * n // d]
+    radians = math.pi * (n / d)
     return (math.cos(radians), math.sin(radians))
 
 
 @lru_cache(maxsize=256)
-def _sector_rays(direction: Fraction, angle: Fraction) -> tuple[Ray, Ray]:
-    """The opening and closing ray vectors of a sector.
+def _sector_rays(dn: int, dd: int, an: int, ad: int) -> tuple[Ray, Ray]:
+    """The opening and closing ray vectors of a sector, from its integer
+    ratios (``Sector``): int vectors at quarter turns, which decide their
+    side in ints on the setting's lattice, float ones elsewhere.
 
     Kept for the last 256 sectors.  A setting's sector memo decides each
     (sender, receiver, sector) once, but a new setting decides afresh,
     and the settings built one per attack plan cast the same few
     sectors, so they share these rays.
     """
-    return _direction_vector(direction), _direction_vector(direction + angle)
+    return _direction_vector(dn, dd), _direction_vector(dn * ad + an * dd, dd * ad)
 
 
-def _cross(a: Union[Ray, Point], b: Union[Ray, Point]) -> Union[float, Fraction]:
+def _cross(a: tuple, b: tuple) -> Union[int, float]:
     return a[0] * b[1] - a[1] * b[0]
 
 
-def _in_sector(u: Point, direction: Fraction, angle: Fraction) -> bool:
-    """Whether the offset u from the apex lies in the closed sector, for
-    u != (0, 0) and angle < 2."""
-    e0, e1 = _sector_rays(direction, angle)
+def _float_offset(u: tuple[int, int], c: int) -> tuple[float, float]:
+    """The floats of the offset u/c, each correctly rounded (int true
+    division), so float(Fraction(x, c)) for each coordinate x of u."""
+    x, y = u
     try:
-        if angle <= 1:
-            return _cross(e0, u) >= 0 and _cross(u, e1) >= 0
-        # reflex sector: everything except the strict interior of the complement
-        return not (_cross(e1, u) > 0 and _cross(u, e0) > 0)
+        return (x / c, y / c)
     except OverflowError:
-        # A float ray times an offset beyond float range overflows.  Scaled
-        # below 2**1000 by a power of two the offset fits, and a positive
-        # scale keeps the sign of every cross product.  An offset that fits
-        # is never scaled, so its decision stays bit for bit what it was.
-        scale = 2 ** (int(max(abs(u[0]), abs(u[1]))).bit_length() - 1000)
-        return _in_sector((u[0] / scale, u[1] / scale), direction, angle)
+        # An offset beyond float range, scaled below 2**1000 by a power of
+        # two, fits, and a positive scale keeps the sign of every cross
+        # product.  An offset that fits is never scaled.
+        scale = c * 2 ** ((max(abs(x), abs(y)) // c).bit_length() - 1000)
+        return (x / scale, y / scale)
+
+
+def _in_sector(u: tuple[int, int], c: int, sector: Sector) -> bool:
+    """Whether the offset u/c from the apex lies in the closed sector, for
+    u != (0, 0) and angle < 2.
+
+    u is an offset on the setting's lattice (``_lattice``), in ints.  A
+    quarter-turn ray's cross product with it is an int, so its side is
+    exact.  Any other ray is crossed with the floats of u/c (F2).
+    """
+    e0, e1 = _sector_rays(*sector)
+    v0 = _float_offset(u, c) if isinstance(e0[0], float) else u
+    v1 = _float_offset(u, c) if isinstance(e1[0], float) else u
+    if sector[2] <= sector[3]:  # angle <= 1
+        return _cross(e0, v0) >= 0 and _cross(v1, e1) >= 0
+    # reflex sector: everything except the strict interior of the complement
+    return not (_cross(e1, v1) > 0 and _cross(v0, e0) > 0)
 
 
 def inrange(
@@ -858,17 +873,23 @@ def inrange(
     """Sector membership test for directional transmission coverage.
 
     The sector is closed at both boundary rays, contains its apex, and a
-    full-turn angle covers everything.  Quarter-turn boundaries are
-    decided exactly; other boundaries use floating point.  Each decision
-    is read from and kept in the setting's sector memo.
+    full-turn angle covers everything.  Direction and angle are read once,
+    as integer ratios, and the offset from a to b is taken on the
+    setting's integer lattice (``_lattice``): quarter-turn boundaries are
+    decided exactly, by int cross products; other boundaries use floats of
+    the exact offset.  Each decision is read from and kept in the
+    setting's sector memo.
     """
-    if b == a or angle >= FULL_TURN:
+    dn, dd = direction.as_integer_ratio()
+    an, ad = angle.as_integer_ratio()
+    if b == a or an >= 2 * ad:
         return True
-    key = (a, b, *direction.as_integer_ratio(), *angle.as_integer_ratio())
+    key = (a, b, dn, dd, an, ad)
     inside = setting._sectors.get(key)
     if inside is None:
-        (ax, ay), (bx, by) = setting.loc[a], setting.loc[b]
-        inside = setting._sectors[key] = _in_sector((bx - ax, by - ay), direction, angle)
+        c, coords, _ = _lattice(setting)
+        (ax, ay), (bx, by) = coords[a], coords[b]
+        inside = setting._sectors[key] = _in_sector((bx - ax, by - ay), c, key[2:])
     return inside
 
 

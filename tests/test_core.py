@@ -302,6 +302,72 @@ def test_inrange_reflex_sector():
     assert inrange(s, "A", F(3, 2), F(3, 2), "B")  # [270, 180] contains it
 
 
+def _fraction_rays(direction, angle):
+    """A sector's rays as the Fraction rule reads them: int vectors at
+    quarter turns, floats of float(Fraction) elsewhere."""
+
+    def ray(units):
+        units %= 2
+        quarter = {F(0): (1, 0), F(1, 2): (0, 1), F(1): (-1, 0), F(3, 2): (0, -1)}.get(units)
+        if quarter is not None:
+            return quarter
+        radians = math.pi * float(units)
+        return (math.cos(radians), math.sin(radians))
+
+    return ray(direction), ray(direction + angle)
+
+
+def _fraction_in_sector(u, rays, angle):
+    """The Fraction rule: the Fraction offset u crossed with each ray, an
+    offset beyond float range scaled below 2**1000 by a power of two."""
+    (e0, e1), cross = rays, lambda p, q: p[0] * q[1] - p[1] * q[0]
+    try:
+        if angle <= 1:
+            return cross(e0, u) >= 0 and cross(u, e1) >= 0
+        return not (cross(e1, u) > 0 and cross(u, e0) > 0)
+    except OverflowError:
+        scale = 2 ** (int(max(abs(u[0]), abs(u[1]))).bit_length() - 1000)
+        return _fraction_in_sector((u[0] / scale, u[1] / scale), rays, angle)
+
+
+def test_inrange_on_the_lattice_decides_as_the_fraction_rule():
+    """Int offsets on the setting's lattice give every decision the Fraction
+    offsets gave: quarter-turn rays exactly, the other rays from the same
+    floats, beyond float range too."""
+    big = 10**400
+    steps = (F(1), F(3, 7), F(5, 8), F(2, 1000003), F(big + 1, 7))
+    rays = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
+    # on the quarter- and eighth-turn rays from the apex, and off them
+    offsets = {(t * x, t * y) for t in steps for x, y in rays}
+    offsets |= {(F(i, 7), F(j, 8)) for i in (-9, -1, 2, 7) for j in (-8, -3, 1, 16)}
+    offsets |= {(F(1), F(1) + F(1, 1000003)), (F(-5, 8), F(5, 8) - F(1, 1000003))}
+    offsets |= {(F(big, 1000003), F(-big + 7, 8)), (F(-3, 7), F(big - 1, 1000003))}
+    # within a part in 10**16 of the eighth-turn rays and of the ray at a
+    # third of a half turn, where the rounding of the floats decides
+    for m in (10**16, 10**16 + 3, 10**16 + 6):
+        for den in (7, 1000003):
+            offsets |= {(F(x * m, den), F(y * (m + 1), den)) for x, y in rays if x and y}
+        q = math.isqrt(3 * m * m)
+        offsets |= {(F(m, den), F(q + k, den)) for den in (7, 8) for k in (0, 1)}
+    directions = [F(k, 8) for k in range(16)] + [F(1, 3), F(5, 7), F(1, 1000003)]
+    angles = [F(k, 8) for k in range(1, 17)] + [F(2, 3), F(9, 7), F(1999999, 1000003)]
+    sectors = [(d, a, _fraction_rays(d, a)) for d in directions for a in angles]
+    decided = inside = 0
+    for apex in ((F(0), F(0)), (F(1, 7), F(-3, 8)), (F(big, 7), F(big + 1, 8))):
+        names = [f"P{i}" for i in range(len(offsets))]
+        points = [(apex[0] + x, apex[1] + y) for x, y in sorted(offsets)]
+        loc = dict(zip(names, points), A=apex)
+        s = Setting(loc, loc, {n: CORRECT for n in loc})
+        for d, a, rays_of in sectors:
+            for name, (x, y) in zip(names, points):
+                expected = a >= 2 or _fraction_in_sector((x - apex[0], y - apex[1]), rays_of, a)
+                assert inrange(s, "A", d, a, name) == expected, (apex, (x, y), d, a)
+                decided += 1
+                inside += expected
+    assert decided == 3 * len(sectors) * len(offsets)
+    assert 0 < inside < decided
+
+
 @settings(max_examples=60)
 @given(
     st.fractions(min_value=0, max_value=F(2)).filter(lambda a: a < 2),
@@ -606,9 +672,9 @@ def test_each_sector_and_flight_time_decided_once_per_setting(unit_params, monke
     decided, rooted = [], []
     in_sector, take_root = core._in_sector, core._take_root
 
-    def deciding(u, direction, angle):
-        decided.append((u, direction, angle))
-        return in_sector(u, direction, angle)
+    def deciding(u, c, sector):
+        decided.append((u, c, sector))
+        return in_sector(u, c, sector)
 
     def rooting(coords, a, b):
         rooted.append(frozenset((a, b)))
@@ -632,11 +698,18 @@ def test_each_sector_and_flight_time_decided_once_per_setting(unit_params, monke
         model = AdversaryModel(RELAY, unit_params.delta_relay)
         assert check_adversary_feasible(trace, s, unit_params, model).ok
     casts = [e for e in sends if isinstance(e, Dcast)]
+    # integer coordinates: the lattice is the plane's own, c = 1
+    lattice = {n: (3 * k, 4 * k) for n, k in zip(names, (0, 1, 3, 7))}
     offsets = {
-        (a, b): (s.loc[b][0] - s.loc[a][0], s.loc[b][1] - s.loc[a][1]) for a in names for b in names
+        (a, b): (lattice[b][0] - lattice[a][0], lattice[b][1] - lattice[a][1])
+        for a in names
+        for b in names
     }
     asked = [
-        (offsets[e.actor, n], e.direction, e.angle) for e in casts for n in names if n != e.actor
+        (offsets[e.actor, n], 1, e.direction.as_integer_ratio() + e.angle.as_integer_ratio())
+        for e in casts
+        for n in names
+        if n != e.actor
     ]
     assert sorted(decided) == sorted(asked)
     assert [e.actor for e in receptions if e.sender == "C"] == ["C", "D"]
