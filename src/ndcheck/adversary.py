@@ -16,6 +16,11 @@ Five models, all parameterized by the minimum relaying delay:
                 beacon space are rejected;
 - dy-gt:        the same for time- and location-stamped beacons.
 
+``ADVERSARIES`` is the one place where these capabilities live, one
+``AdversarySpec`` per model; the check and the trace generators read it.
+relay-local needs no field of its own for the channel: the flight from a
+node to itself is 0, so its bound is the general one at distance 0.
+
 Silence is feasible under every model, and all relay bounds are lower
 bounds, so feasibility is monotone: shrinking delta_relay never breaks
 it.
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .core import (
     Bcast,
@@ -50,7 +55,46 @@ RELAY_LOCAL = "relay-local"
 DY_T = "dy-t"
 DY_GT = "dy-gt"
 
-ADVERSARY_NAMES = (RELAY, RELAY_BCAST, RELAY_LOCAL, DY_T, DY_GT)
+
+@dataclass(frozen=True)
+class AdversarySpec:
+    """Everything that tells one adversary model from another.
+
+    sends     the one transmission kind its nodes may make, Bcast or Dcast
+    own_only  whether a relay is justified only by the casting node's own
+              reception; any adversarial node's reception justifies it
+              otherwise
+    authors   the beacon type it may author and must stay within, BeaconT
+              or BeaconTL; None for a pure relay, which may cast anything
+              it received
+
+    No field says whether the adversary channel's flight adds to the
+    relay gap.  The gap is at least delta_relay plus the flight between
+    the receiving and the casting node, and under own_only those are one
+    node, whose flight to itself is 0.
+    """
+
+    sends: type
+    own_only: bool = False
+    authors: Optional[type] = None
+
+
+ADVERSARIES: dict[str, AdversarySpec] = {
+    RELAY: AdversarySpec(Dcast),
+    RELAY_BCAST: AdversarySpec(Bcast),
+    RELAY_LOCAL: AdversarySpec(Dcast, own_only=True),
+    DY_T: AdversarySpec(Dcast, authors=BeaconT),
+    DY_GT: AdversarySpec(Dcast, authors=BeaconTL),
+}
+
+ADVERSARY_NAMES = tuple(ADVERSARIES)
+
+
+def adversary_spec(name: str) -> AdversarySpec:
+    try:
+        return ADVERSARIES[name]
+    except KeyError:
+        raise ValueError(f"unknown adversary model {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -59,8 +103,7 @@ class AdversaryModel:
     delta_relay: Fraction
 
     def __post_init__(self) -> None:
-        if self.kind not in ADVERSARY_NAMES:
-            raise ValueError(f"unknown adversary model {self.kind!r}")
+        adversary_spec(self.kind)
         if self.delta_relay < 0:
             raise ValueError("delta_relay must be >= 0")
 
@@ -71,25 +114,32 @@ def _relay_justified(
     setting: Setting,
     starts: Mapping[Event, int],
     least_gap: Callable[[NodeId, NodeId], int],
-    same_node_only: bool,
+    own_only: bool,
 ) -> bool:
     """Some qualifying earlier reception of the same message exists.
 
-    A reception r qualifies when the relay gap e.start - r.start is at
-    least delta_relay plus the adversary-channel flight time between the
-    two nodes (none under relay-local), less epsilon.  The gap is read
-    by the check's ticks and the bound rounded up, as ``least_gap`` keeps
-    it per node pair for the check.
+    A reception r qualifies when it is the casting node's own under
+    own_only, any adversarial node's otherwise, and the relay gap
+    e.start - r.start is at least delta_relay plus the adversary-channel
+    flight time between the two nodes (0 for one node), less epsilon.
+    The gap is read by the check's ticks and the bound rounded up, as
+    ``least_gap`` keeps it per node pair for the check.
     """
     for r in trace.receptions_of(e.msg):
-        if same_node_only:
-            if r.actor != e.actor:
-                continue
-        elif not setting.is_adversarial(r.actor):
-            continue
-        if starts[e] - starts[r] >= least_gap(e.actor, r.actor):
+        source = r.actor == e.actor if own_only else setting.is_adversarial(r.actor)
+        if source and starts[e] - starts[r] >= least_gap(e.actor, r.actor):
             return True
     return False
+
+
+# by event type: the rule and detail for a transmission of the kind the
+# model does not make, and the detail for a relay no reception justifies
+_CASTS = {
+    Bcast: ("adversarial-bcast", "this model restricts adversarial nodes to directional casts",
+            "no sufficiently early adversarial reception of this message"),
+    Dcast: ("adversarial-dcast", "this model restricts adversarial nodes to broadcasts",
+            "no sufficiently early reception of this message"),
+}
 
 
 def check_adversary_feasible(
@@ -113,68 +163,38 @@ def check_adversary_feasible(
     adversary-channel distance, read as ``flight_ticks`` reads it.
     """
     violations: list[Violation] = []
-    beacon_type = {DY_T: BeaconT, DY_GT: BeaconTL}.get(model.kind)
-    # a relayed copy needs an early enough reception: at the casting node
-    # itself under relay-local, at any adversarial node otherwise
-    same_node_only = model.kind == RELAY_LOCAL
+    spec = ADVERSARIES[model.kind]
     eps, eps_den = num.epsilon.as_integer_ratio()
     ticks, starts = trace.ticks(eps_den)
     slack = eps * (ticks.den // eps_den)  # E
-    # the least relay gap per (casting node, receiving node), in ticks
+    # the least relay gap per (casting node, receiving node), in ticks: the
+    # ceiling of delta_relay + dist / v_adv, less E
     gaps: dict[tuple[NodeId, NodeId], int] = {}
     bound = flight_ticks(setting, params.v_adv, ticks.den, num.exact, model.delta_relay)
 
     def least_gap(sender: NodeId, receiver: NodeId) -> int:
         gap = gaps.get((sender, receiver))
         if gap is None:
-            if same_node_only:
-                gap = ticks.ceil(model.delta_relay) - slack
-            else:  # the ceiling of delta_relay + dist / v_adv
-                gap = bound(sender, receiver)[1] - slack
-            gaps[(sender, receiver)] = gap
+            gap = gaps[(sender, receiver)] = bound(sender, receiver)[1] - slack
         return gap
 
     for e in trace:
-        if isinstance(e, Bcast):
-            if not setting.is_adversarial(e.actor):
-                continue
-            if model.kind != RELAY_BCAST:
-                violations.append(
-                    Violation(
-                        "adversarial-bcast",
-                        (e,),
-                        "this model restricts adversarial nodes to directional casts",
-                    )
-                )
-                continue
-            detail = "no sufficiently early adversarial reception of this message"
-        elif not isinstance(e, Dcast) or not setting.is_adversarial(e.actor):
-            continue  # a correct node's cast is a physics violation, not the adversary's
-        elif model.kind == RELAY_BCAST:
-            violations.append(
-                Violation(
-                    "adversarial-dcast",
-                    (e,),
-                    "this model restricts adversarial nodes to broadcasts",
-                )
-            )
+        cast = _CASTS.get(type(e))
+        if cast is None or not setting.is_adversarial(e.actor):
+            continue  # a correct node's broadcast is honest, its cast a physics violation
+        rule, refused, detail = cast
+        if type(e) is not spec.sends:
+            violations.append(Violation(rule, (e,), refused))
             continue
-        elif beacon_type is not None:
-            if not isinstance(e.msg, beacon_type):
-                violations.append(
-                    Violation(
-                        "message-outside-model",
-                        (e,),
-                        "adversarial payload is not a beacon of this model",
-                    )
-                )
+        if spec.authors is not None:
+            if not isinstance(e.msg, spec.authors):
+                detail = "adversarial payload is not a beacon of this model"
+                violations.append(Violation("message-outside-model", (e,), detail))
                 continue
             if setting.is_adversarial(e.msg.creator):
                 continue  # self-authored by the adversary's own identities
             detail = "beacon of a correct creator was never received early enough"
-        else:
-            detail = "no sufficiently early reception of this message"
-        if not _relay_justified(e, trace, setting, starts, least_gap, same_node_only):
+        if not _relay_justified(e, trace, setting, starts, least_gap, spec.own_only):
             violations.append(Violation("relay-unjustified", (e,), detail))
     return Verdict(tuple(violations))
 

@@ -38,7 +38,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
-from .adversary import AdversaryModel, check_adversary_feasible, weaker_on_corpus
+from .adversary import ADVERSARY_NAMES, AdversaryModel, check_adversary_feasible, weaker_on_corpus
 from .analysis import render_table, sweep, sweep_values
 from .attacks import (
     AttackPlan,
@@ -449,8 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
         "order", parents=[common], help="adversary-model inclusion on a corpus"
     )
     p_order.add_argument("corpus")
-    p_order.add_argument("--weaker", required=True)
-    p_order.add_argument("--stronger", required=True)
+    p_order.add_argument("--weaker", choices=ADVERSARY_NAMES, required=True)
+    p_order.add_argument("--stronger", choices=ADVERSARY_NAMES, required=True)
     p_order.add_argument("--rename", action="store_true")
     p_order.set_defaults(func=cmd_order)
     return parser

@@ -27,7 +27,7 @@ import random
 from fractions import Fraction
 from typing import Optional
 
-from .adversary import DY_GT, DY_T, RELAY, RELAY_BCAST, RELAY_LOCAL
+from .adversary import RELAY, RELAY_BCAST, RELAY_LOCAL, adversary_spec
 from .core import (
     ADVERSARIAL,
     Bcast,
@@ -191,6 +191,7 @@ def random_trace(
 ) -> Trace:
     """Honest beaconing, model-conform adversarial activity, justified declarations."""
     spec = protocol_spec(protocol)
+    adversary = adversary_spec(adversary_kind)
     used_times: dict[NodeId, set[Fraction]] = {n: set() for n in setting.nodes}
     sends: list[Event] = []
     half = horizon / 2
@@ -205,24 +206,19 @@ def random_trace(
 
     adversarial: list[Event] = []
     for node in setting.adversarial_nodes:
-        pool = (
-            [r for r in adv_receives if r.actor == node]
-            if adversary_kind == RELAY_LOCAL
-            else adv_receives
-        )
+        pool = [r for r in adv_receives if r.actor == node] if adversary.own_only else adv_receives
         for _ in range(rng.choice([0, 1, 1, 2])):
             if pool and rng.random() < 0.8:
                 origin = rng.choice(pool)
-                bound = params.delta_relay
-                if origin.actor != node:
-                    bound += dist(setting, node, origin.actor) / params.v_adv
+                # the flight term is 0 for the node's own reception
+                bound = params.delta_relay + dist(setting, node, origin.actor) / params.v_adv
                 t = origin.start + bound + rng.choice(_RELAY_SLACK)
                 msg = origin.msg
-            elif authored_beacons and adversary_kind in (DY_T, DY_GT):
+            elif authored_beacons and adversary.authors is not None:
                 creator = rng.choice(setting.adversarial_nodes)
                 t = _frac(rng, 0, horizon)
                 stamp = _frac(rng, 0, horizon)
-                if adversary_kind == DY_GT:
+                if adversary.authors is BeaconTL:
                     claimed = (_frac(rng, 0, 12, denominator=4), _frac(rng, 0, 12, denominator=4))
                     msg = BeaconTL(creator, stamp, claimed, params.msg_duration_default)
                 else:
@@ -232,7 +228,7 @@ def random_trace(
             if t in used_times[node]:
                 continue
             used_times[node].add(t)
-            if adversary_kind == RELAY_BCAST:
+            if adversary.sends is Bcast:
                 adversarial.append(Bcast(node, t, msg))
             else:
                 direction, angle = rng.choice(_DIRECTIONS), rng.choice(_ANGLES)

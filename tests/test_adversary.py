@@ -26,7 +26,7 @@ from ndcheck import (
     rename_dcast_to_bcast,
     weaker_on_corpus,
 )
-from ndcheck.adversary import ADVERSARY_NAMES
+from ndcheck.adversary import ADVERSARIES, ADVERSARY_NAMES
 from ndcheck.generators import authored_beacon_trace, make_ordering_corpus
 from ndcheck.rational import approx_num
 
@@ -244,22 +244,54 @@ def test_rename_preserves_feasibility_and_views(unit_params):
 # ordering
 
 
+def _implied_inclusions():
+    """(a, b, renamed) for each ordered pair of models whose table rows say
+    that every trace a allows b allows too, on corpora of BeaconT payloads:
+    a's relays are justified where b's are, a authors nothing b may not,
+    b takes the payloads, and b makes a's transmissions, up to renaming
+    broadcasts as full-circle casts."""
+    implied = []
+    for a, weaker in ADVERSARIES.items():
+        for b, stronger in ADVERSARIES.items():
+            if (
+                a != b
+                and (weaker.own_only or not stronger.own_only)
+                and weaker.authors in (None, stronger.authors)
+                and stronger.authors in (None, BeaconT)
+                and (weaker.sends, stronger.sends) in ((Bcast, Bcast), (Dcast, Dcast), (Bcast, Dcast))
+            ):
+                implied.append((a, b, weaker.sends is not stronger.sends))
+    return implied
+
+
 def test_ordering_on_generated_corpus(unit_params):
-    entries = make_ordering_corpus(seed=11, size=12, params=unit_params)
-    corpus = [(trace, setting) for trace, setting, _ in entries]
+    """Every inclusion the adversary table implies holds, and is exercised,
+    on each generated ordering corpus.  The converse is not asserted: a
+    corpus need not refute a pair the table does not imply."""
+    implied = _implied_inclusions()
+    assert sorted(implied) == [
+        (RELAY, DY_T, False),
+        (RELAY_BCAST, DY_T, True),
+        (RELAY_BCAST, RELAY, True),
+        (RELAY_LOCAL, DY_T, False),
+        (RELAY_LOCAL, RELAY, False),
+    ]
     delta = unit_params.delta_relay
-    local, relay, bcast, dy = (
-        AdversaryModel(RELAY_LOCAL, delta),
-        AdversaryModel(RELAY, delta),
-        AdversaryModel(RELAY_BCAST, delta),
-        AdversaryModel(DY_T, delta),
-    )
-    assert weaker_on_corpus(local, relay, corpus, unit_params).inclusion_holds
-    assert weaker_on_corpus(relay, dy, corpus, unit_params).inclusion_holds
-    assert weaker_on_corpus(
-        bcast, relay, corpus, unit_params, use_renaming=True
-    ).inclusion_holds
-    # the reverse direction has the authored-beacon counterexample
-    report = weaker_on_corpus(dy, local, corpus, unit_params)
-    assert not report.inclusion_holds
-    assert report.applicable > 0
+    for seed, size in ((88, 31), (11, 12), (21, 8)):
+        entries = make_ordering_corpus(seed=seed, size=size, params=unit_params)
+        corpus = [(trace, setting) for trace, setting, _ in entries]
+        for a, b, renamed in implied:
+            report = weaker_on_corpus(
+                AdversaryModel(a, delta),
+                AdversaryModel(b, delta),
+                corpus,
+                unit_params,
+                use_renaming=renamed,
+            )
+            assert report.inclusion_holds and report.applicable > 0, (seed, a, b)
+    # the authored-beacon trace separates dy-t from the three relay models
+    trace, setting = authored_beacon_trace(unit_params)
+    assert check_adversary_feasible(trace, setting, unit_params, AdversaryModel(DY_T, delta)).ok
+    for kind in (RELAY, RELAY_BCAST, RELAY_LOCAL):
+        verdict = check_adversary_feasible(trace, setting, unit_params, AdversaryModel(kind, delta))
+        assert not verdict.ok, kind

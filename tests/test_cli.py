@@ -261,7 +261,21 @@ def test_order_missing_trace_exit_1(tmp_path, radio_scenario, capsys):
     )
 
 
-@pytest.mark.parametrize("command", ["check", "sweep", "order", "attack", "witness"])
+def test_order_unknown_model_exit_1_before_reading_corpus(tmp_path, capsys):
+    """A model name is checked with the command line, so a bad one is
+    reported even when the corpus holds a file that does not parse."""
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    (corpus_dir / "garbage.scn").write_text("not a scenario\n")
+    (corpus_dir / "garbage.trc").write_text("not a trace\n")
+    assert _exit_code(["order", corpus_dir, "--weaker", "relay", "--stronger", "bogus"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --stronger: invalid choice: 'bogus'" in captured.err
+    assert "garbage" not in captured.err and "line 1" not in captured.err
+
+
+@pytest.mark.parametrize("command",["check", "sweep", "order", "attack", "witness"])
 def test_unwritable_output_path_exit_1(tmp_path, radio_scenario, capsys, command):
     wit = tmp_path / "wit"
     run(["witness", radio_scenario, "--distance", "80", "--out-dir", wit])

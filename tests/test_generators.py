@@ -2,6 +2,8 @@ import hashlib
 import random
 from fractions import Fraction
 
+import pytest
+
 from ndcheck import (
     AdversaryModel,
     DY_GT,
@@ -45,6 +47,17 @@ def test_generation_is_deterministic():
 
     assert build(99) == build(99)
     assert build(99) != build(100)
+
+
+def test_unknown_adversary_kind_raises(unit_params):
+    """An unknown model is refused as AdversaryModel refuses it, not drawn
+    as some other model's trace."""
+    rng = random.Random(5)
+    setting = random_setting(rng, HORIZON)
+    with pytest.raises(ValueError, match="unknown adversary model 'bogus'"):
+        random_trace(rng, setting, unit_params, "pt", "bogus", HORIZON)
+    with pytest.raises(ValueError, match="unknown adversary model 'bogus'"):
+        AdversaryModel("bogus", unit_params.delta_relay)
 
 
 def test_placements_always_exactly_measurable():

@@ -493,8 +493,8 @@ def test_linked_coverage_matches_scan_of_every_node(data):
 
 
 def _scanned_adversary(trace, setting, model, num, params=_PARAMS):
-    """(rule, event) of each adversary violation by definition, justifying
-    a relay from a scan of every reception in the trace."""
+    """(rule, detail, event) of each adversary violation by definition,
+    justifying a relay from a scan of every reception in the trace."""
     local = model.kind == RELAY_LOCAL
     beacon = {DY_T: BeaconT, DY_GT: BeaconTL}.get(model.kind)
     found = []
@@ -502,14 +502,22 @@ def _scanned_adversary(trace, setting, model, num, params=_PARAMS):
         if not isinstance(e, (Bcast, Dcast)) or not setting.is_adversarial(e.actor):
             continue
         if isinstance(e, Bcast) != (model.kind == RELAY_BCAST):
-            found.append(("adversarial-bcast" if isinstance(e, Bcast) else "adversarial-dcast", e))
+            rule = "adversarial-bcast" if isinstance(e, Bcast) else "adversarial-dcast"
+            only = "directional casts" if isinstance(e, Bcast) else "broadcasts"
+            found.append((rule, f"this model restricts adversarial nodes to {only}", e))
             continue
         if beacon is not None:
             if not isinstance(e.msg, beacon):
-                found.append(("message-outside-model", e))
+                detail = "adversarial payload is not a beacon of this model"
+                found.append(("message-outside-model", detail, e))
                 continue
             if setting.is_adversarial(e.msg.creator):
                 continue
+            detail = "beacon of a correct creator was never received early enough"
+        elif isinstance(e, Bcast):
+            detail = "no sufficiently early adversarial reception of this message"
+        else:
+            detail = "no sufficiently early reception of this message"
         justified = False
         for r in trace:
             if not isinstance(r, Receive) or r.msg != e.msg:
@@ -523,7 +531,7 @@ def _scanned_adversary(trace, setting, model, num, params=_PARAMS):
                 if _root_at_most(slack, _squared_flight(setting, e.actor, r.actor, params.v_adv)):
                     justified = True
         if not justified:
-            found.append(("relay-unjustified", e))
+            found.append(("relay-unjustified", detail, e))
     return found
 
 
@@ -551,7 +559,7 @@ def test_indexed_relay_rule_matches_scan_of_every_reception(data):
     for kind in ADVERSARY_NAMES:
         model = AdversaryModel(kind, delta)
         verdict = check_adversary_feasible(trace, setting, _PARAMS, model, num)
-        found = [(v.rule, v.events[0]) for v in verdict.violations]
+        found = [(v.rule, v.detail, v.events[0]) for v in verdict.violations]
         assert found == _scanned_adversary(trace, setting, model, num)
 
 
@@ -938,7 +946,7 @@ def test_tick_path_matches_fraction_references(data):
     for kind in ADVERSARY_NAMES:
         model = AdversaryModel(kind, params.delta_relay)
         verdict = check_adversary_feasible(trace, setting, params, model)
-        found = [(v.rule, v.events[0]) for v in verdict.violations]
+        found = [(v.rule, v.detail, v.events[0]) for v in verdict.violations]
         assert found == _scanned_adversary(trace, setting, model, EXACT, params)
 
     # the warm setting checks a mutant with one reception moved over a new
@@ -1029,7 +1037,7 @@ def test_huge_denominator_verdicts_match_fraction_references():
     unjustified = [v.events[0] for v in pt.violations if v.rule == "neighbor-unjustified"]
     assert unjustified == _scanned_declarations(trace, fresh, PROTOCOLS[PT], None, EXACT, params)
     assert len(unjustified) == len(declarations[::5])
-    found = [(v.rule, v.events[0]) for v in adversary.violations]
+    found = [(v.rule, v.detail, v.events[0]) for v in adversary.violations]
     assert found == _scanned_adversary(trace, fresh, model, EXACT, params)
     assert 0 < len(found) < len(relays)
 
