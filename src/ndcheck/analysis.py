@@ -27,7 +27,11 @@ from typing import Optional, Sequence
 
 from .core import SystemParams
 from .protocols import InaccuracyParams
-from .rational import format_scalar
+from .rational import echo, format_scalar
+
+# the most rows a sweep may ask for; the largest sweep in the tests, demos
+# and benchmark has 161
+MAX_SWEEP_ROWS = 100_000
 
 
 @dataclass(frozen=True)
@@ -92,17 +96,18 @@ _SWEEPABLE = ("delta_relay", "v_adv", "nd_range")
 
 
 def sweep_values(start: Fraction, stop: Fraction, step: Fraction) -> list[Fraction]:
-    """Inclusive rational grid from start to stop."""
+    """Inclusive rational grid from start to stop: floor((stop - start)/step) + 1
+    values, a count worked out before any value is built and refused over
+    MAX_SWEEP_ROWS."""
     if step <= 0:
         raise ValueError("step must be > 0")
     if stop < start:
         raise ValueError("empty range: stop precedes start")
-    values = []
-    current = start
-    while current <= stop:
-        values.append(current)
-        current += step
-    return values
+    count = (stop - start) // step + 1
+    if count > MAX_SWEEP_ROWS:
+        rows = echo(str(count), quote=False)
+        raise ValueError(f"sweep of {rows} rows, over the bound of {MAX_SWEEP_ROWS}")
+    return [start + index * step for index in range(count)]
 
 
 def sweep(

@@ -22,6 +22,16 @@ with a false neighbor declaration; 4 requested construction infeasible
 All output is deterministic: identical inputs give byte-identical
 reports.
 
+Each step from command line to report is written once.  ``_read``
+takes --approx and reads a scenario in that mode.  ``_verdicts`` runs
+the three feasibility layers (physics, protocol, adversary) and
+neighbor correctness on a run, keyed by their names in the check
+report: ``check`` reports them, and ``witness`` holds its synthesized
+run to them before writing it.  ``_render`` turns a report into text or
+JSON, as --format asks, and ``_write`` puts text in a file or on
+standard output; ``check``, ``witness``, ``order``, ``sweep`` and the
+attack summary all write through it.
+
 ``main(argv)`` may be called any number of times in one process.  The
 argument parser is built on the first call and shared by every later
 one; a shell invocation of ``ndcheck`` is one process, so it still
@@ -88,13 +98,17 @@ def _verdict_dict(verdict: Verdict) -> dict:
     }
 
 
-def _emit(report: dict, args) -> None:
+def _render(report: dict, args) -> str:
+    """A report in the format --format asks for."""
     if args.format == "structured":
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    else:
-        text = _render_text(report)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return _render_text(report)
+
+
+def _write(text: str, path=None) -> None:
+    """Text to the file at path, or to standard output when there is none."""
+    if path:
+        Path(path).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -121,41 +135,43 @@ def _render_text(report: dict, indent: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _numerics(args) -> Num:
-    if args.approx is None:
-        return EXACT
-    return approx_num(parse_scalar(args.approx))
+def _read(args, path=None) -> tuple[Num, Scenario]:
+    """The numerics --approx asks for, and the scenario at path (the
+    command's own by default) read in that mode: exact mode refuses an
+    irrational distance."""
+    num = EXACT if args.approx is None else approx_num(parse_scalar(args.approx))
+    return num, load_scenario(path or args.scenario, exact=num.exact)
 
 
-def _load_pair(args, num: Num) -> tuple[Scenario, Trace]:
-    scenario = load_scenario(args.scenario, exact=num.exact)
-    trace = load_trace(args.trace)
-    return scenario, trace
+def _verdicts(trace: Trace, scenario: Scenario, num: Num) -> dict[str, Verdict]:
+    """The verdicts of the three feasibility layers and of neighbor
+    correctness on a run, keyed by their names in the check report."""
+    setting, params = scenario.setting, scenario.params
+    return {
+        "setting_feasible": check_setting_feasible(trace, setting, params, num),
+        "protocol_feasible": protocol_verdict(
+            trace, setting, scenario.protocol, params, scenario.inaccuracy, num
+        ),
+        "adversary_feasible": check_adversary_feasible(
+            trace, setting, params, scenario.adversary, num
+        ),
+        "neighbor_correctness": check_neighbor_correctness(trace, setting),
+    }
 
 
 def cmd_check(args) -> int:
-    num = _numerics(args)
-    scenario, trace = _load_pair(args, num)
-    setting_verdict = check_setting_feasible(trace, scenario.setting, scenario.params, num)
-    proto_verdict = protocol_verdict(
-        trace, scenario.setting, scenario.protocol, scenario.params, scenario.inaccuracy, num
-    )
-    adversary_verdict = check_adversary_feasible(
-        trace, scenario.setting, scenario.params, scenario.adversary, num
-    )
-    correctness = check_neighbor_correctness(trace, scenario.setting)
+    num, scenario = _read(args)
+    trace = load_trace(args.trace)
+    verdicts = _verdicts(trace, scenario, num)
     report = {
         "scenario": str(args.scenario),
         "trace": str(args.trace),
         "protocol": scenario.protocol,
         "adversary": scenario.adversary.kind,
-        "setting_feasible": _verdict_dict(setting_verdict),
-        "protocol_feasible": _verdict_dict(proto_verdict),
-        "adversary_feasible": _verdict_dict(adversary_verdict),
-        "neighbor_correctness": _verdict_dict(correctness),
     }
-    feasible = setting_verdict.ok and proto_verdict.ok and adversary_verdict.ok
-    if not feasible:
+    report.update((name, _verdict_dict(verdict)) for name, verdict in verdicts.items())
+    *layers, correctness = verdicts.values()
+    if not all(verdict.ok for verdict in layers):
         report["result"] = "infeasible"
         code = EXIT_INFEASIBLE
     elif not correctness.ok:
@@ -164,7 +180,7 @@ def cmd_check(args) -> int:
     else:
         report["result"] = "ok"
         code = EXIT_OK
-    _emit(report, args)
+    _write(_render(report, args), args.out)
     return code
 
 
@@ -216,8 +232,7 @@ def _plan_summary(plan: AttackPlan, verdicts: dict) -> dict:
 
 
 def cmd_attack(args) -> int:
-    num = _numerics(args)
-    scenario = load_scenario(args.scenario, exact=num.exact)
+    num, scenario = _read(args)
     correct = scenario.setting.correct_nodes
     if len(correct) != 2:
         raise ScenarioError(
@@ -262,18 +277,13 @@ def cmd_attack(args) -> int:
 
 
 def _write_summary(report: dict, args, out_dir: Path) -> None:
-    if args.format == "structured":
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-        (out_dir / "summary.json").write_text(text, encoding="utf-8")
-    else:
-        text = _render_text(report)
-        (out_dir / "summary.txt").write_text(text, encoding="utf-8")
-    sys.stdout.write(text)
+    text = _render(report, args)
+    _write(text, out_dir / ("summary.json" if args.format == "structured" else "summary.txt"))
+    _write(text)
 
 
 def cmd_witness(args) -> int:
-    num = _numerics(args)
-    scenario = load_scenario(args.scenario, exact=num.exact)
+    num, scenario = _read(args)
     d = parse_scalar(args.distance)
     try:
         setting, trace = availability_witness(
@@ -283,20 +293,13 @@ def cmd_witness(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONSTRUCTION
 
-    verdicts = [
-        check_setting_feasible(trace, setting, scenario.params, num),
-        protocol_verdict(
-            trace, setting, scenario.protocol, scenario.params, scenario.inaccuracy, num
-        ),
-        check_adversary_feasible(trace, setting, scenario.params, scenario.adversary, num),
-        check_neighbor_correctness(trace, setting),
-    ]
-    if not all(v.ok for v in verdicts):
+    witnessed = replace(scenario, setting=setting)
+    if not all(verdict.ok for verdict in _verdicts(trace, witnessed, num).values()):
         print("error: synthesized witness failed self-check", file=sys.stderr)
         return EXIT_INFEASIBLE
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_scenario(out_dir / "witness.scn", replace(scenario, setting=setting))
+    save_scenario(out_dir / "witness.scn", witnessed)
     save_trace(out_dir / "witness.trc", trace)
     report = {
         "distance": format_scalar(d),
@@ -304,27 +307,21 @@ def cmd_witness(args) -> int:
         "files": ["witness.scn", "witness.trc"],
         "result": "ok",
     }
-    _emit(report, args)
+    _write(_render(report, args), args.out)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    num = _numerics(args)
-    scenario = load_scenario(args.scenario, exact=num.exact)
+    _, scenario = _read(args)
     values = sweep_values(
         parse_scalar(args.start), parse_scalar(args.stop), parse_scalar(args.step)
     )
     rows = sweep(scenario.params, args.vary, values, scenario.inaccuracy)
-    table = render_table(rows)
-    if args.out:
-        Path(args.out).write_text(table, encoding="utf-8")
-    else:
-        sys.stdout.write(table)
+    _write(render_table(rows), args.out)
     return EXIT_OK
 
 
 def cmd_order(args) -> int:
-    num = _numerics(args)
     corpus_dir = Path(args.corpus)
     entries = sorted(corpus_dir.glob("*.scn"))
     if not entries:
@@ -337,7 +334,7 @@ def cmd_order(args) -> int:
         trc_path = scn_path.with_suffix(".trc")
         if not trc_path.exists():
             raise ScenarioError(f"{scn_path.stem}: missing matching .trc file")
-        scenario = load_scenario(scn_path, exact=num.exact)
+        num, scenario = _read(args, scn_path)
         trace = load_trace(trc_path)
         if shared_params is None:
             shared_params = scenario.params
@@ -363,7 +360,7 @@ def cmd_order(args) -> int:
         "inclusion_holds": result.inclusion_holds,
         "counterexamples": [stems[c.index] for c in result.counterexamples],
     }
-    _emit(report, args)
+    _write(_render(report, args), args.out)
     return EXIT_OK if result.inclusion_holds else EXIT_INFEASIBLE
 
 

@@ -520,7 +520,8 @@ class Setting:
       r = c·|ab|, with c the lcm of the coordinates' denominators
       (``_lattice``), and None marks an irrational distance.  Exact
       distances, flight times in ticks and relay gaps are all read from
-      it, in integers.
+      it, in integers.  Reading a scenario in exact mode fills it for
+      every pair (``first_irrational_pair``).
     - ``inrange``: one bool per (sender, receiver, sector) a check asked
       about, keyed by the two nodes and the integer ratios of direction
       and angle; the sender itself and full-turn sectors are decided
@@ -694,6 +695,19 @@ def _root(
                 raise UnknownNode(f"node {node!r} not in setting") from None
         r = setting._roots[key] = _take_root(coords, *key)
         return r
+
+
+def first_irrational_pair(setting: Setting) -> Optional[tuple[NodeId, NodeId]]:
+    """The first node pair, in node order, whose distance is irrational.
+    Each pair's root is read from or kept in the root memo (``_root``), so
+    the checks that follow take none of them again."""
+    _, coords, _ = _lattice(setting)
+    nodes = setting.nodes
+    for index, a in enumerate(nodes):
+        for b in nodes[index + 1 :]:
+            if _root(setting, coords, a, b) is None:
+                return a, b
+    return None
 
 
 def _take_root(coords: Mapping[NodeId, tuple[int, int]], a: NodeId, b: NodeId) -> Optional[int]:

@@ -225,15 +225,14 @@ class ProtocolSpec:
                  carry no stamps, so it has no direct checker and no
                  Dolev-Yao model
     decide       (view, params, inacc) -> the permitted actions
-    verdict      (trace, setting, params, inacc, num) -> the conformance
-                 verdict of protocol_verdict
     keys         the scenario keys of its [protocol] section besides name:
                  the InaccuracyParams fields it reads, none for the exact
                  protocols
 
-    decide and verdict call the protocol's decision function and checker
-    through their module-level names at call time, so a rebound name
-    (a profiler's wrapper, say) takes effect.
+    decide calls the protocol's decision function through its module-level
+    name at call time, so a rebound name (a profiler's wrapper, say) takes
+    effect.  There is no checker field: ``protocol_verdict`` chooses the
+    route from ``unjustified``, ``flavor`` and ``bounds``.
     """
 
     name: str
@@ -245,9 +244,6 @@ class ProtocolSpec:
     ]
     unjustified: Optional[str]
     decide: Callable[[LocalView, SystemParams, InaccuracyParams], AbstractSet[Action]]
-    verdict: Callable[
-        [Trace, Setting, SystemParams, Optional[InaccuracyParams], Num], Verdict
-    ]
     keys: tuple[str, ...] = ()
 
     def bounds(self, inacc: Optional[InaccuracyParams]) -> Optional[InaccuracyParams]:
@@ -282,9 +278,6 @@ PROTOCOLS: dict[str, ProtocolSpec] = {
             ),
             unjustified=None,
             decide=lambda view, params, inacc: naive_decide(view, params),
-            verdict=lambda trace, setting, params, inacc, num: check_protocol_feasible(
-                trace, setting, make_protocol(NAIVE, params), params
-            ),
         ),
         ProtocolSpec(
             PT,
@@ -299,9 +292,6 @@ PROTOCOLS: dict[str, ProtocolSpec] = {
             ),
             unjustified="no fresh completed beacon from {peer} backs this declaration",
             decide=lambda view, params, inacc: pt_decide(view, params),
-            verdict=lambda trace, setting, params, inacc, num: check_pt_feasible(
-                trace, setting, params, num
-            ),
         ),
         ProtocolSpec(
             PGT,
@@ -315,9 +305,6 @@ PROTOCOLS: dict[str, ProtocolSpec] = {
             ),
             unjustified=_DISTANCE_UNJUSTIFIED,
             decide=lambda view, params, inacc: pgt_decide(view, params),
-            verdict=lambda trace, setting, params, inacc, num: check_pgt_feasible(
-                trace, setting, params, None, num
-            ),
         ),
         ProtocolSpec(
             PGT_APPROX,
@@ -331,9 +318,6 @@ PROTOCOLS: dict[str, ProtocolSpec] = {
             ),
             unjustified=_DISTANCE_UNJUSTIFIED,
             decide=lambda view, params, inacc: pgt_approx_decide(view, params, inacc),
-            verdict=lambda trace, setting, params, inacc, num: check_pgt_feasible(
-                trace, setting, params, inacc or InaccuracyParams(), num
-            ),
             keys=tuple(f.name for f in fields(InaccuracyParams)),
         ),
     )
@@ -365,8 +349,21 @@ def protocol_verdict(
     inacc: Optional[InaccuracyParams] = None,
     num: Num = EXACT,
 ) -> Verdict:
-    """Conformance verdict by the protocol's direct checker (naive: the generic route)."""
-    return protocol_spec(protocol).verdict(trace, setting, params, inacc, num)
+    """Conformance verdict by the route the protocol's table row implies.
+
+    A protocol without stamps (``unjustified`` None: naive) takes the
+    generic route; a stamped one its direct checker, ``check_pt_feasible``
+    for the time-only flavor and ``check_pgt_feasible`` under the
+    protocol's ``bounds`` otherwise (None for pgt, inacc or zero for
+    pgt-approx).  Each checker is called through its module-level name at
+    call time, so a rebound name (a profiler's wrapper, say) takes effect.
+    """
+    spec = protocol_spec(protocol)
+    if spec.unjustified is None:
+        return check_protocol_feasible(trace, setting, make_protocol(protocol, params), params)
+    if spec.flavor == T_FLAVOR:
+        return check_pt_feasible(trace, setting, params, num)
+    return check_pgt_feasible(trace, setting, params, spec.bounds(inacc), num)
 
 
 # ---------------------------------------------------------------------------

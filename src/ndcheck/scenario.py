@@ -72,7 +72,6 @@ and angle in units of pi.  Writing a parsed file back is byte-identical.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -98,6 +97,7 @@ from .core import (
     SystemParams,
     Trace,
     _normalize_intervals,
+    first_irrational_pair,
 )
 from .protocols import InaccuracyParams, PROTOCOL_NAMES, PROTOCOLS
 from .rational import MAX_ECHO_LENGTH, echo, format_scalar, parse_scalar
@@ -156,34 +156,6 @@ def _parse_intervals(section: str, text: str) -> tuple[Interval, ...]:
         return _normalize_intervals(intervals)
     except ValueError as exc:
         raise ScenarioError(f"{_header(section)} up: {exc}") from None
-
-
-def _first_irrational_pair(setting: Setting) -> Optional[tuple[NodeId, NodeId]]:
-    """The first node pair, in node order, whose distance is irrational.
-
-    Each node's coordinates are written over one denominator, (X/D, Y/D)
-    with D the lcm of their two denominators.  A pair's offset is then
-    (X_a D_b - X_b D_a, Y_a D_b - Y_b D_a) / (D_a D_b), so its squared
-    distance is n / (D_a D_b)**2 for the integer n = dx**2 + dy**2 of
-    that numerator, the square of a rational exactly when n is a
-    perfect square.  Each pair costs a few integer products and one
-    ``math.isqrt``, with no ``Fraction`` built; the integers are as
-    large as the pair's own coordinates make them, however many
-    different denominators the other nodes have.
-    """
-    nodes = setting.nodes
-    scaled = []
-    for node in nodes:
-        x, y = setting.loc[node]
-        d = math.lcm(x.denominator, y.denominator)
-        scaled.append((x.numerator * (d // x.denominator), y.numerator * (d // y.denominator), d))
-    for i, (xa, ya, da) in enumerate(scaled):
-        for j in range(i + 1, len(scaled)):
-            xb, yb, db = scaled[j]
-            n = (xa * db - xb * da) ** 2 + (ya * db - yb * da) ** 2
-            if math.isqrt(n) ** 2 != n:
-                return nodes[i], nodes[j]
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +304,7 @@ def parse_scenario(text: str, exact: bool = True) -> Scenario:
         raise ScenarioError(str(exc)) from None
 
     if exact:
-        pair = _first_irrational_pair(setting)
+        pair = first_irrational_pair(setting)
         if pair is not None:
             a, b = pair
             raise ScenarioError(

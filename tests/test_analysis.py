@@ -18,6 +18,7 @@ from ndcheck import (
     sweep_values,
     verify_attack_plan,
 )
+from ndcheck import analysis
 from ndcheck.attacks import default_wormhole_placement
 
 F = Fraction
@@ -73,6 +74,17 @@ def test_sweep_values():
         sweep_values(F(1), F(0), F(1, 4))
     with pytest.raises(ValueError):
         sweep_values(F(0), F(1), F(0))
+
+
+def test_sweep_values_refuse_a_count_over_the_bound():
+    """The row count is worked out before any value is built: a grid of
+    exactly MAX_SWEEP_ROWS values is built, one more row is refused."""
+    bound = analysis.MAX_SWEEP_ROWS
+    values = sweep_values(F(1, 2), F(bound, 2), F(1, 2))
+    assert len(values) == bound and values[-1] == F(bound, 2)
+    with pytest.raises(ValueError) as refused:
+        sweep_values(F(1, 2), F(bound + 1, 2), F(1, 2))
+    assert str(refused.value) == f"sweep of {bound + 1} rows, over the bound of {bound}"
 
 
 # the oracle test below tries 2,744 constructions and checks 112 built attacks

@@ -8,6 +8,7 @@ import pytest
 from ndcheck import Scenario, save_scenario, save_trace
 from ndcheck import cli
 from ndcheck.cli import main
+from ndcheck.core import Verdict, Violation
 from ndcheck.generators import make_ordering_corpus
 
 F = Fraction
@@ -129,6 +130,21 @@ def test_witness_flow(tmp_path, radio_scenario, capsys):
     assert run(["check", out / "witness.scn", out / "witness.trc"]) == 0
     assert run(["witness", radio_scenario, "--distance", "200", "--out-dir", out]) == 4
     assert run(["witness", radio_scenario, "--distance", "50", "--out-dir", out]) == 0
+
+
+def test_witness_that_fails_its_self_check_exits_2_and_writes_nothing(
+    tmp_path, radio_scenario, capsys, monkeypatch
+):
+    def violated(*args):
+        return Verdict((Violation("relay-unjustified", (), "planted"),))
+
+    monkeypatch.setattr(cli, "check_adversary_feasible", violated)
+    out = tmp_path / "wit"
+    assert run(["witness", radio_scenario, "--distance", "80", "--out-dir", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: synthesized witness failed self-check\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_sweep_rows_and_flip(tmp_path, radio_scenario):
@@ -806,6 +822,10 @@ def _malformed_argv(case, tmp_path):
         return ["attack", scn, "--variant", "wormhole", "--near-a", "10", "--out-dir", out], (
             "wormhole placement needs --attack-distance, --near-a and --near-b"
         )
+    if case == "sweep-over-bound":
+        return ["sweep", scn, "--from", "0", "--to", "1000000000", "--step", "1/1000"], (
+            "sweep of 1000000000001 rows, over the bound of 100000"
+        )
     if case == "three-correct-nodes":
         scn.write_text(RADIO.replace("[protocol]", NODE_C))
         return ["attack", scn, "--out-dir", out], (
@@ -829,6 +849,7 @@ CLI_CASES = [
     "relay-at-alone",
     "wormhole-near-a-alone",
     "three-correct-nodes",
+    "sweep-over-bound",
     "order-empty",
     "order-differing-params",
     "order-infeasible",

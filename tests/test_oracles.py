@@ -1184,9 +1184,9 @@ def test_integer_pair_test_matches_rational_square_roots(data):
     }
     for (a, b), expected in rational.items():
         pair = Setting((a, b), loc, dict.fromkeys(names, CORRECT))
-        assert (scenario._first_irrational_pair(pair) is None) == expected
+        assert (core.first_irrational_pair(pair) is None) == expected
     first = next((pair for pair, ok in rational.items() if not ok), None)
-    assert scenario._first_irrational_pair(setting) == first
+    assert core.first_irrational_pair(setting) == first
 
     adversary = AdversaryModel("relay", _PARAMS.delta_relay)
     scn = scenario.Scenario(_PARAMS, setting, PT, adversary, None, HORIZON)

@@ -734,3 +734,45 @@ def test_routes_agree_on_skewed_pgt_approx_stamps():
 def test_unknown_protocol_rejected(entry, unit_params):
     with pytest.raises(ValueError, match="unknown protocol 'bogus'"):
         entry(unit_params)
+
+
+SLACK = InaccuracyParams(F(1, 10), F(1, 20))
+
+
+@pytest.mark.parametrize(
+    "protocol, inacc, checker, bounds",
+    [
+        ("naive", None, "check_protocol_feasible", None),
+        (PT, None, "check_pt_feasible", None),
+        (PGT, None, "check_pgt_feasible", None),
+        (PGT, SLACK, "check_pgt_feasible", None),
+        (PGT_APPROX, None, "check_pgt_feasible", InaccuracyParams()),
+        (PGT_APPROX, SLACK, "check_pgt_feasible", SLACK),
+    ],
+)
+def test_protocol_verdict_reaches_each_checker_by_its_module_name(
+    protocol, inacc, checker, bounds, unit_params, monkeypatch
+):
+    """protocol_verdict calls its route through the module-level name, so a
+    rebound name (the benchmark's tracer, say) sees every call: exactly the
+    protocol's checker runs, pgt with no bounds, pgt-approx with the given
+    or zero ones, and a direct checker gets the caller's numerics."""
+    calls = []
+    for name in ("check_protocol_feasible", "check_pt_feasible", "check_pgt_feasible"):
+
+        def recording(*args, name=name, original=getattr(protocols, name)):
+            calls.append((name, args))
+            return original(*args)
+
+        monkeypatch.setattr(protocols, name, recording)
+    setting, trace = witness_trace(protocol, unit_params)
+    num = approx_num(F(1, 1000))
+    assert protocol_verdict(trace, setting, protocol, unit_params, inacc, num).ok
+    assert [name for name, _ in calls] == [checker]
+    args = calls[0][1]
+    if checker == "check_protocol_feasible":
+        assert args[2].name == protocol and args[3] == unit_params
+    elif checker == "check_pt_feasible":
+        assert args == (trace, setting, unit_params, num)
+    else:
+        assert args == (trace, setting, unit_params, bounds, num)
