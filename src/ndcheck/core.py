@@ -63,6 +63,29 @@ class FlavorMismatch(ValueError):
     """A location-aware view was requested without a setting."""
 
 
+class _Memo(dict):
+    """A dict that reads a missing key's value as ``read(key)`` on its first
+    lookup and keeps it, so a hit is one dict lookup in C and calls no
+    Python code.  A read that raises keeps nothing: the key fails again."""
+
+    __slots__ = ("read",)
+
+    def __init__(self, read: Callable):
+        self.read = read
+
+    def __missing__(self, key):
+        value = self[key] = self.read(key)
+        return value
+
+
+class _PairMemo(_Memo):
+    """A _Memo keyed by pairs (a, b), each read as ``read(a, b)``."""
+
+    def __missing__(self, key):
+        value = self[key] = self.read(*key)
+        return value
+
+
 # ---------------------------------------------------------------------------
 # parameters
 
@@ -85,15 +108,17 @@ class SystemParams:
     msg_duration_default: Fraction
 
     def __post_init__(self) -> None:
-        if self.v <= 0:
+        # signs compare as ints (_signed), which also rejects NaN and infinities
+        if _signed(self.v, "v") <= 0:
             raise ValueError("v must be > 0")
+        _signed(self.v_adv, "v_adv")
         if self.v_adv < self.v:
             raise ValueError("v_adv must be >= v")
-        if self.nd_range <= 0:
+        if _signed(self.nd_range, "nd_range") <= 0:
             raise ValueError("nd_range must be > 0")
-        if self.delta_relay < 0:
+        if _signed(self.delta_relay, "delta_relay") < 0:
             raise ValueError("delta_relay must be >= 0")
-        if self.msg_duration_default <= 0:
+        if _signed(self.msg_duration_default, "msg_duration_default") <= 0:
             raise ValueError("msg_duration_default must be > 0")
 
     @cached_property
@@ -222,16 +247,41 @@ class BeaconTL(_HashSlot):
 Message = Union[Opaque, BeaconT, BeaconTL]
 
 
+def _signed(x: Fraction, name: str) -> Fraction:
+    """A number of x's sign: a Fraction's or int's numerator, which compares
+    with 0 without Fraction's dispatch through the numbers ABCs, or x
+    itself where it has none (a float), once it is known to be finite.
+    NaN fails every comparison and an infinity passes some, so neither
+    would be caught before the first check crashed on it."""
+    n = getattr(x, "numerator", None)
+    if n is None:
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite")
+        return x
+    return n
+
+
 def _check_time(t: Fraction, name: str) -> None:
-    # a Fraction's or int's sign is its numerator's, which compares with 0
-    # without Fraction's dispatch through the numbers ABCs
-    if getattr(t, "numerator", t) < 0:
+    # every event and message built runs this and _check_duration, so both
+    # take _signed's Fraction and int path inline and call it for floats
+    n = getattr(t, "numerator", None)
+    if (_signed(t, name) if n is None else n) < 0:
         raise ValueError(f"{name} must be >= 0")
 
 
 def _check_duration(duration: Fraction) -> None:
-    if getattr(duration, "numerator", duration) <= 0:
+    n = getattr(duration, "numerator", None)
+    if (_signed(duration, "message duration") if n is None else n) <= 0:
         raise ValueError("message duration must be > 0")
+
+
+def _ratio(x: Fraction) -> tuple[int, int]:
+    """x's integer ratio, compared in ints with no Fraction dispatch; a
+    float NaN or infinity has none and reads as -1, below every range."""
+    try:
+        return x.as_integer_ratio()
+    except (ValueError, OverflowError):
+        return -1, 1
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +318,10 @@ class Dcast(_OrderSlot):
 
     def __post_init__(self) -> None:
         _check_time(self.start, "event start")
-        if not 0 <= self.direction < FULL_TURN:
+        (dn, dd), (an, ad) = _ratio(self.direction), _ratio(self.angle)
+        if not 0 <= dn < 2 * dd:
             raise ValueError("direction must be in [0, 2) (units of pi)")
-        if not 0 < self.angle <= FULL_TURN:
+        if not 0 < an <= 2 * ad:
             raise ValueError("angle must be in (0, 2] (units of pi)")
 
     def sort_key(self) -> tuple:
@@ -313,22 +364,24 @@ class Neighbor(_OrderSlot):
 Event = Union[Bcast, Dcast, Receive, Neighbor]
 
 
-def _start_prefix(start: Fraction) -> float:
-    """The start rounded to a float, monotone non-decreasing in the start."""
-    try:
-        return float(start)
-    except OverflowError:
-        # starts are never negative, so only the positive end overflows
-        return math.inf
-
-
 def _order_key(e: Event) -> tuple:
-    """The event's canonical order key, ``_start_prefix(e.start)`` followed
-    by ``e.sort_key()`` in one tuple, worked out on first use and kept in
-    the event."""
+    """The event's canonical order key, worked out on first use and kept in
+    the event: the start rounded to a float, monotone non-decreasing in
+    the start, then ``e.sort_key()``, concatenated into one tuple.
+
+    The float is the true division of the start's integer ratio, which
+    rounds correctly, as ``float(start)`` does, without the call through
+    ``numbers.Rational.__float__``.  Starts are never negative, so only
+    the positive end overflows: beyond float range the prefix is inf.
+    """
     key = e._order
     if key is None:
-        key = (_start_prefix(e.start), *e.sort_key())
+        n, d = e.start.as_integer_ratio()
+        try:
+            prefix = n / d
+        except OverflowError:
+            prefix = math.inf
+        key = (prefix,) + e.sort_key()
         _keep_order(e, key)
     return key
 
@@ -376,9 +429,9 @@ class Trace:
     their hashes, so a trace built from events another trace holds
     hashes nothing again.
 
-    The sort key is ``_start_prefix(e.start)`` followed by
-    ``e.sort_key()``: the start rounded to a float (infinity beyond
-    float range), compared in C, then the exact key.  Rounding never
+    The sort key (``_order_key``) is the start rounded to a float
+    (infinity beyond float range), compared in C, followed by
+    ``e.sort_key()``, the exact key.  Rounding never
     reverses two starts' order, so the order is exactly the
     ``sort_key()`` order, and only events whose starts round to the same
     float compare exact starts.  Each event works its key out on first
@@ -637,8 +690,10 @@ def _normalize_intervals(intervals: Sequence[Interval]) -> tuple[Interval, ...]:
     merged: list[list] = []
     for start, end in items:
         _check_time(start, "link interval start")
-        if end is not None and end <= start:
-            raise ValueError("link interval end must exceed its start")
+        if end is not None:
+            _signed(end, "link interval end")
+            if end <= start:
+                raise ValueError("link interval end must exceed its start")
         if merged and merged[-1][1] is None:
             raise ValueError("overlapping link intervals")
         if merged and start < merged[-1][1]:
@@ -699,13 +754,19 @@ def _root(
 
 def first_irrational_pair(setting: Setting) -> Optional[tuple[NodeId, NodeId]]:
     """The first node pair, in node order, whose distance is irrational.
-    Each pair's root is read from or kept in the root memo (``_root``), so
-    the checks that follow take none of them again."""
+
+    One pass over the pairs up to that one fills the root memo: a pair
+    the memo lacks takes its root through ``_take_root`` and keeps it, so
+    the checks that follow take none of them again.  Nodes are in sorted
+    order, so (a, b) is the memo's key for a before b.
+    """
     _, coords, _ = _lattice(setting)
-    nodes = setting.nodes
+    roots, nodes = setting._roots, setting.nodes
     for index, a in enumerate(nodes):
         for b in nodes[index + 1 :]:
-            if _root(setting, coords, a, b) is None:
+            if (a, b) not in roots:
+                roots[a, b] = _take_root(coords, a, b)
+            if roots[a, b] is None:
                 return a, b
     return None
 
@@ -1112,12 +1173,14 @@ class _Physics:
     """One physics pass: its ticks, and what it reads by them.
 
     Each link's phases are read in ticks the first time the pass asks
-    for them, and kept for the pass.  ``flight(a, b)`` reads the flight
+    for them, and kept for the pass.  ``flight[a, b]`` is the flight
     time from a to b in ticks, as (floor, ceiling) (``flight_ticks``):
     the ticks are over a multiple D of ``_grid``, so a rational flight
     time is one int, from the root memo, with no Fraction built.  An
     irrational one raises IrrationalDistance in exact mode and reads as
-    the two ticks around it in approximate mode.
+    the two ticks around it in approximate mode.  ``flight`` is the
+    pass's flight memo (``_PairMemo``): each ordered pair the pass asks
+    about is read once and kept for the pass, one entry per pair.
     """
 
     __slots__ = ("setting", "params", "ticks", "memo", "links", "flight")
@@ -1126,7 +1189,7 @@ class _Physics:
         self.setting, self.params, self.ticks = setting, params, ticks
         self.memo: Optional[dict[Event, Coverage]] = None  # the setting's, for this speed
         self.links: dict[tuple[NodeId, NodeId], tuple[tuple[int, Optional[int]], ...]] = {}
-        self.flight = flight_ticks(setting, params.v, ticks.den, exact)
+        self.flight = _PairMemo(flight_ticks(setting, params.v, ticks.den, exact))
 
     def up(self, a: NodeId, b: NodeId, t0: int, t1: int) -> bool:
         """link_up_over, on ticks."""
@@ -1174,7 +1237,7 @@ class _Physics:
             for dest in reach:
                 if isinstance(e, Dcast) and not inrange(setting, actor, e.direction, e.angle, dest):
                     continue
-                at = start + self.flight(actor, dest)[0]
+                at = start + self.flight[actor, dest][0]
                 entries.append((dest, self.up(actor, dest, at, at + span)))
             cover = memo[e] = tuple(entries)
         return cover
@@ -1242,26 +1305,28 @@ def check_setting_feasible(
     dcasts: dict[tuple[NodeId, Message], list[tuple[int, Dcast]]] = {}
     receive_starts: dict[tuple[NodeId, NodeId, Message], list[int]] = {}
     for e, at in starts.items():
-        if isinstance(e, Bcast):
-            bcast_starts.setdefault((e.actor, e.msg), []).append(at)
-        elif isinstance(e, Dcast):
-            dcasts.setdefault((e.actor, e.msg), []).append((at, e))
-        elif isinstance(e, Receive):
+        kind = type(e)
+        if kind is Receive:
             receive_starts.setdefault((e.actor, e.sender, e.msg), []).append(at)
+        elif kind is Bcast:
+            bcast_starts.setdefault((e.actor, e.msg), []).append(at)
+        elif kind is Dcast:
+            dcasts.setdefault((e.actor, e.msg), []).append((at, e))
 
     # (arrival, sent by broadcast, link up) per covered receiver; E = 0 only
     arrivals: dict[tuple[NodeId, NodeId, Message], list[tuple[int, bool, bool]]] = {}
 
     for e, at in starts.items():
-        if e.actor not in known or isinstance(e, Receive) and e.sender not in known:
-            for node in (e.actor, e.sender) if isinstance(e, Receive) else (e.actor,):
+        kind = type(e)  # the one type test; events are never subclassed
+        if e.actor not in known or kind is Receive and e.sender not in known:
+            for node in (e.actor, e.sender) if kind is Receive else (e.actor,):
                 if node not in known:
                     violations.append(
                         Violation("unknown-node", (e,), f"node {node!r} is not part of the setting")
                     )
             continue
 
-        if isinstance(e, Receive):
+        if kind is Receive:
             link_up: Optional[bool] = None
             bcast_match = dcast_match = False
             for arrival, by_bcast, up in arrivals.get((e.actor, e.sender, e.msg), ()):
@@ -1273,7 +1338,7 @@ def check_setting_feasible(
                         dcast_match = True
             if link_up is None:
                 link_up = phys.up(e.sender, e.actor, at, at + ticks.of(e.msg.duration))
-                floor, ceil = phys.flight(e.sender, e.actor)
+                floor, ceil = phys.flight[e.sender, e.actor]
                 # the sends S with S + C - E <= at <= S + F + E
                 low, high = at - floor - slack, at - ceil + slack
                 source = (e.sender, e.msg)
@@ -1309,8 +1374,8 @@ def check_setting_feasible(
                     )
                 )
 
-        elif isinstance(e, (Bcast, Dcast)):
-            by_bcast = isinstance(e, Bcast)
+        elif kind is not Neighbor:
+            by_bcast = kind is Bcast
             if by_bcast:
                 rule, reach = "bcast-missing-receive", "has the link up"
             else:
@@ -1324,7 +1389,7 @@ def check_setting_feasible(
                         )
                     )
             for dest, up in phys.coverage(e):
-                floor, ceil = phys.flight(e.actor, dest)
+                floor, ceil = phys.flight[e.actor, dest]
                 # the receptions A with S + C - E <= A <= S + F + E
                 low, high = at + ceil - slack, at + floor + slack
                 if not slack and floor == ceil:
@@ -1362,6 +1427,6 @@ def induced_receives(sends: Iterable[Event], setting: Setting, params: SystemPar
         start = ticks.of(e.start)
         for dest, up in phys.coverage(e):
             if up:
-                at = Fraction(start + phys.flight(e.actor, dest)[0], ticks.den)
+                at = Fraction(start + phys.flight[e.actor, dest][0], ticks.den)
                 induced.append(Receive(dest, at, e.actor, e.msg))
     return induced

@@ -75,7 +75,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .adversary import ADVERSARY_NAMES, AdversaryModel
 from .core import (
@@ -96,6 +96,7 @@ from .core import (
     Setting,
     SystemParams,
     Trace,
+    _Memo,
     _normalize_intervals,
     first_irrational_pair,
 )
@@ -467,34 +468,29 @@ def dump_trace(trace: Trace) -> str:
 def parse_trace(text: str) -> Trace:
     """Read a trace file's text; a malformed line raises ScenarioError naming it.
 
-    Each distinct field text is read once per call: a memo keyed by
-    (reader, text) keeps every value read, so identical texts (a
-    beacon's message in each of its receptions, a start shared by
-    several events) share one parsed value, and comparing them stops at
-    the identity check.  The memo lives for the call only and holds one
-    value per distinct field text of this input; a text that fails to
-    read is never stored, so it fails again with the same message.
+    Each distinct field text is read once per call: each field reader
+    has its own memo, a dict from text to the value read (``_Memo``),
+    and each event kind's memos are looked up once per call, so a field
+    costs one dict lookup by its text.  Identical texts (a beacon's
+    message in each of its receptions, a start shared by several events)
+    share one parsed value, and comparing them stops at the identity
+    check.  The memos live for the call only and hold one value per
+    distinct field text of this input; a text that fails to read is
+    never stored, so it fails again with the same message.
     """
-    parsed: dict[tuple[Callable, str], object] = {}
-
-    def read_once(read: Callable, part: str):
-        key = (read, part)
-        value = parsed.get(key)
-        if value is None:
-            value = parsed[key] = read(part)
-        return value
-
+    memos = {read: _Memo(read) for _, reads in _EVENT_READERS.values() for read in reads}
+    layouts = {k: (cls, [memos[r] for r in reads]) for k, (cls, reads) in _EVENT_READERS.items()}
     events: list[Event] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         kind, *parts = line.split()
-        cls, reads = _EVENT_READERS.get(kind, (None, ()))
+        cls, field_memos = layouts.get(kind, (None, ()))
         try:
-            if cls is None or len(parts) != len(reads):
+            if cls is None or len(parts) != len(field_memos):
                 raise ValueError(f"unrecognized event {echo(line)}")
-            events.append(cls(*[read_once(read, part) for read, part in zip(reads, parts)]))
+            events.append(cls(*[memo[part] for memo, part in zip(field_memos, parts)]))
         except ValueError as exc:
             raise ScenarioError(f"line {lineno}: {exc}") from None
     return Trace(events)

@@ -33,7 +33,7 @@ from ndcheck import (
     project_local,
     time_of_flight,
 )
-from ndcheck import RELAY, AdversaryModel, check_adversary_feasible, core
+from ndcheck import RELAY, AdversaryModel, approx_num, check_adversary_feasible, core
 
 F = Fraction
 ALWAYS = ((F(0), None),)
@@ -117,6 +117,48 @@ def test_replaced_and_copied_values_hash_their_own_fields():
     assert hash(moved) == hash(Receive("A", F(9, 2), "B", r.msg)) == hash(_field_tuple(moved))
     with pytest.raises(ValueError, match="event start must be >= 0"):
         dataclasses.replace(r, start=F(-1))
+
+
+_NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+def test_non_finite_instants_and_durations_rejected_at_construction():
+    """NaN and infinities fail or pass the sign tests without a word, and
+    would crash the first check; every field that holds an instant or a
+    duration rejects them by name."""
+    msg = BeaconT("A", F(0), F(1))
+    params = dict(v=F(1), v_adv=F(1), nd_range=F(10), delta_relay=F(1), msg_duration_default=F(1))
+    for bad in _NON_FINITE:
+        builds = {
+            "event start": [
+                lambda: Bcast("A", bad, msg),
+                lambda: Dcast("A", bad, F(0), F(1), msg),
+                lambda: Receive("B", bad, "A", msg),
+                lambda: Neighbor("B", bad, "A", F(0)),
+            ],
+            "peer_time": [lambda: Neighbor("B", F(1), "A", bad)],
+            "beacon_time": [
+                lambda: BeaconT("A", bad, F(1)),
+                lambda: BeaconTL("A", bad, (F(0), F(0)), F(1)),
+            ],
+            "message duration": [
+                lambda: Opaque("x", bad),
+                lambda: BeaconT("A", F(0), bad),
+                lambda: BeaconTL("A", F(0), (F(0), F(0)), bad),
+            ],
+            "link interval start": [lambda: pair_setting(schedule=((bad, None),))],
+            "link interval end": [lambda: pair_setting(schedule=((F(0), bad),))],
+        }
+        for name in params:
+            builds[name] = [lambda name=name: SystemParams(**{**params, name: bad})]
+        for name, makers in builds.items():
+            for make in makers:
+                with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                    make()
+    # a finite float is still accepted, equal to the Fraction of its value
+    assert Bcast("A", 0.5, msg) == Bcast("A", F(1, 2), msg)
+    assert pair_setting(schedule=((0.5, 1.5),)) == pair_setting(schedule=((F(1, 2), F(3, 2)),))
+    assert SystemParams(**{**params, "delta_relay": 0.25}).delta_relay == F(1, 4)
 
 
 def test_unpickled_values_hash_afresh_under_another_string_hash_seed():
@@ -720,6 +762,44 @@ def test_each_sector_and_flight_time_decided_once_per_setting(unit_params, monke
     assert s == line()  # the memos are not part of the value
 
 
+def test_physics_reads_each_flight_once_per_check(unit_params, monkeypatch):
+    """One check_setting_feasible call reads each ordered node pair's flight
+    at most once, from the reader flight_ticks returns, in either mode;
+    each call reads afresh, over its own ticks."""
+    names = "ABCD"
+    s = Setting(
+        names,
+        {n: (F(3 * k), F(4 * k)) for n, k in zip(names, (0, 1, 3, 7))},
+        {n: ADVERSARIAL if n in "CD" else CORRECT for n in names},
+        {(a, b): ALWAYS for a in names for b in names if a != b},
+    )
+    reads = []
+    flight_ticks = core.flight_ticks
+
+    def counting(*args, **kwargs):
+        read = flight_ticks(*args, **kwargs)
+
+        def counted(a, b):
+            reads.append((a, b))
+            return read(a, b)
+
+        return counted
+
+    monkeypatch.setattr(core, "flight_ticks", counting)
+    sends = [Bcast(n, F(k), beacon(n, F(k))) for k in range(4) for n in names]
+    sends.append(Dcast("D", F(40), F(1), F(1, 2), beacon("A")))
+    receptions = induced_receives(sends, s, unit_params)
+    # an unmatched reception is matched by a scan, which reads its flight too
+    stray = Receive("A", F(99), "B", beacon("B"))
+    trace = Trace(sends + receptions + [stray])
+    for num in (core.EXACT, approx_num(F(1, 1000))):
+        for _ in range(2):
+            reads.clear()
+            verdict = check_setting_feasible(trace, s, unit_params, num)
+            assert verdict.rules() == {"receive-without-transmission"}
+            assert reads and len(reads) == len(set(reads))
+
+
 def test_induced_receives_rejects_unknown_sender(unit_params):
     s = pair_setting()
     msg = Opaque("x", F(1))
@@ -783,6 +863,71 @@ def test_trace_order_is_the_sort_key_order(events, rng):
     expected = tuple(sorted(set(events), key=lambda e: e.sort_key()))
     rng.shuffle(events)
     assert Trace(events).events == expected
+
+
+def _float_or_inf(start):
+    try:
+        return float(start)
+    except OverflowError:
+        return math.inf
+
+
+def test_order_key_is_the_float_start_then_the_sort_key():
+    """The kept order key is float(start), or inf beyond float range,
+    followed by sort_key(), for Fraction, int and float starts."""
+    msg = beacon("A")
+    starts = [F(7, 3), F(0), 5, 0, 2.5, 0.1, 10**400, F(10**401, 3), 1 + F(1, 10**20)]
+    for start in starts:
+        for e in (
+            Bcast("A", start, msg),
+            Dcast("A", start, F(1, 4), F(1, 2), msg),
+            Receive("B", start, "A", msg),
+            Neighbor("B", start, "A", F(0)),
+        ):
+            key = core._order_key(e)
+            assert key == (_float_or_inf(e.start), *e.sort_key())
+            assert type(key[0]) is float and core._order_key(e) is key
+    # distinct starts that round to one float keep their sort_key() order
+    close = [Bcast("A", 1 + F(k, 10**20), msg) for k in (2, -1, 1, 0)]
+    assert len({core._order_key(e)[0] for e in close}) == 1
+    assert Trace(close).events == tuple(sorted(close, key=lambda e: e.sort_key()))
+    huge = [Neighbor("B", 10**400 + k, "A", F(0)) for k in (1, 0)]
+    assert Trace(huge).events == tuple(huge[::-1])
+
+
+_BELOW_TWO = F(2) - F(1, 10**30)
+_ABOVE_TWO = F(2) + F(1, 10**30)
+_DIRECTION_ERROR = "direction must be in [0, 2) (units of pi)"
+_ANGLE_ERROR = "angle must be in (0, 2] (units of pi)"
+
+
+@pytest.mark.parametrize(
+    "values, direction_error, angle_error",
+    [
+        ((F(0), 0, 0.0), None, _ANGLE_ERROR),
+        ((F(2), 2, 2.0), _DIRECTION_ERROR, None),
+        ((_BELOW_TWO, 1, math.nextafter(2.0, 0)), None, None),
+        ((_ABOVE_TWO, 3, math.nextafter(2.0, 3)), _DIRECTION_ERROR, _ANGLE_ERROR),
+        ((F(-1, 3), -1, -0.5), _DIRECTION_ERROR, _ANGLE_ERROR),
+        (_NON_FINITE, _DIRECTION_ERROR, _ANGLE_ERROR),
+    ],
+    ids=["zero", "two", "below-two", "above-two", "negative", "non-finite"],
+)
+def test_dcast_direction_and_angle_ranges(values, direction_error, angle_error):
+    """Direction is in [0, 2) and angle in (0, 2], decided on integer ratios
+    for Fraction, int and float values alike."""
+    msg = beacon("A")
+    for value in values:
+        for error, make in (
+            (direction_error, lambda: Dcast("A", F(0), value, F(1), msg)),
+            (angle_error, lambda: Dcast("A", F(0), F(0), value, msg)),
+        ):
+            if error is None:
+                make()
+            else:
+                with pytest.raises(ValueError) as raised:
+                    make()
+                assert str(raised.value) == error
 
 
 # ---------------------------------------------------------------------------

@@ -1144,7 +1144,7 @@ def test_integer_geometry_matches_fraction_formulas(data):
                 for read in (
                     lambda: dist(setting, a, b),
                     lambda: time_of_flight(setting, params, a, b),
-                    lambda: phys.flight(a, b),
+                    lambda: phys.flight[a, b],
                     lambda: least_gap(a, b),
                 ):
                     with pytest.raises(IrrationalDistance) as raised:
@@ -1152,7 +1152,7 @@ def test_integer_geometry_matches_fraction_formulas(data):
                     assert str(raised.value) == str(exc)
                 # the flight's ticks lie strictly between floor and floor + 1
                 low = math.isqrt(math.floor(squared * ticks.den**2 / v**2))
-                assert approx.flight(a, b) == (low, low + 1)
+                assert approx.flight[a, b] == (low, low + 1)
                 # the least gap g: the least int with g >= D·(delta_relay + |ab|/v_adv)
                 den = trace_ticks.den
                 q, lead = squared * den**2 / v_adv**2, delta_relay * den
@@ -1163,7 +1163,7 @@ def test_integer_geometry_matches_fraction_formulas(data):
                 continue
             assert (type(dist(setting, a, b)), dist(setting, a, b)) == (Fraction, d)
             assert time_of_flight(setting, params, a, b) == d / v
-            assert phys.flight(a, b) == approx.flight(a, b) == (ticks.of(d / v),) * 2
+            assert phys.flight[a, b] == approx.flight[a, b] == (ticks.of(d / v),) * 2
             assert least_gap(a, b) == approx_gap(a, b) == trace_ticks.ceil(delta_relay + d / v_adv)
 
 
@@ -1197,3 +1197,29 @@ def test_integer_pair_test_matches_rational_square_roots(data):
         a, b = first
         with pytest.raises(scenario.ScenarioError, match=f"between '{a}' and '{b}' is irrational"):
             scenario.parse_scenario(text)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_first_irrational_pair_takes_each_root_once(data):
+    """first_irrational_pair fills the root memo in one pass: each pair up to
+    the first irrational one, in node order, takes its root through
+    _take_root exactly once, and the pair it names is the one the Fraction
+    reference names.  Asked again, it reads the memo and takes none."""
+    points = data.draw(_point_sets())
+    names = "ABCDEF"[: len(points)]
+    loc = dict(zip(names, points))
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
+    first = next((p for p in pairs if not is_rational_square(sq_dist(loc[p[0]], loc[p[1]]))), None)
+    setting = Setting(names, loc, dict.fromkeys(names, CORRECT))
+    taken = []
+    take_root = core._take_root
+
+    def counting(coords, a, b):
+        taken.append((a, b))
+        return take_root(coords, a, b)
+
+    with mock.patch.object(core, "_take_root", counting):
+        for _ in range(2):
+            assert core.first_irrational_pair(setting) == first
+            assert taken == (pairs if first is None else pairs[: pairs.index(first) + 1])

@@ -234,6 +234,84 @@ def test_trace_error_names_its_line(line, message):
     assert str(caught.value) == message
 
 
+_OK_LINE = "bcast B 3 beacon-t:B:0:1\n"
+_LONG_ID = "A!" * 1500
+
+# each text with the message the reader gave before field readers kept
+# per-reader memos: the memos must not change which line fails or why
+_MALFORMED_TRACES = {
+    "unknown-kind": (
+        "teleport B 0 beacon-t:B:0:1\n",
+        "line 1: unrecognized event 'teleport B 0 beacon-t:B:0:1'",
+    ),
+    "too-few-fields": (_OK_LINE + "bcast B 0\n", "line 2: unrecognized event 'bcast B 0'"),
+    "too-many-fields": (
+        "neighbor A 1 B 2 3\n",
+        "line 1: unrecognized event 'neighbor A 1 B 2 3'",
+    ),
+    "bad-node-id": (
+        _OK_LINE + "neighbor A 1 B# 0\n",
+        "line 2: invalid node id 'B#': use [A-Za-z0-9_.-] only",
+    ),
+    "bad-scalar": (
+        "receive A x B opaque:t:1\n",
+        "line 1: invalid scalar 'x': Invalid literal for Fraction: 'x'",
+    ),
+    "bad-message-form": (
+        "bcast B 0 opaque:ha:ha:1\n",
+        "line 1: unknown message form 'opaque:ha:ha:1'",
+    ),
+    "bad-message-value": (
+        _OK_LINE + "bcast B 0 beacon-t:B:0:0\n",
+        "line 2: bad message 'beacon-t:B:0:0': message duration must be > 0",
+    ),
+    "overlong-node-id": (
+        f"bcast {_LONG_ID} 0 opaque:x:1\n",
+        f"line 1: invalid node id {_LONG_ID[:MAX_ECHO_LENGTH]!r}... (3000 characters): "
+        "use [A-Za-z0-9_.-] only",
+    ),
+    # "3" reads well as line 1's start and is kept; as line 2's direction
+    # the event rejects it
+    "scalar-read-earlier": (
+        _OK_LINE + "dcast C 0 3 1 opaque:x:1\n",
+        "line 2: direction must be in [0, 2) (units of pi)",
+    ),
+    "message-read-earlier": (
+        "bcast B 0 opaque:x:1\nreceive A 0 B opaque:x:1\nreceive A 0 B opaque:x:1 extra\n",
+        "line 3: unrecognized event 'receive A 0 B opaque:x:1 extra'",
+    ),
+    "first-of-two-bad": (
+        _OK_LINE + "bcast B -1 beacon-t:B:0:1\nteleport B 0\n",
+        "line 2: event start must be >= 0",
+    ),
+    "same-bad-text-twice": (
+        "bcast B x beacon-t:B:0:1\nbcast B x beacon-t:B:0:1\n",
+        "line 1: invalid scalar 'x': Invalid literal for Fraction: 'x'",
+    ),
+    "after-skipped-lines": (
+        "# header\n\n   \n  # indented comment\n\t" + _OK_LINE + "  bcast B x beacon-t:B:0:1\n",
+        "line 6: invalid scalar 'x': Invalid literal for Fraction: 'x'",
+    ),
+    "nan-start": (
+        "bcast B nan beacon-t:B:0:1\n",
+        "line 1: invalid scalar 'nan': Invalid literal for Fraction: 'nan'",
+    ),
+}
+
+
+@pytest.mark.parametrize("text, message", _MALFORMED_TRACES.values(), ids=_MALFORMED_TRACES)
+def test_trace_reader_errors_name_the_first_bad_line(text, message):
+    with pytest.raises(ScenarioError) as caught:
+        parse_trace(text)
+    assert str(caught.value) == message
+
+
+def test_trace_reader_skips_blank_comment_and_indented_lines():
+    text = "# header\n\n   \n  # indented comment\n\t" + _OK_LINE + "  receive B 3 B beacon-t:B:0:1\n"
+    msg = BeaconT("B", F(0), F(1))
+    assert parse_trace(text) == Trace([Bcast("B", F(3), msg), Receive("B", F(3), "B", msg)])
+
+
 def test_bad_message_echoes_a_bounded_prefix():
     # rejected from the text alone: the 3,000-digit number is never built
     token = "opaque:x:" + "2" * 3000
