@@ -45,6 +45,7 @@ from .core import (
     Trace,
     Verdict,
     Violation,
+    _signed,
     flight_ticks,
 )
 from .rational import EXACT, Num
@@ -104,7 +105,7 @@ class AdversaryModel:
 
     def __post_init__(self) -> None:
         adversary_spec(self.kind)
-        if self.delta_relay < 0:
+        if _signed(self.delta_relay, "delta_relay") < 0:
             raise ValueError("delta_relay must be >= 0")
 
 

@@ -563,38 +563,33 @@ class Setting:
     from the declared links, in O(n + links log links), and holds one
     reference per node and per link.
 
-    The setting also keeps three memos, each filled the first time a
-    check asks for an entry and kept for the life of the setting, so
-    each fact below is worked out at most once whatever checks run on
-    it.  None is part of the setting's value: equality ignores them.
+    The setting also keeps two memos, each filled the first time a check
+    asks for an entry and kept for the life of the setting, so each fact
+    below is worked out at most once whatever checks run on it.  Neither
+    is part of the setting's value: equality ignores them.
 
     - ``dist_ratio``, the root memo: one int or None per unordered pair
-      of distinct nodes, keyed by ``(a, b)`` with a <= b.  The int is
-      r = c·|ab|, with c the lcm of the coordinates' denominators
-      (``_lattice``), and None marks an irrational distance.  Exact
-      distances, flight times in ticks and relay gaps are all read from
-      it, in integers.  Reading a scenario in exact mode fills it for
-      every pair (``first_irrational_pair``).
-    - ``inrange``: one bool per (sender, receiver, sector) a check asked
-      about, keyed by the two nodes and the integer ratios of direction
-      and angle; the sender itself and full-turn sectors are decided
-      without it.  A check asks only about reachable receivers, so it
-      holds at most one entry per declared link and distinct sector
-      cast over it.
+      of distinct nodes a check read, keyed by ``(a, b)`` with a <= b.
+      The int is r = c·|ab|, with c the lcm of the coordinates'
+      denominators (``_lattice``), and None marks an irrational
+      distance.  Exact distances, flight times in ticks and relay gaps
+      are all read from it, in integers.  Only checks fill it: reading a
+      scenario (``first_irrational_pair``) keeps no root.
     - ``_Physics.coverage``: per transmission, one ``(receiver, link up
       over the reception window)`` pair per reachable receiver the
       sector holds, keyed by the event under ``params.v``; the table for
       a speed is made when its first transmission is covered.
       ``induced_receives`` and ``check_setting_feasible`` share it, in
       either mode, and it keeps no instant, so checks over any
-      denominator share it too.  Unlike the other memos it grows with
-      the distinct transmissions checked, not with the setting: a
+      denominator share it too, and each cast's sector is decided once
+      per reachable receiver.  Unlike the root memo it grows with the
+      distinct transmissions checked, not with the setting: a
       long-lived setting keeps them all.
 
-    ``_lattice`` keeps, from the first exact distance, sector decision
-    or physics pass on, the lcm c of the coordinates' denominators, each
-    node's coordinates times c as ints, and the lcm of the link bounds'
-    denominators.
+    ``_lattice`` keeps, from the first exact-mode read, exact distance,
+    sector decision or physics pass on, the lcm c of the coordinates'
+    denominators, each node's coordinates times c as ints, and the lcm
+    of the link bounds' denominators.
     """
 
     __slots__ = (
@@ -604,7 +599,6 @@ class Setting:
         "link_schedule",
         "reachable",
         "_roots",
-        "_sectors",
         "_coverage",
         "_lattice",
     )
@@ -628,7 +622,12 @@ class Setting:
             if self.node_type[node] not in (CORRECT, ADVERSARIAL):
                 raise ValueError(f"bad node type for {echo(node)}")
             p = self.loc[node]
-            ratios = p[0].as_integer_ratio() + p[1].as_integer_ratio()
+            try:
+                ratios = p[0].as_integer_ratio() + p[1].as_integer_ratio()
+            except (ValueError, OverflowError):  # a float NaN or infinity
+                for axis, x in zip("xy", p):
+                    _signed(x, f"{axis} of node {echo(node)}")
+                raise
             if ratios in placed:
                 x, y = (echo(format_scalar(c), quote=False) for c in p)
                 raise ValueError(
@@ -654,8 +653,7 @@ class Setting:
             node: tuple(sorted(dests)) for node, dests in reach.items()
         }
         self._roots: dict[tuple[NodeId, NodeId], Optional[int]] = {}
-        self._sectors: dict[tuple, bool] = {}
-        self._coverage: Optional[dict[Fraction, dict[Event, Coverage]]] = None
+        self._coverage: dict[Fraction, dict[Event, Coverage]] = {}
         self._lattice: Optional[tuple[int, dict[NodeId, tuple[int, int]], int]] = None
 
     @property
@@ -755,19 +753,19 @@ def _root(
 def first_irrational_pair(setting: Setting) -> Optional[tuple[NodeId, NodeId]]:
     """The first node pair, in node order, whose distance is irrational.
 
-    One pass over the pairs up to that one fills the root memo: a pair
-    the memo lacks takes its root through ``_take_root`` and keeps it, so
-    the checks that follow take none of them again.  Nodes are in sorted
-    order, so (a, b) is the memo's key for a before b.
+    One pass over the pairs up to that one, on the setting's lattice ints
+    (``_lattice``), takes one ``math.isqrt`` per pair inline and keeps
+    nothing: the root memo is left to the checks, which read the roots
+    of the pairs they ask about, on a scenario often far fewer than the
+    n(n-1)/2 pairs scanned here.
     """
     _, coords, _ = _lattice(setting)
-    roots, nodes = setting._roots, setting.nodes
-    for index, a in enumerate(nodes):
-        for b in nodes[index + 1 :]:
-            if (a, b) not in roots:
-                roots[a, b] = _take_root(coords, a, b)
-            if roots[a, b] is None:
-                return a, b
+    points = [coords[n] for n in setting.nodes]
+    for i, (xa, ya) in enumerate(points):
+        for j, (xb, yb) in enumerate(points[i + 1 :], i + 1):
+            sq = (xa - xb) ** 2 + (ya - yb) ** 2
+            if math.isqrt(sq) ** 2 != sq:
+                return setting.nodes[i], setting.nodes[j]
     return None
 
 
@@ -899,10 +897,10 @@ def _sector_rays(dn: int, dd: int, an: int, ad: int) -> tuple[Ray, Ray]:
     ratios (``Sector``): int vectors at quarter turns, which decide their
     side in ints on the setting's lattice, float ones elsewhere.
 
-    Kept for the last 256 sectors.  A setting's sector memo decides each
-    (sender, receiver, sector) once, but a new setting decides afresh,
-    and the settings built one per attack plan cast the same few
-    sectors, so they share these rays.
+    Kept for the last 256 sectors.  ``inrange`` keeps no decision, and
+    the settings built one per attack plan cast the same few sectors, so
+    every decision on a sector seen before, in any setting, takes its
+    rays from here rather than from cos and sin.
     """
     return _direction_vector(dn, dd), _direction_vector(dn * ad + an * dd, dd * ad)
 
@@ -952,20 +950,17 @@ def inrange(
     as integer ratios, and the offset from a to b is taken on the
     setting's integer lattice (``_lattice``): quarter-turn boundaries are
     decided exactly, by int cross products; other boundaries use floats of
-    the exact offset.  Each decision is read from and kept in the
-    setting's sector memo.
+    the exact offset.  Nothing is kept: the physics check reads each
+    cast's decisions once per setting from the coverage memo (see
+    ``Setting``).
     """
     dn, dd = direction.as_integer_ratio()
     an, ad = angle.as_integer_ratio()
     if b == a or an >= 2 * ad:
         return True
-    key = (a, b, dn, dd, an, ad)
-    inside = setting._sectors.get(key)
-    if inside is None:
-        c, coords, _ = _lattice(setting)
-        (ax, ay), (bx, by) = coords[a], coords[b]
-        inside = setting._sectors[key] = _in_sector((bx - ax, by - ay), c, key[2:])
-    return inside
+    c, coords, _ = _lattice(setting)
+    (ax, ay), (bx, by) = coords[a], coords[b]
+    return _in_sector((bx - ax, by - ay), c, (dn, dd, an, ad))
 
 
 # ---------------------------------------------------------------------------
@@ -1176,11 +1171,14 @@ class _Physics:
     for them, and kept for the pass.  ``flight[a, b]`` is the flight
     time from a to b in ticks, as (floor, ceiling) (``flight_ticks``):
     the ticks are over a multiple D of ``_grid``, so a rational flight
-    time is one int, from the root memo, with no Fraction built.  An
-    irrational one raises IrrationalDistance in exact mode and reads as
-    the two ticks around it in approximate mode.  ``flight`` is the
-    pass's flight memo (``_PairMemo``): each ordered pair the pass asks
-    about is read once and kept for the pass, one entry per pair.
+    time is one int, with no Fraction built, from the root memo, which
+    the pass fills with the pairs it reads.  An irrational one raises
+    IrrationalDistance in exact mode and reads as the two ticks around
+    it in approximate mode.  ``flight`` is the pass's flight memo
+    (``_PairMemo``): each ordered pair the pass asks about is read once
+    and kept for the pass, one entry per pair.  A directional cast's
+    sector is decided (``inrange``, which keeps nothing) once per
+    reachable receiver, when ``coverage`` first covers the cast.
     """
 
     __slots__ = ("setting", "params", "ticks", "memo", "links", "flight")
@@ -1224,8 +1222,6 @@ class _Physics:
         """
         setting, memo = self.setting, self.memo
         if memo is None:
-            if setting._coverage is None:
-                setting._coverage = {}
             memo = self.memo = setting._coverage.setdefault(self.params.v, {})
         cover = memo.get(e)
         if cover is None:

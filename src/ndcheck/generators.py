@@ -16,9 +16,11 @@ Draws are made in integers: a value on a 1/k grid is drawn as its
 integer count of 1/k steps, with the same random calls and the same
 arguments as when it was drawn in Fractions, and one Fraction is built
 per value drawn.  Receptions are induced once per transmission, through
-the setting's coverage memo and its integer root memo (see
-``core.Setting``).  So every seed keeps its draws: the same seed gives
-the same settings and traces, value for value.
+the setting's coverage memo, which decides each cast's sector once per
+receiver, and its integer root memo, which keeps the roots of the node
+pairs those receptions read (see ``core.Setting``).  So every seed keeps
+its draws: the same seed gives the same settings and traces, value for
+value.
 """
 
 from __future__ import annotations

@@ -71,6 +71,7 @@ from .core import (
     Trace,
     Verdict,
     Violation,
+    _signed,
     project_local,
 )
 from .rational import EXACT, Num
@@ -116,7 +117,7 @@ class InaccuracyParams:
     tau: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        if self.delta < 0 or self.tau < 0:
+        if _signed(self.delta, "delta") < 0 or _signed(self.tau, "tau") < 0:
             raise ValueError("delta and tau must be >= 0")
 
     @property

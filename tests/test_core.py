@@ -33,7 +33,14 @@ from ndcheck import (
     project_local,
     time_of_flight,
 )
-from ndcheck import RELAY, AdversaryModel, approx_num, check_adversary_feasible, core
+from ndcheck import (
+    RELAY,
+    AdversaryModel,
+    InaccuracyParams,
+    approx_num,
+    check_adversary_feasible,
+    core,
+)
 
 F = Fraction
 ALWAYS = ((F(0), None),)
@@ -159,6 +166,33 @@ def test_non_finite_instants_and_durations_rejected_at_construction():
     assert Bcast("A", 0.5, msg) == Bcast("A", F(1, 2), msg)
     assert pair_setting(schedule=((0.5, 1.5),)) == pair_setting(schedule=((F(1, 2), F(3, 2)),))
     assert SystemParams(**{**params, "delta_relay": 0.25}).delta_relay == F(1, 4)
+
+
+def test_non_finite_model_numbers_and_coordinates_rejected_by_name():
+    """The adversary's relay delay, the protocol's error bounds and node
+    coordinates reject NaN and infinities by name, the node's too for a
+    coordinate, where a NaN would otherwise build or fail with no name;
+    negative bounds keep their messages."""
+    for bad in _NON_FINITE:
+        builds = {
+            "delta_relay": lambda: AdversaryModel(RELAY, bad),
+            "delta": lambda: InaccuracyParams(bad, F(0)),
+            "tau": lambda: InaccuracyParams(F(0), bad),
+            "x of node 'B'": lambda: pair_setting(d=bad),
+            "y of node 'B'": lambda: Setting(
+                ("A", "B"), {"A": (F(0), F(0)), "B": (F(0), bad)}, dict.fromkeys("AB", CORRECT)
+            ),
+        }
+        for name, make in builds.items():
+            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                make()
+    with pytest.raises(ValueError, match="^delta_relay must be >= 0$"):
+        AdversaryModel(RELAY, F(-1))
+    for delta, tau in ((F(-1), F(0)), (F(0), F(-1))):
+        with pytest.raises(ValueError, match="^delta and tau must be >= 0$"):
+            InaccuracyParams(delta, tau)
+    assert AdversaryModel(RELAY, 0.25).delta_relay == F(1, 4)
+    assert pair_setting(d=8.0) == pair_setting()
 
 
 def test_unpickled_values_hash_afresh_under_another_string_hash_seed():
@@ -698,7 +732,7 @@ def test_each_pair_square_root_taken_once_per_setting(unit_params, monkeypatch):
 
 def test_each_sector_and_flight_time_decided_once_per_setting(unit_params, monkeypatch):
     """Physics, induced receptions and the adversary check share the setting's
-    sector and root memos."""
+    coverage and root memos."""
     # along the 3-4-5 slope at 0, 1, 3 and 7: A and B lie at 233 degrees from D
     names = "ABCD"
 

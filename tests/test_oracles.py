@@ -1201,25 +1201,17 @@ def test_integer_pair_test_matches_rational_square_roots(data):
 
 @settings(max_examples=200)
 @given(st.data())
-def test_first_irrational_pair_takes_each_root_once(data):
-    """first_irrational_pair fills the root memo in one pass: each pair up to
-    the first irrational one, in node order, takes its root through
-    _take_root exactly once, and the pair it names is the one the Fraction
-    reference names.  Asked again, it reads the memo and takes none."""
+def test_first_irrational_pair_keeps_no_root(data):
+    """first_irrational_pair names the pair the Fraction reference names, the
+    first in node order whose distance is irrational, and keeps no root: the
+    setting's root memo is empty after a first and a second call, so only
+    the pairs a check reads are ever kept."""
     points = data.draw(_point_sets())
     names = "ABCDEF"[: len(points)]
     loc = dict(zip(names, points))
     pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
     first = next((p for p in pairs if not is_rational_square(sq_dist(loc[p[0]], loc[p[1]]))), None)
     setting = Setting(names, loc, dict.fromkeys(names, CORRECT))
-    taken = []
-    take_root = core._take_root
-
-    def counting(coords, a, b):
-        taken.append((a, b))
-        return take_root(coords, a, b)
-
-    with mock.patch.object(core, "_take_root", counting):
-        for _ in range(2):
-            assert core.first_irrational_pair(setting) == first
-            assert taken == (pairs if first is None else pairs[: pairs.index(first) + 1])
+    for _ in range(2):
+        assert core.first_irrational_pair(setting) == first
+        assert setting._roots == {}

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -148,6 +149,23 @@ def test_exact_mode_rejects_irrational_distances():
         parse_scenario(diagonal)
     scn = parse_scenario(diagonal, exact=False)
     assert scn.setting.loc["B"] == (F(1), F(1))
+
+
+def test_exact_read_keeps_nothing_per_node_pair():
+    """An exact-mode read tests every node pair's distance but keeps nothing
+    per pair: 1,000 collinear nodes with no link, 499,500 pairs, read with
+    a tracemalloc peak under 8 MB."""
+    head, _, rest = MINIMAL.partition("[node A]")
+    nodes = "".join(f"[node N{i}]\nx = {i}\ny = 0\ntype = correct\n\n" for i in range(1000))
+    text = head + nodes + rest[rest.index("[protocol]") :]
+    tracemalloc.start()
+    try:
+        scn = parse_scenario(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(scn.setting.nodes) == 1000 and not scn.setting.link_schedule
+    assert peak < 8_000_000
 
 
 def test_trace_round_trip(unit_params):
