@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .core import (
     Bcast,
@@ -42,6 +42,7 @@ from .core import (
     NodeId,
     Setting,
     SystemParams,
+    Ticks,
     Trace,
     Verdict,
     Violation,
@@ -113,7 +114,7 @@ def _relay_justified(
     e: Event,
     trace: Trace,
     setting: Setting,
-    starts: Mapping[Event, int],
+    ticks: Ticks,
     least_gap: Callable[[NodeId, NodeId], int],
     own_only: bool,
 ) -> bool:
@@ -123,12 +124,14 @@ def _relay_justified(
     own_only, any adversarial node's otherwise, and the relay gap
     e.start - r.start is at least delta_relay plus the adversary-channel
     flight time between the two nodes (0 for one node), less epsilon.
-    The gap is read by the check's ticks and the bound rounded up, as
-    ``least_gap`` keeps it per node pair for the check.
+    The gap is read by the check's ticks, the cast's start once and each
+    source's start as it is tried, and the bound rounded up, as
+    ``least_gap`` reads it per node pair.
     """
+    start = ticks.of(e.start)
     for r in trace.receptions_of(e.msg):
         source = r.actor == e.actor if own_only else setting.is_adversarial(r.actor)
-        if source and starts[e] - starts[r] >= least_gap(e.actor, r.actor):
+        if source and start - ticks.of(r.start) >= least_gap(e.actor, r.actor):
             return True
     return False
 
@@ -157,27 +160,24 @@ def check_adversary_feasible(
     than raised, so corpus-wide ordering comparisons stay total.
 
     Instants are read by the trace's ticks over the lcm of the trace's D
-    and the denominator of num.epsilon (``Trace.ticks``).  A relay gap
+    and the denominator of num.epsilon (``Trace.ticks``): each
+    adversarial cast's start once, and the start of each reception that
+    may justify it as it is tried (``_relay_justified``).  A relay gap
     qualifies when it is at least the bound less epsilon: in ticks, the
     ceiling of the bound's ticks less E = epsilon·D, which is exact
     because E is an int.  The bound holds at most one square root, the
-    adversary-channel distance, read as ``flight_ticks`` reads it.
+    adversary-channel distance, read as ``flight_ticks`` reads it, from
+    the setting's root memo.
     """
     violations: list[Violation] = []
     spec = ADVERSARIES[model.kind]
-    eps, eps_den = num.epsilon.as_integer_ratio()
-    ticks, starts = trace.ticks(eps_den)
-    slack = eps * (ticks.den // eps_den)  # E
-    # the least relay gap per (casting node, receiving node), in ticks: the
-    # ceiling of delta_relay + dist / v_adv, less E
-    gaps: dict[tuple[NodeId, NodeId], int] = {}
+    ticks = trace.ticks(num.epsilon.as_integer_ratio()[1])
+    slack = ticks.of(num.epsilon)  # E
     bound = flight_ticks(setting, params.v_adv, ticks.den, num.exact, model.delta_relay)
 
     def least_gap(sender: NodeId, receiver: NodeId) -> int:
-        gap = gaps.get((sender, receiver))
-        if gap is None:
-            gap = gaps[(sender, receiver)] = bound(sender, receiver)[1] - slack
-        return gap
+        """The least relay gap in ticks: the ceiling of delta_relay + dist / v_adv, less E."""
+        return bound(sender, receiver)[1] - slack
 
     for e in trace:
         cast = _CASTS.get(type(e))
@@ -195,7 +195,7 @@ def check_adversary_feasible(
             if setting.is_adversarial(e.msg.creator):
                 continue  # self-authored by the adversary's own identities
             detail = "beacon of a correct creator was never received early enough"
-        if not _relay_justified(e, trace, setting, starts, least_gap, spec.own_only):
+        if not _relay_justified(e, trace, setting, ticks, least_gap, spec.own_only):
             violations.append(Violation("relay-unjustified", (e,), detail))
     return Verdict(tuple(violations))
 

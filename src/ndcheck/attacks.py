@@ -424,23 +424,15 @@ def build_attack_settings(
 def _aim_half_plane(from_loc: Point, at_loc: Point) -> tuple[Fraction, Fraction]:
     """Half-plane sector whose boundary is perpendicular to the target direction.
 
-    Placements are collinear on the x axis, so the target direction is 0
-    or pi and the sector boundaries land on quarter turns, keeping the
+    ``build_attack_settings`` places every node on the x axis, so the
+    target lies at 0 or pi: the sector opens at 3/2 or 1/2 of pi by the
+    sign of dx, its boundaries land on quarter turns, keeping the
     coverage test exact and the opposite axis direction excluded.
     """
     dx = at_loc[0] - from_loc[0]
-    dy = at_loc[1] - from_loc[1]
-    if dy == 0 and dx > 0:
-        target = Fraction(0)
-    elif dy == 0 and dx < 0:
-        target = Fraction(1)
-    elif dx == 0 and dy > 0:
-        target = Fraction(1, 2)
-    elif dx == 0 and dy < 0:
-        target = Fraction(3, 2)
-    else:
-        raise PlacementInfeasible("directional aiming requires axis-aligned placements")
-    return ((target - Fraction(1, 2)) % 2, Fraction(1))
+    if at_loc[1] != from_loc[1] or dx == 0:
+        raise PlacementInfeasible("directional aiming requires placements on the x axis")
+    return (Fraction(3, 2) if dx > 0 else Fraction(1, 2), Fraction(1))
 
 
 def synth_relay_trace(

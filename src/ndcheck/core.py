@@ -418,6 +418,15 @@ class Ticks:
         return -(-n * self.den // d)
 
 
+def _denominator(events: Sequence[Event]) -> int:
+    """D of the events: the lcm of the denominators of every start and every
+    message duration.  Beacon times are not in it, since no check reads
+    one in ticks, so no message is hashed."""
+    dens = {e.start.as_integer_ratio()[1] for e in events}
+    dens.update([e.msg.duration.as_integer_ratio()[1] for e in events if type(e) is not Neighbor])
+    return math.lcm(*dens)
+
+
 class Trace:
     """Immutable finite event set, stored in canonical order.
 
@@ -440,13 +449,17 @@ class Trace:
     no key again.  The kept keys cost one tuple per event for the life
     of the event.
 
-    The first check or projection at a cutoff (``ticks``) works
-    out the trace's D, the lcm of the denominators of every start,
-    message duration and beacon time, and each event's start as the
-    integer start·D, and keeps them for the life of the trace.  They
-    hold O(n log D) bits for n events, and D can reach the product of n
-    distinct denominators: 2,000 starts over distinct 7-digit primes
-    give a D of about 40,000 bits and about 10 MB of ticks.
+    The first check or projection at a cutoff (``ticks``) works out the
+    trace's D, the lcm of the denominators of every start and message
+    duration (``_denominator``), and keeps that one int for the life of
+    the trace; no event's tick is kept.  Each check reads the instants it
+    needs by its own ``Ticks``, over a multiple of D, and drops them when
+    it returns: physics every start, once per pass; the stamped protocol
+    checks the correct nodes' receptions and declarations; the adversary
+    check each adversarial cast and the receptions that may justify it;
+    a node's view index (``_ViewIndex``) the node's own events.  D can
+    reach the product of n distinct denominators (2,000 starts over
+    distinct 7-digit primes give about 40,000 bits), but it is kept once.
 
     Three indexes are built on first use and kept for the life of the
     trace, which never changes, so they never go stale.  The first call
@@ -460,7 +473,7 @@ class Trace:
     per such event, plus one entry per reception keyed by its start.
     """
 
-    __slots__ = ("events", "_members", "_by_actor", "_by_msg", "_views", "_ticks")
+    __slots__ = ("events", "_members", "_by_actor", "_by_msg", "_views", "_den")
 
     def __init__(self, events: Iterable[Event] = ()):
         unique = dict.fromkeys(events)
@@ -470,7 +483,7 @@ class Trace:
         self._by_actor: Optional[dict[NodeId, tuple[Event, ...]]] = None
         self._by_msg: Optional[dict[Message, tuple[Receive, ...]]] = None
         self._views: Optional[dict[NodeId, _ViewIndex]] = None
-        self._ticks: Optional[tuple[int, dict[Event, int]]] = None
+        self._den: Optional[int] = None
 
     def __iter__(self) -> Iterator[Event]:
         return iter(self.events)
@@ -515,30 +528,20 @@ class Trace:
             self._by_msg = {m: tuple(own) for m, own in grouped.items()}
         return self._by_msg.get(msg, ())
 
-    def ticks(self, den: int = 1) -> tuple[Ticks, dict[Event, int]]:
+    def ticks(self, den: int = 1) -> Ticks:
         """The ticks of a check of this trace, over the lcm of the trace's
-        D and den, and each event's start read by them, in canonical order."""
-        if self._ticks is None:
-            ratios = [e.start.as_integer_ratio() for e in self.events]
-            msgs = {e.msg for e in self.events if not isinstance(e, Neighbor)}
-            dens = {d for _, d in ratios}
-            dens.update([m.duration.as_integer_ratio()[1] for m in msgs])
-            stamps = [m.beacon_time for m in msgs if not isinstance(m, Opaque)]
-            dens.update([t.as_integer_ratio()[1] for t in stamps])
-            own = math.lcm(*dens)
-            self._ticks = (own, {e: n * (own // d) for e, (n, d) in zip(self.events, ratios)})
-        own, starts = self._ticks
-        full = math.lcm(own, den)
-        if full != own:
-            starts = {e: t * (full // own) for e, t in starts.items()}
-        return Ticks(full), starts
+        D and den: every start and message duration of the trace is an
+        int by them."""
+        if self._den is None:
+            self._den = _denominator(self.events)
+        return Ticks(math.lcm(self._den, den))
 
     def _view_index(self, node: NodeId) -> _ViewIndex:
         if self._views is None:
             self._views = {}
         index = self._views.get(node)
         if index is None:
-            index = self._views[node] = _ViewIndex(self.by_actor(node), *self.ticks())
+            index = self._views[node] = _ViewIndex(self.by_actor(node), self.ticks())
         return index
 
 
@@ -1058,11 +1061,13 @@ class _ViewIndex:
     """One node's broadcasts, receptions and declarations in a trace, in
     canonical order, each with the tick from which the node sees it.
 
-    own[i] is a (tick, event) pair; the tick (``Trace.ticks`` in exact
-    mode) is the start of a broadcast or declaration and the end of a
-    reception.  Under the strict cutoff the view as of t therefore holds
-    exactly the events whose tick is below ticks.ceil(t), for any t, on
-    the grid or off it.  at maps each reception start's integer ratio to
+    own[i] is a (tick, event) pair; the tick is the start of a broadcast
+    or declaration and the end of a reception, read by ``ticks``, the
+    trace's own (``Trace.ticks``).  The trace keeps only its D, so the
+    index reads the node's instants itself, once, when it is built.
+    Under the strict cutoff the view as of t therefore holds exactly the
+    events whose tick is below ticks.ceil(t), for any t, on the grid or
+    off it.  at maps each reception start's integer ratio to
     the (tick, reception) pairs that start there.  Two senders'
     deliveries of one message at one start are two entries.  Nothing is
     sorted and no local event is made here: a view makes them when it is
@@ -1071,14 +1076,14 @@ class _ViewIndex:
 
     __slots__ = ("ticks", "own", "at")
 
-    def __init__(self, own: tuple[Event, ...], ticks: Ticks, starts: Mapping[Event, int]):
+    def __init__(self, own: tuple[Event, ...], ticks: Ticks):
         self.ticks = ticks
         self.own: list[tuple[int, Event]] = []
         self.at: dict[tuple[int, int], list[tuple[int, Receive]]] = {}
         for e in own:
             if isinstance(e, Dcast):
                 continue
-            tick = starts[e]
+            tick = ticks.of(e.start)
             if isinstance(e, Receive):
                 tick += ticks.of(e.msg.duration)
                 self.at.setdefault(e.start.as_integer_ratio(), []).append((tick, e))
@@ -1261,9 +1266,10 @@ def check_setting_feasible(
     (``_grid``, from the coordinates, asking for no flight time) and of
     the denominator of num.epsilon, which reads as E = epsilon·D ticks
     (0 in exact mode).  It is put together at each call from the D the
-    trace keeps and the lcms the setting keeps; the link phases and
-    flight times the call asks for are taken to ticks once each and
-    dropped when it returns.  A flight time reads as its floor F and
+    trace keeps and the lcms the setting keeps.  Each event's start is
+    read by it once, into a list in canonical order, and the link phases
+    and flight times the call asks for are taken to ticks once each; all
+    are dropped when it returns.  A flight time reads as its floor F and
     ceiling C (``flight_ticks``, F = C when it is rational), and a
     reception at A is one flight time after a send at S, within epsilon,
     exactly when S + C - E <= A <= S + F + E.
@@ -1273,13 +1279,14 @@ def check_setting_feasible(
     ``(sender, msg)`` and the reception starts keyed by ``(receiver,
     sender, msg)``, built in one pass; and, when E = 0, the arrivals on
     the grid of the transmissions met so far, keyed by ``(receiver,
-    sender, msg)``, with the link facts of the setting's coverage memo
-    (see ``Setting``).  A covered node is compared with the receptions
+    sender, msg, arrival)``, each with its link fact from the setting's
+    coverage memo (see ``Setting``) and the kinds of transmission that
+    arrive there.  A covered node is compared with the receptions
     of its message between its two nodes only.
 
-    A reception whose start equals an indexed arrival takes its match
-    (broadcast, directional cast or both) and its link fact from those
-    coverage entries.  Every transmission it can match comes before it
+    A reception whose start is an indexed arrival takes its match
+    (broadcast, directional cast or both) and its link fact from that
+    one entry.  Every transmission it can match comes before it
     in canonical order: it starts one flight time earlier, and the
     flight time is zero only for the receiver's own transmission (no two
     nodes share a location), which sorts before its reception at the
@@ -1291,16 +1298,17 @@ def check_setting_feasible(
     """
     violations: list[Violation] = []
     known = set(setting.nodes)
-    eps, eps_den = num.epsilon.as_integer_ratio()
-    ticks, starts = trace.ticks(math.lcm(_grid(setting, params), eps_den))
-    slack = eps * (ticks.den // eps_den)  # E
+    ticks = trace.ticks(math.lcm(_grid(setting, params), num.epsilon.as_integer_ratio()[1]))
+    slack = ticks.of(num.epsilon)  # E
     phys = _Physics(setting, params, num.exact, ticks)
+    events = trace.events
+    starts = [ticks.of(e.start) for e in events]
 
     # starts come in canonical order, so each list of starts is sorted (bisect)
     bcast_starts: dict[tuple[NodeId, Message], list[int]] = {}
     dcasts: dict[tuple[NodeId, Message], list[tuple[int, Dcast]]] = {}
     receive_starts: dict[tuple[NodeId, NodeId, Message], list[int]] = {}
-    for e, at in starts.items():
+    for e, at in zip(events, starts):
         kind = type(e)
         if kind is Receive:
             receive_starts.setdefault((e.actor, e.sender, e.msg), []).append(at)
@@ -1309,10 +1317,11 @@ def check_setting_feasible(
         elif kind is Dcast:
             dcasts.setdefault((e.actor, e.msg), []).append((at, e))
 
-    # (arrival, sent by broadcast, link up) per covered receiver; E = 0 only
-    arrivals: dict[tuple[NodeId, NodeId, Message], list[tuple[int, bool, bool]]] = {}
+    # (link up, by a broadcast, by a directional cast) per (receiver, sender,
+    # message, arrival) of the transmissions met so far; E = 0 only
+    arrivals: dict[tuple[NodeId, NodeId, Message, int], tuple[bool, bool, bool]] = {}
 
-    for e, at in starts.items():
+    for e, at in zip(events, starts):
         kind = type(e)  # the one type test; events are never subclassed
         if e.actor not in known or kind is Receive and e.sender not in known:
             for node in (e.actor, e.sender) if kind is Receive else (e.actor,):
@@ -1323,16 +1332,10 @@ def check_setting_feasible(
             continue
 
         if kind is Receive:
-            link_up: Optional[bool] = None
-            bcast_match = dcast_match = False
-            for arrival, by_bcast, up in arrivals.get((e.actor, e.sender, e.msg), ()):
-                if arrival == at:
-                    link_up = up
-                    if by_bcast:
-                        bcast_match = True
-                    else:
-                        dcast_match = True
-            if link_up is None:
+            met = arrivals.get((e.actor, e.sender, e.msg, at))
+            if met is not None:
+                link_up, bcast_match, dcast_match = met
+            else:
                 link_up = phys.up(e.sender, e.actor, at, at + ticks.of(e.msg.duration))
                 floor, ceil = phys.flight[e.sender, e.actor]
                 # the sends S with S + C - E <= at <= S + F + E
@@ -1389,7 +1392,9 @@ def check_setting_feasible(
                 # the receptions A with S + C - E <= A <= S + F + E
                 low, high = at + ceil - slack, at + floor + slack
                 if not slack and floor == ceil:
-                    arrivals.setdefault((dest, e.actor, e.msg), []).append((low, by_bcast, up))
+                    key = (dest, e.actor, e.msg, low)
+                    _, bcast_met, dcast_met = arrivals.get(key, (up, False, False))
+                    arrivals[key] = (up, bcast_met or by_bcast, dcast_met or not by_bcast)
                 found = receive_starts.get((dest, e.actor, e.msg), ())
                 if up and bisect_left(found, low) == bisect_right(found, high):
                     violations.append(
@@ -1415,8 +1420,7 @@ def induced_receives(sends: Iterable[Event], setting: Setting, params: SystemPar
     raises IrrationalDistance: its arrival is no instant of a trace.
     """
     sends = [e for e in sends if isinstance(e, (Bcast, Dcast))]
-    times = [t.as_integer_ratio()[1] for e in sends for t in (e.start, e.msg.duration)]
-    ticks = Ticks(math.lcm(_grid(setting, params), *times))
+    ticks = Ticks(math.lcm(_grid(setting, params), _denominator(sends)))
     phys = _Physics(setting, params, True, ticks)
     induced = []
     for e in sends:

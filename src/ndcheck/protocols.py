@@ -563,19 +563,22 @@ def _check_stamped(
     start.
 
     Instants are read by the trace's ticks (``Trace.ticks``, the trace's
-    own D), the window's low end rounded up and its high end down, so
-    the integer tests decide exactly what the rational ones do.
+    own D) where they are compared: each correct node's reception starts
+    once, into that index, and each of its declarations' starts; the
+    window's low end is rounded up and its high end down, so the integer
+    tests decide exactly what the rational ones do.  Beacon stamps are
+    compared as integer ratios, not in ticks.
     """
     violations: list[Violation] = []
     correct = set(setting.correct_nodes)
-    ticks, starts = trace.ticks()
+    ticks = trace.ticks()
     receives_by_actor: dict[NodeId, list[tuple[int, Receive]]] = {}
-    for r, at in starts.items():
+    for r in trace.events:
         if isinstance(r, Receive) and r.actor in correct:
-            receives_by_actor.setdefault(r.actor, []).append((at, r))
+            receives_by_actor.setdefault(r.actor, []).append((ticks.of(r.start), r))
 
     eps = num.epsilon or 0  # an int 0 tests false without a call
-    for e, now in starts.items():
+    for e in trace.events:
         if e.actor not in correct:
             continue
         if isinstance(e, Bcast):
@@ -583,6 +586,7 @@ def _check_stamped(
             if wrong is not None:
                 violations.append(wrong)
         elif isinstance(e, Neighbor):
+            now = ticks.of(e.start)
             owner_loc = setting.loc[e.actor]
             own = receives_by_actor.get(e.actor, ())
             low = high = e.peer_time

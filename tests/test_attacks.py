@@ -114,6 +114,26 @@ def test_build_settings_rejects_exhausted_margin(
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize(
+    "variant, placement, error, message",
+    [
+        ("ring", None, ValueError, "unknown attack variant 'ring'"),
+        (
+            WORMHOLE,
+            WormholePlacement(c_x=F(0), d_x=F(4), b_x=F(8)),
+            PlacementInfeasible,
+            "placement collapses two nodes onto one point",
+        ),
+    ],
+    ids=["unknown-variant", "wormhole-end-on-declarer"],
+)
+def test_build_settings_refuses_malformed_requests(unit_params, variant, placement, error, message):
+    with pytest.raises(error) as caught:
+        build_attack_settings(F(10), variant, unit_params, placement)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
 def test_build_settings_rejects_out_of_range_distance(unit_params):
     with pytest.raises(PlacementInfeasible):
         build_attack_settings(F(11), SINGLE_RELAY, unit_params)
@@ -408,6 +428,18 @@ def test_correctness_flags_unlinked_claim(unit_params):
     bad = Trace([Neighbor("A", F(5), "B", F(4))])
     assert check_neighbor_correctness(ok, setting).ok
     assert not check_neighbor_correctness(bad, setting).ok
+
+
+def test_relay_aims_a_half_plane_along_the_x_axis():
+    """A relay facing +x opens its half plane at 3/2 of pi, one facing -x at
+    1/2 of pi; any other pair of points is refused."""
+    from ndcheck.attacks import _aim_half_plane
+
+    assert _aim_half_plane((F(1), F(0)), (F(5, 2), F(0))) == (F(3, 2), F(1))
+    assert _aim_half_plane((F(1), F(0)), (F(-3), F(0))) == (F(1, 2), F(1))
+    for at in ((F(1), F(2)), (F(3), F(1, 7)), (F(1), F(0))):
+        with pytest.raises(PlacementInfeasible, match="requires placements on the x axis"):
+            _aim_half_plane((F(1), F(0)), at)
 
 
 def test_relay_handles_two_way_traffic(unit_params):

@@ -323,6 +323,57 @@ def test_link_declaration_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (
+            lambda: Setting(("A",), {}, {"A": CORRECT}),
+            UnknownNode,
+            "node 'A' lacks a location or type",
+        ),
+        (
+            lambda: Setting(("A",), {"A": (F(0), F(0))}, {"A": "neutral"}),
+            ValueError,
+            "bad node type for 'A'",
+        ),
+        (
+            lambda: Setting(
+                ("A",), {"A": (F(0), F(0))}, {"A": CORRECT}, {("A", "Z"): ALWAYS}
+            ),
+            UnknownNode,
+            "link ('A', 'Z') references undeclared node",
+        ),
+        (
+            lambda: core._normalize_intervals([(F(0), None), (F(5), F(6))]),
+            ValueError,
+            "overlapping link intervals",
+        ),
+        (lambda: link_up_over(pair_setting(), "A", "B", F(2), F(1)), ValueError, "empty interval"),
+        (
+            lambda: project_local(Trace([]), "A", F(1), "X"),
+            ValueError,
+            "unknown view flavor 'X'",
+        ),
+        (lambda: dist(pair_setting(), "Z", "Z"), UnknownNode, "node 'Z' not in setting"),
+    ],
+    ids=[
+        "no-location",
+        "neutral-type",
+        "undeclared-link-end",
+        "phase-after-unbounded",
+        "empty-interval",
+        "unknown-flavor",
+        "unknown-self-distance",
+    ],
+)
+def test_malformed_setting_and_query_refused(make, error, message):
+    """Each refusal raises its own exception type with its own message."""
+    with pytest.raises(error) as raised:
+        make()
+    assert type(raised.value) is error
+    assert str(raised.value) == message
+
+
 def test_location_injectivity():
     with pytest.raises(ValueError):
         Setting(

@@ -1,0 +1,139 @@
+"""Metamorphic relations: symmetries of the model that need no reference.
+
+Each relation maps a scenario and a trace to another pair on which every
+layer of ``ndcheck check`` (physics, protocol, adversary and neighbor
+correctness) must report the same multiset of rule names:
+
+- time shift by c >= 0: every start, beacon time, peer time and link
+  bound, plus c;
+- translation by a rational vector: every coordinate and every beacon
+  location, plus the vector.
+
+Both hold in exact mode and in approximate mode, since every rule
+compares differences of instants and of points.  The inputs are the
+generators' settings and traces for every protocol and adversary model,
+each with a mutant that drops one event and one that moves one event's
+start, so that the relations are also tried on traces with violations.
+Some shifts have large prime denominators, so that the shifted trace's
+tick denominator is another than the original's.
+"""
+
+import random
+from collections import Counter
+from dataclasses import replace
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from ndcheck import cli
+from ndcheck.adversary import ADVERSARY_NAMES, AdversaryModel
+from ndcheck.core import BeaconT, BeaconTL, Neighbor, Setting, Trace
+from ndcheck.generators import random_params, random_setting, random_trace
+from ndcheck.protocols import PGT_APPROX, PROTOCOL_NAMES, InaccuracyParams
+from ndcheck.rational import EXACT, approx_num
+from ndcheck.scenario import Scenario
+
+F = Fraction
+HORIZON = F(40)
+MODES = (EXACT, approx_num(F(1, 1000)))
+_PRIMES = (1_000_003, 999_983, 7_919)
+
+
+def shift_time(scenario, trace, c):
+    """The scenario and trace with every instant c later."""
+
+    def message(m):
+        if isinstance(m, (BeaconT, BeaconTL)):
+            return replace(m, beacon_time=m.beacon_time + c)
+        return m
+
+    def event(e):
+        if isinstance(e, Neighbor):
+            return replace(e, start=e.start + c, peer_time=e.peer_time + c)
+        return replace(e, start=e.start + c, msg=message(e.msg))
+
+    s = scenario.setting
+    links = {
+        pair: tuple((start + c, None if end is None else end + c) for start, end in phases)
+        for pair, phases in s.link_schedule.items()
+    }
+    moved = Setting(s.nodes, s.loc, s.node_type, links)
+    return replace(scenario, setting=moved), Trace(map(event, trace))
+
+
+def translate(scenario, trace, dx, dy):
+    """The scenario and trace with every point moved by (dx, dy)."""
+
+    def event(e):
+        if not isinstance(e, Neighbor) and isinstance(e.msg, BeaconTL):
+            x, y = e.msg.beacon_loc
+            return replace(e, msg=replace(e.msg, beacon_loc=(x + dx, y + dy)))
+        return e
+
+    s = scenario.setting
+    loc = {node: (x + dx, y + dy) for node, (x, y) in s.loc.items()}
+    moved = Setting(s.nodes, loc, s.node_type, s.link_schedule)
+    return replace(scenario, setting=moved), Trace(map(event, trace))
+
+
+def layer_rules(scenario, trace, num):
+    """Each layer's multiset of rule names, in the order ``check`` reports them."""
+    verdicts = cli._verdicts(trace, scenario, num)
+    return [Counter(v.rule for v in verdict.violations) for verdict in verdicts.values()]
+
+
+@st.composite
+def _runs(draw):
+    """A generated scenario and trace, with its dropped-event and
+    shifted-event mutants."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1), "seed"))
+    protocol = draw(st.sampled_from(PROTOCOL_NAMES), "protocol")
+    kind = draw(st.sampled_from(ADVERSARY_NAMES), "adversary")
+    params = random_params(rng, draw(st.booleans()), draw(st.booleans()))
+    setting = random_setting(rng, HORIZON)
+    trace = random_trace(rng, setting, params, protocol, kind, HORIZON)
+    inacc = None
+    if protocol == PGT_APPROX:
+        inacc = InaccuracyParams(F(rng.randint(0, 4), 8), F(rng.randint(0, 4), 8))
+    model = AdversaryModel(kind, params.delta_relay)
+    scenario = Scenario(params, setting, protocol, model, inacc, HORIZON)
+    traces = [trace]
+    if trace.events:
+        gone = draw(st.sampled_from(trace.events), "dropped")
+        traces.append(Trace(e for e in trace if e != gone))
+        moving = draw(st.sampled_from(trace.events), "moved")
+        by = draw(st.sampled_from((F(1, 7), F(1, 2), F(3))), "moved by")
+        moved = replace(moving, start=moving.start + by)
+        traces.append(Trace([e for e in trace if e != moving] + [moved]))
+    return scenario, traces
+
+
+_SHIFTS = st.one_of(
+    st.integers(0, 50).map(F),
+    st.fractions(0, 50, max_denominator=12),
+    st.builds(lambda n, p: F(n, p), st.integers(0, 50 * 7_919), st.sampled_from(_PRIMES)),
+)
+_OFFSETS = st.one_of(
+    st.fractions(-20, 20, max_denominator=12),
+    st.builds(lambda n, p: F(n, p), st.integers(-20 * 7_919, 20 * 7_919), st.sampled_from(_PRIMES)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_runs(), _SHIFTS)
+def test_time_shift_keeps_every_layers_rules(run, c):
+    scenario, traces = run
+    for trace in traces:
+        shifted = shift_time(scenario, trace, c)
+        for num in MODES:
+            assert layer_rules(*shifted, num) == layer_rules(scenario, trace, num), num
+
+
+@settings(max_examples=200, deadline=None)
+@given(_runs(), _OFFSETS, _OFFSETS)
+def test_translation_keeps_every_layers_rules(run, dx, dy):
+    scenario, traces = run
+    for trace in traces:
+        moved = translate(scenario, trace, dx, dy)
+        for num in MODES:
+            assert layer_rules(*moved, num) == layer_rules(scenario, trace, num), num

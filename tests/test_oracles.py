@@ -1,9 +1,11 @@
 """Differential checks of the core predicates against brute-force oracles."""
 
+import gc
 import math
 import pickle
 import random
 import time
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import zip_longest
@@ -1027,7 +1029,7 @@ def test_huge_denominator_verdicts_match_fraction_references():
     pt = protocol_verdict(trace, setting, PT, params)
     adversary = check_adversary_feasible(trace, setting, params, model)
     elapsed = time.perf_counter() - start
-    assert trace.ticks()[0].den.bit_length() > 20_000
+    assert trace.ticks().den.bit_length() > 20_000
     assert elapsed < HUGE_DENOMINATOR_BUDGET_S
 
     fresh = Setting(setting.nodes, setting.loc, setting.node_type, setting.link_schedule)
@@ -1040,6 +1042,31 @@ def test_huge_denominator_verdicts_match_fraction_references():
     found = [(v.rule, v.detail, v.events[0]) for v in adversary.violations]
     assert found == _scanned_adversary(trace, fresh, model, EXACT, params)
     assert 0 < len(found) < len(relays)
+
+
+def test_huge_denominator_checks_keep_no_ticks():
+    """A trace keeps its D alone, not a tick per event: after physics, the
+    dedicated pt route and the relay-adversary check on the 21,000-bit-D
+    trace, with the trace, the setting and the verdicts still held, less
+    than 1 MB of what the checks allocated is still allocated.  A tick kept
+    per event holds about 2,000 ints of 21,000 bits, over 5 MB."""
+    setting, params, trace, _, _ = _huge_denominator_case()
+    model = AdversaryModel("relay", params.delta_relay)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        verdicts = (
+            check_setting_feasible(trace, setting, params),
+            protocol_verdict(trace, setting, PT, params),
+            check_adversary_feasible(trace, setting, params, model),
+        )
+        gc.collect()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not any(v.ok for v in verdicts)
+    assert trace.ticks().den.bit_length() > 20_000
+    assert kept < 1_000_000
 
 
 # the listed sectors, or one drawn with quarter-turn or other rays
@@ -1134,7 +1161,7 @@ def test_integer_geometry_matches_fraction_formulas(data):
         for mode in (EXACT, approx_num(F(0))):
             check_adversary_feasible(trace, setting, params, AdversaryModel(RELAY, delta_relay), mode)
     least_gap, approx_gap = gaps
-    trace_ticks = trace.ticks()[0]
+    trace_ticks = trace.ticks()
     for a in names:
         for b in names:
             squared = sq_dist(loc[a], loc[b])
