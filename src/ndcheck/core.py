@@ -549,8 +549,9 @@ class Trace:
 # settings
 
 Interval = tuple[Fraction, Optional[Fraction]]  # [start, end), end=None means unbounded
-# (receiver, link up over the reception window) per receiver a transmission reaches
-Coverage = tuple[tuple[NodeId, bool], ...]
+# (receiver, link up over the reception window, root r = c·|ab| or None when
+# irrational) per receiver a transmission reaches
+Coverage = tuple[tuple[NodeId, bool, Optional[int]], ...]
 
 
 class Setting:
@@ -579,15 +580,17 @@ class Setting:
       are all read from it, in integers.  Only checks fill it: reading a
       scenario (``first_irrational_pair``) keeps no root.
     - ``_Physics.coverage``: per transmission, one ``(receiver, link up
-      over the reception window)`` pair per reachable receiver the
+      over the reception window, r)`` entry per reachable receiver the
       sector holds, keyed by the event under ``params.v``; the table for
-      a speed is made when its first transmission is covered.
-      ``induced_receives`` and ``check_setting_feasible`` share it, in
-      either mode, and it keeps no instant, so checks over any
-      denominator share it too, and each cast's sector is decided once
-      per reachable receiver.  Unlike the root memo it grows with the
-      distinct transmissions checked, not with the setting: a
-      long-lived setting keeps them all.
+      a speed is made when its first transmission is covered.  r is the
+      pair's root from the root memo, None when it is irrational, so a
+      pass reads a covered receiver's flight as r times one int of its
+      own (see ``_Physics``).  ``induced_receives`` and
+      ``check_setting_feasible`` share it, in either mode, and it keeps
+      no instant, so checks over any denominator share it too, and each
+      cast's sector is decided once per reachable receiver.  Unlike the
+      root memo it grows with the distinct transmissions checked, not
+      with the setting: a long-lived setting keeps them all.
 
     ``_lattice`` keeps, from the first exact-mode read, exact distance,
     sector decision or physics pass on, the lcm c of the coordinates'
@@ -1173,23 +1176,30 @@ class _Physics:
     """One physics pass: its ticks, and what it reads by them.
 
     Each link's phases are read in ticks the first time the pass asks
-    for them, and kept for the pass.  ``flight[a, b]`` is the flight
-    time from a to b in ticks, as (floor, ceiling) (``flight_ticks``):
-    the ticks are over a multiple D of ``_grid``, so a rational flight
-    time is one int, with no Fraction built, from the root memo, which
-    the pass fills with the pairs it reads.  An irrational one raises
-    IrrationalDistance in exact mode and reads as the two ticks around
-    it in approximate mode.  ``flight`` is the pass's flight memo
-    (``_PairMemo``): each ordered pair the pass asks about is read once
-    and kept for the pass, one entry per pair.  A directional cast's
+    for them, and kept for the pass.  The ticks are over a multiple D of
+    ``_grid``, so D is a multiple of c·m, with c from ``_lattice`` and
+    v = m/n, and a rational flight time r/(c·v) is exactly r·``scale``
+    ticks, scale = n·(D // (c·m)), for the root r = c·|ab| of the root
+    memo.  A covered receiver's flight is read that way, from the r its
+    coverage entry keeps: no pair lookup, no division.
+
+    ``flight[a, b]`` is the flight time from a to b in ticks, as (floor,
+    ceiling) (``flight_ticks``), in the pass's flight memo
+    (``_PairMemo``): each ordered pair it is asked about is read once and
+    kept for the pass.  It serves what a kept root cannot: an irrational
+    pair, which raises IrrationalDistance in exact mode and reads as the
+    two ticks around it in approximate mode, and the receptions that
+    ``check_setting_feasible`` matches by a scan.  A directional cast's
     sector is decided (``inrange``, which keeps nothing) once per
     reachable receiver, when ``coverage`` first covers the cast.
     """
 
-    __slots__ = ("setting", "params", "ticks", "memo", "links", "flight")
+    __slots__ = ("setting", "params", "ticks", "scale", "memo", "links", "flight")
 
     def __init__(self, setting: Setting, params: SystemParams, exact: bool, ticks: Ticks):
         self.setting, self.params, self.ticks = setting, params, ticks
+        (m, n), c = params.v.as_integer_ratio(), _lattice(setting)[0]
+        self.scale = n * (ticks.den // (c * m))  # D is a multiple of c·m (_grid)
         self.memo: Optional[dict[Event, Coverage]] = None  # the setting's, for this speed
         self.links: dict[tuple[NodeId, NodeId], tuple[tuple[int, Optional[int]], ...]] = {}
         self.flight = _PairMemo(flight_ticks(setting, params.v, ticks.den, exact))
@@ -1208,18 +1218,20 @@ class _Physics:
         return _up_over(phases, t0, t1)
 
     def coverage(self, e: Union[Bcast, Dcast]) -> Coverage:
-        """(node, link up) for every node a transmission reaches, in node order.
+        """(node, link up, r) for every node a transmission reaches, in node order.
 
         A broadcast reaches every node, the sender included; a directional
         cast reaches the nodes its sector holds.  A reached node receives
         one flight time after the start if its link from the sender is up
-        over the whole reception window, which the second field tells.  An
+        over the whole reception window, which the second field tells; r
+        is the pair's root (``_root``), None when it is irrational.  An
         undeclared link is never up, so only the nodes in
         ``setting.reachable`` are listed.  The tuple is read from and kept
         in the setting's coverage memo (see ``Setting``), so each
         transmission's sector tests and link scans are done once per
         setting and signal speed, whatever the mode or the ticks of the
-        pass; each pass adds the start and flight ticks itself.
+        pass; each pass adds the start and flight ticks itself, the flight
+        as r·scale.
 
         The window of an irrational arrival is scanned from the arrival's
         floor tick.  That is exact: phase bounds are ticks, and a tick is
@@ -1233,13 +1245,14 @@ class _Physics:
             reach = setting.reachable.get(e.actor)
             if reach is None:
                 raise UnknownNode(f"node {e.actor!r} not in setting")
-            actor, ticks, entries = e.actor, self.ticks, []
+            actor, ticks, coords, entries = e.actor, self.ticks, _lattice(setting)[1], []
             start, span = ticks.of(e.start), ticks.of(e.msg.duration)
             for dest in reach:
                 if isinstance(e, Dcast) and not inrange(setting, actor, e.direction, e.angle, dest):
                     continue
-                at = start + self.flight[actor, dest][0]
-                entries.append((dest, self.up(actor, dest, at, at + span)))
+                r = _root(setting, coords, actor, dest)
+                at = start + (self.flight[actor, dest][0] if r is None else r * self.scale)
+                entries.append((dest, self.up(actor, dest, at, at + span), r))
             cover = memo[e] = tuple(entries)
         return cover
 
@@ -1268,11 +1281,14 @@ def check_setting_feasible(
     (0 in exact mode).  It is put together at each call from the D the
     trace keeps and the lcms the setting keeps.  Each event's start is
     read by it once, into a list in canonical order, and the link phases
-    and flight times the call asks for are taken to ticks once each; all
-    are dropped when it returns.  A flight time reads as its floor F and
-    ceiling C (``flight_ticks``, F = C when it is rational), and a
+    the call asks for are taken to ticks once each; all are dropped when
+    it returns.  A flight time reads as its floor F and ceiling C, and a
     reception at A is one flight time after a send at S, within epsilon,
-    exactly when S + C - E <= A <= S + F + E.
+    exactly when S + C - E <= A <= S + F + E.  A covered receiver's
+    flight is F = C = r·scale, from the root its coverage entry keeps
+    (see ``_Physics``); the pass's flight memo (``flight_ticks``, one
+    read per pair) serves an irrational covered pair and the receptions
+    matched by a scan.
 
     Matching goes through indexes built at each call and dropped when it
     returns: the broadcast starts and directional casts keyed by
@@ -1301,7 +1317,7 @@ def check_setting_feasible(
     ticks = trace.ticks(math.lcm(_grid(setting, params), num.epsilon.as_integer_ratio()[1]))
     slack = ticks.of(num.epsilon)  # E
     phys = _Physics(setting, params, num.exact, ticks)
-    events = trace.events
+    scale, events = phys.scale, trace.events
     starts = [ticks.of(e.start) for e in events]
 
     # starts come in canonical order, so each list of starts is sorted (bisect)
@@ -1387,8 +1403,11 @@ def check_setting_feasible(
                             "directional transmission is reserved to adversarial nodes",
                         )
                     )
-            for dest, up in phys.coverage(e):
-                floor, ceil = phys.flight[e.actor, dest]
+            for dest, up, r in phys.coverage(e):
+                if r is None:  # irrational: exact mode raises here
+                    floor, ceil = phys.flight[e.actor, dest]
+                else:
+                    floor = ceil = r * scale
                 # the receptions A with S + C - E <= A <= S + F + E
                 low, high = at + ceil - slack, at + floor + slack
                 if not slack and floor == ceil:
@@ -1411,22 +1430,27 @@ def induced_receives(sends: Iterable[Event], setting: Setting, params: SystemPar
     (``_Physics.coverage``), filling it where the transmission is new, on
     ticks over the lcm of the sends' start and duration denominators and
     ``_grid``'s, and keeps the receivers whose link is up, one flight
-    time after the start.  It is the same table check_setting_feasible
-    matches receptions against, so a trace assembled from sends plus
-    their induced receives passes the physical-consistency check by
-    construction, and checking it against the same setting works out no
-    coverage again: in exact mode each of its receptions is a table hit,
-    with no flight-time subtraction and no link scan.  An irrational distance
-    raises IrrationalDistance: its arrival is no instant of a trace.
+    time after the start: r·scale ticks, from the root each coverage
+    entry keeps (see ``_Physics``), so no flight is read.  It is the same
+    table check_setting_feasible matches receptions against, so a trace
+    assembled from sends plus their induced receives passes the
+    physical-consistency check by construction, and checking it against
+    the same setting works out no coverage again: in exact mode each of
+    its receptions is a table hit, with no flight-time subtraction and no
+    link scan.  A covered irrational distance raises IrrationalDistance,
+    from the pass's flight memo, whether or not its link is up and even
+    where an approximate check kept its coverage: its arrival is no
+    instant of a trace.
     """
     sends = [e for e in sends if isinstance(e, (Bcast, Dcast))]
     ticks = Ticks(math.lcm(_grid(setting, params), _denominator(sends)))
     phys = _Physics(setting, params, True, ticks)
-    induced = []
+    scale, induced = phys.scale, []
     for e in sends:
         start = ticks.of(e.start)
-        for dest, up in phys.coverage(e):
+        for dest, up, r in phys.coverage(e):
+            # an irrational r raises, link up or not, as a cold coverage does
+            at = start + (phys.flight[e.actor, dest][0] if r is None else r * scale)
             if up:
-                at = Fraction(start + phys.flight[e.actor, dest][0], ticks.den)
-                induced.append(Receive(dest, at, e.actor, e.msg))
+                induced.append(Receive(dest, Fraction(at, ticks.den), e.actor, e.msg))
     return induced

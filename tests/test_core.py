@@ -847,17 +847,9 @@ def test_each_sector_and_flight_time_decided_once_per_setting(unit_params, monke
     assert s == line()  # the memos are not part of the value
 
 
-def test_physics_reads_each_flight_once_per_check(unit_params, monkeypatch):
-    """One check_setting_feasible call reads each ordered node pair's flight
-    at most once, from the reader flight_ticks returns, in either mode;
-    each call reads afresh, over its own ticks."""
-    names = "ABCD"
-    s = Setting(
-        names,
-        {n: (F(3 * k), F(4 * k)) for n, k in zip(names, (0, 1, 3, 7))},
-        {n: ADVERSARIAL if n in "CD" else CORRECT for n in names},
-        {(a, b): ALWAYS for a in names for b in names if a != b},
-    )
+@pytest.fixture
+def flight_reads(monkeypatch):
+    """The (a, b) pairs read, in order, from every reader flight_ticks returns."""
     reads = []
     flight_ticks = core.flight_ticks
 
@@ -871,7 +863,27 @@ def test_physics_reads_each_flight_once_per_check(unit_params, monkeypatch):
         return counted
 
     monkeypatch.setattr(core, "flight_ticks", counting)
-    sends = [Bcast(n, F(k), beacon(n, F(k))) for k in range(4) for n in names]
+    return reads
+
+
+def slope_setting(scale=F(1)):
+    """A, B, C and D along the 3-4-5 slope at 0, 1, 3 and 7 times scale,
+    every link up; C and D adversarial."""
+    names = "ABCD"
+    return Setting(
+        names,
+        {n: (3 * k * scale, 4 * k * scale) for n, k in zip(names, (0, 1, 3, 7))},
+        {n: ADVERSARIAL if n in "CD" else CORRECT for n in names},
+        {(a, b): ALWAYS for a in names for b in names if a != b},
+    )
+
+
+def test_physics_reads_each_flight_once_per_check(unit_params, flight_reads):
+    """One check_setting_feasible call reads each ordered node pair's flight
+    at most once, from the reader flight_ticks returns, in either mode;
+    each call reads afresh, over its own ticks."""
+    s, reads = slope_setting(), flight_reads
+    sends = [Bcast(n, F(k), beacon(n, F(k))) for k in range(4) for n in s.nodes]
     sends.append(Dcast("D", F(40), F(1), F(1, 2), beacon("A")))
     receptions = induced_receives(sends, s, unit_params)
     # an unmatched reception is matched by a scan, which reads its flight too
@@ -883,6 +895,48 @@ def test_physics_reads_each_flight_once_per_check(unit_params, monkeypatch):
             verdict = check_setting_feasible(trace, s, unit_params, num)
             assert verdict.rules() == {"receive-without-transmission"}
             assert reads and len(reads) == len(set(reads))
+            # exact mode reads a covered receiver's flight from its kept root:
+            # only the stray reception's scan reads one
+            assert not num.exact or reads == [("B", "A")]
+
+
+def test_warm_exact_pass_reads_no_flight(flight_reads):
+    """A covered receiver's flight is its kept root times the pass's scale,
+    so exact passes over transmissions whose coverage is kept read no flight,
+    here with v = 3/2 and coordinates in sevenths, where the scale is not
+    the pass's D: checks of a feasible trace, and induced_receives again."""
+    params = SystemParams(F(3, 2), F(3, 2), F(10), F(1), F(1))
+    s = slope_setting(F(1, 7))
+    sends = [Bcast(n, F(k, 3), beacon(n, F(k, 3))) for k in range(3) for n in s.nodes]
+    sends.append(Dcast("D", F(9), F(1), F(1, 2), beacon("A")))
+    receptions = induced_receives(sends, s, params)
+    trace = Trace(sends + receptions)
+    for _ in range(2):
+        flight_reads.clear()
+        assert check_setting_feasible(trace, s, params).ok
+        assert flight_reads == []
+    assert induced_receives(sends, s, params) == receptions
+    assert flight_reads == []
+
+
+def test_induced_receives_refuses_an_irrational_pair_over_a_down_link(unit_params):
+    """A covered pair at distance sqrt 2 raises in induced_receives though its
+    link is down when the signal arrives, both on a fresh setting and where
+    an approximate check kept the broadcast's coverage."""
+    msg = Opaque("m", F(1))
+    sends = [Bcast("A", F(0), msg)]
+    heard = Trace(sends + [Receive("A", F(0), "A", msg)])
+    for warm in (False, True):
+        s = Setting(
+            "AB",
+            {"A": (F(0), F(0)), "B": (F(1), F(1))},
+            {"A": CORRECT, "B": CORRECT},
+            {("A", "B"): ((F(0), F(1, 2)),)},
+        )
+        if warm:
+            assert check_setting_feasible(heard, s, unit_params, approx_num(F(1, 1000))).ok
+        with pytest.raises(IrrationalDistance):
+            induced_receives(sends, s, unit_params)
 
 
 def test_induced_receives_rejects_unknown_sender(unit_params):

@@ -802,6 +802,71 @@ def test_approximate_mode_at_zero_epsilon_gives_exact_verdicts():
     assert violated > 2000  # the mutants are not vacuous
 
 
+def _outcome(check):
+    """A check's verdict, or the type and message of what it raised."""
+    try:
+        return check()
+    except IrrationalDistance as exc:
+        return IrrationalDistance, str(exc)
+
+
+def test_exact_and_approximate_passes_share_one_settings_memos():
+    """An approximate pass at 1/1000 then an exact pass over one setting,
+    and the reverse order, each give the physics verdict of a freshly built
+    setting, whichever mode filled the root and coverage memos first; an
+    exact pass over an irrational pair an approximate pass covered raises
+    as a fresh one does.  Where every distance is rational, approx_num(0)
+    gives exact mode's verdict over the same shared memos."""
+    approx, zero = approx_num(F(1, 1000)), approx_num(F(0))
+    rng, pick = random.Random(20261021), random.Random(20261022)
+    cases = []
+    for protocol, adversary_kind, above in ((PT, DY_T, True), (PGT, DY_GT, False)):
+        for _ in range(60):
+            params = random_params(rng, delta_at_least_threshold=above, equal_speeds=not above)
+            setting = random_setting(rng, HORIZON)
+            trace = random_trace(rng, setting, params, protocol, adversary_kind, HORIZON)
+            traces = [trace]
+            receptions = list(trace.of_kind(Receive))
+            if receptions:
+                r = pick.choice(receptions)
+                moved = Receive(r.actor, r.start + F(1, 7), r.sender, r.msg)
+                traces.append(Trace([e for e in trace if e != r] + [moved]))
+            cases.append((setting, params, traces, True))
+    # A-B and B-C are irrational, A-C is 5; every reception is within 1/1000
+    msg = Opaque("m", F(1))
+    irrational = Setting(
+        "ABC",
+        {"A": (F(0), F(0)), "B": (F(1), F(1)), "C": (F(3), F(4))},
+        {"A": CORRECT, "B": CORRECT, "C": ADVERSARIAL},
+        {(a, b): ((F(0), None),) for a in "ABC" for b in "ABC" if a != b},
+    )
+    sends = [Bcast("A", F(0), msg), Dcast("C", F(10), F(5, 4), F(1, 4), msg)]
+    arrivals = [("A", F(0), "A"), ("B", F(1414, 1000), "A"), ("C", F(5), "A")]
+    arrivals += [("C", F(10), "C"), ("B", F(13606, 1000), "C"), ("A", F(15), "C")]
+    trace = Trace(sends + [Receive(to, at, by, msg) for to, at, by in arrivals])
+    cases.append((irrational, _PARAMS, [trace], False))
+
+    def fresh(setting):
+        return Setting(setting.nodes, setting.loc, setting.node_type, setting.link_schedule)
+
+    raised = 0
+    for setting, params, traces, rational in cases:
+        for order in ((approx, EXACT), (EXACT, approx)):
+            shared = fresh(setting)
+            for num in order:
+                for t in traces:
+                    got = _outcome(lambda: check_setting_feasible(t, shared, params, num))
+                    built = fresh(setting)
+                    assert got == _outcome(lambda: check_setting_feasible(t, built, params, num))
+                    raised += isinstance(got, tuple)
+            if rational:
+                for t in traces:
+                    exact = check_setting_feasible(t, fresh(setting), params)
+                    assert check_setting_feasible(t, shared, params, zero) == exact
+    assert raised == 2  # the irrational setting's exact pass, in each order
+    assert check_setting_feasible(trace, irrational, _PARAMS, approx).ok
+
+
 # large, pairwise coprime denominators: each kind of value has its own primes
 _START_PRIMES = (10007, 10009, 10037, 10039, 10061)
 _DURATION_PRIMES = (997, 991)
@@ -1100,6 +1165,45 @@ def test_memoized_geometry_matches_fresh_decisions(data):
         den = data.draw(st.sampled_from((1, 7, 1000)))
         memoized = core.flight_ticks(setting, params.v, den, mode.exact)(a, b)
         assert memoized == core.flight_ticks(fresh(), params.v, den, mode.exact)(a, b)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_covered_root_times_scale_is_the_flight(data):
+    """Each coverage entry keeps its receiver's root r = c·|ab|, or None
+    exactly for an irrational pair in approximate mode, and r times the
+    scale of any pass over a multiple of _grid, the one that filled the
+    memo or another, is both ticks flight_ticks reads for the pair; an
+    exact check or induced_receives over entries an approximate pass kept
+    raises IrrationalDistance on an irrational covered pair."""
+    setting, num = data.draw(_sparse_worlds())
+    params = replace(_PARAMS, v=data.draw(st.sampled_from((F(1), F(2), F(1, 2), F(3, 7)))))
+    sends = _sends(data.draw, setting, lambda i: Opaque("m", F(1)))
+    base = math.lcm(core._grid(setting, params), core._denominator(sends))
+    filled = base * data.draw(st.integers(1, 6), "D / base")
+    other = filled * data.draw(st.integers(2, 5), "other D / filling D")
+    filler = core._Physics(setting, params, num.exact, Ticks(filled))
+    covered = [(e, filler.coverage(e)) for e in sends]
+    unsafe = None
+    for den in (filled, other, base):
+        phys = core._Physics(setting, params, num.exact, Ticks(den))
+        read = core.flight_ticks(setting, params.v, den, num.exact)
+        for e, cover in covered:
+            assert phys.coverage(e) is cover
+            for dest, _, r in cover:
+                rational = is_rational_square(sq_dist(setting.loc[e.actor], setting.loc[dest]))
+                assert (r is None) == (not rational)
+                if r is None:
+                    unsafe = e
+                else:
+                    assert read(e.actor, dest) == (r * phys.scale,) * 2
+    if unsafe is not None:
+        assert not num.exact
+        with pytest.raises(IrrationalDistance):
+            check_setting_feasible(Trace([unsafe]), setting, params)
+        # as with a cold memo, whether or not the pair's link is up
+        with pytest.raises(IrrationalDistance):
+            induced_receives([unsafe], setting, params)
 
 
 # unit direction vectors (x, y) / norm with rational components
