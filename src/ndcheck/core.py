@@ -23,7 +23,8 @@ Conventions baked in here:
   also received by its sender at the same instant,
 - link up-phases are half-open intervals [start, end),
 - messages and events are immutable values that compute their hash on
-  first use and keep it, so sets, dicts and traces hash each one once,
+  first use and keep it, so sets and dicts hash each one once; a trace
+  orders and deduplicates events by their order keys and hashes none,
 - the checks compare instants as integers, in both modes: each reads
   every instant t as t·D, over one common denominator D (``Ticks``),
   and every distance as an integer r over the lcm c of the setting's
@@ -38,8 +39,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import attrgetter
-from typing import Callable, Iterable, Iterator, KeysView, Mapping, Optional, Sequence, Union
+from itertools import compress
+from operator import attrgetter, ne
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .rational import EXACT, IrrationalDistance, Num, echo, format_scalar, not_a_square
 
@@ -430,13 +432,17 @@ def _denominator(events: Sequence[Event]) -> int:
 class Trace:
     """Immutable finite event set, stored in canonical order.
 
-    Construction deduplicates and sorts, so two traces built from the
-    same events in any order compare (and serialize) identically.  It
-    hashes each event once: a dict deduplicates the events, its keys are
-    sorted (sort keys are injective, so the order is canonical whatever
-    the input order), and its keys view answers membership.  Events keep
-    their hashes, so a trace built from events another trace holds
-    hashes nothing again.
+    Construction sorts and deduplicates, so two traces built from the
+    same events in any order compare (and serialize) identically, and it
+    hashes no event.  A stable sort orders the events by their order
+    keys; order keys are injective (equal exactly when the events are),
+    so equal events sit side by side, and one pass over neighboring keys
+    keeps the first of each run of equal ones, which is the event's first
+    occurrence in the input.  Membership (``in``) bisects the events by
+    order key and compares the one event found with ``==``; anything
+    that is not an event is not a member.  The sorted tuple is the only
+    copy of the events: the trace keeps no set or dict of its members,
+    so an event is hashed only where a caller looks it up by hash.
 
     The sort key (``_order_key``) is the start rounded to a float
     (infinity beyond float range), compared in C, followed by
@@ -473,13 +479,13 @@ class Trace:
     per such event, plus one entry per reception keyed by its start.
     """
 
-    __slots__ = ("events", "_members", "_by_actor", "_by_msg", "_views", "_den")
+    __slots__ = ("events", "_by_actor", "_by_msg", "_views", "_den")
 
     def __init__(self, events: Iterable[Event] = ()):
-        unique = dict.fromkeys(events)
-        ordered = sorted(unique, key=_order_key)
-        self.events: tuple[Event, ...] = tuple(ordered)
-        self._members: KeysView[Event] = unique.keys()
+        ordered = sorted(events, key=_order_key)
+        keys = list(map(attrgetter("_order"), ordered))
+        # each key against the one before it (None before the first)
+        self.events: tuple[Event, ...] = tuple(compress(ordered, map(ne, keys, [None, *keys])))
         self._by_actor: Optional[dict[NodeId, tuple[Event, ...]]] = None
         self._by_msg: Optional[dict[Message, tuple[Receive, ...]]] = None
         self._views: Optional[dict[NodeId, _ViewIndex]] = None
@@ -491,8 +497,11 @@ class Trace:
     def __len__(self) -> int:
         return len(self.events)
 
-    def __contains__(self, event: Event) -> bool:
-        return event in self._members
+    def __contains__(self, event: object) -> bool:
+        if not isinstance(event, _OrderSlot):
+            return False
+        i = bisect_left(self.events, _order_key(event), key=_order_key)
+        return self.events[i : i + 1] == (event,)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Trace) and self.events == other.events
@@ -559,6 +568,10 @@ class Setting:
 
     Undeclared directed links are permanently down; self-links are
     implicitly up forever and may not be declared.
+
+    Construction normalizes each distinct schedule object once (links
+    often share one, as every link a scenario file gives the same phase
+    text does), through a memo for the call keyed by the object's ``id()``.
 
     Construction also indexes the link graph: ``reachable[n]`` holds n
     itself and every node with a declared link from n, in node order.
@@ -641,12 +654,17 @@ class Setting:
                 )
             placed[ratios] = node
         normalized: dict[tuple[NodeId, NodeId], tuple[Interval, ...]] = {}
-        for (a, b), intervals in (link_schedule or {}).items():
+        # links often share one schedule object: each is normalized once; the
+        # list holds every object for the loop, so that no id is reused in it
+        seen: dict[int, tuple[Interval, ...]] = {}
+        for (a, b), intervals in list((link_schedule or {}).items()):
             if a not in self.loc or b not in self.loc:
                 raise UnknownNode(f"link ({echo(a)}, {echo(b)}) references undeclared node")
             if a == b:
                 raise ValueError("self-links are implicit and may not be declared")
-            merged = _normalize_intervals(intervals)
+            merged = seen.get(id(intervals))
+            if merged is None:
+                merged = seen[id(intervals)] = _normalize_intervals(intervals)
             if merged:
                 normalized[(a, b)] = merged
         self.link_schedule: dict[tuple[NodeId, NodeId], tuple[Interval, ...]] = normalized

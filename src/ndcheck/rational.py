@@ -49,6 +49,9 @@ def echo(token: str, quote: bool = True) -> str:
 def parse_scalar(text: str) -> Fraction:
     """Parse "p/q", integer, decimal or scientific notation into a Fraction.
 
+    No text with an underscore is read, on any Python: Fraction reads
+    "1_0" as 10 from Python 3.11 on, and rejects it before.
+
     Text longer than MAX_SCALAR_LENGTH characters, with a
     scientific-notation exponent beyond MAX_SCALAR_EXPONENT in
     magnitude, or whose canonical form (format_scalar) could be longer
@@ -69,8 +72,10 @@ def parse_scalar(text: str) -> Fraction:
         return Fraction(int(head), int(den)) if slash else Fraction(int(head))
     if not text:
         raise ValueError("empty scalar")
+    if "_" in text:
+        raise ValueError(f"invalid scalar {echo(text)}: underscores are not accepted")
     if "e" in text or "E" in text:
-        digits = text.lower().rpartition("e")[2].lstrip("+-").replace("_", "").lstrip("0")
+        digits = text.lower().rpartition("e")[2].lstrip("+-").lstrip("0")
         # the length test keeps int() off an exponent of any size
         if digits.isdecimal() and (
             len(digits) > len(str(MAX_SCALAR_EXPONENT)) or int(digits) > MAX_SCALAR_EXPONENT

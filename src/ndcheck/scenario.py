@@ -75,6 +75,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from operator import getitem
 from typing import Optional
 
 from .adversary import ADVERSARY_NAMES, AdversaryModel
@@ -468,6 +469,13 @@ def dump_trace(trace: Trace) -> str:
 def parse_trace(text: str) -> Trace:
     """Read a trace file's text; a malformed line raises ScenarioError naming it.
 
+    Each line is split at whitespace once; a line with no fields, or
+    whose first field starts with "#", is skipped, so blank and comment
+    lines may be indented.  The first field names the event kind, and
+    the rest are its fields.  A line repeated in the file (or one that
+    reads as an event read before) gives one event, since ``Trace``
+    keeps each event once.
+
     Each distinct field text is read once per call: each field reader
     has its own memo, a dict from text to the value read (``_Memo``),
     and each event kind's memos are looked up once per call, so a field
@@ -481,16 +489,15 @@ def parse_trace(text: str) -> Trace:
     memos = {read: _Memo(read) for _, reads in _EVENT_READERS.values() for read in reads}
     layouts = {k: (cls, [memos[r] for r in reads]) for k, (cls, reads) in _EVENT_READERS.items()}
     events: list[Event] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        parts = line.split()
+        if not parts or parts[0][0] == "#":
             continue
-        kind, *parts = line.split()
-        cls, field_memos = layouts.get(kind, (None, ()))
+        cls, field_memos = layouts.get(parts[0], (None, ()))
         try:
-            if cls is None or len(parts) != len(field_memos):
-                raise ValueError(f"unrecognized event {echo(line)}")
-            events.append(cls(*[memo[part] for memo, part in zip(field_memos, parts)]))
+            if cls is None or len(parts) - 1 != len(field_memos):
+                raise ValueError(f"unrecognized event {echo(line.strip())}")
+            events.append(cls(*map(getitem, field_memos, parts[1:])))
         except ValueError as exc:
             raise ScenarioError(f"line {lineno}: {exc}") from None
     return Trace(events)

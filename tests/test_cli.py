@@ -356,6 +356,41 @@ def test_check_report_to_file(tmp_path, radio_scenario, capsys):
     assert data["setting_feasible"]["ok"] is True
 
 
+def test_check_reads_shuffled_and_repeated_lines_as_the_canonical_trace(
+    tmp_path, radio_scenario, capsys
+):
+    """A trace is a set of events: a file with its lines shuffled and some
+    repeated gives the canonical file's report, byte for byte but for the
+    trace's path, and exit code."""
+    import random
+
+    out = tmp_path / "out"
+    run(["attack", radio_scenario, "--out-dir", out])
+    capsys.readouterr()
+    canonical = out / "relay.trc"
+    lines = canonical.read_text().splitlines(True)
+    rng = random.Random(7)
+    loose = lines + rng.sample(lines, len(lines) // 2) + lines[:1]
+    rng.shuffle(loose)
+    shuffled = tmp_path / "shuffled.trc"
+    shuffled.write_text("".join(loose))
+    for fmt in ("text", "structured"):
+        reports = []
+        for trc in (canonical, shuffled):
+            code = run(["--format", fmt, "check", out / "attack.scn", trc])
+            reports.append((code, capsys.readouterr().out.replace(str(trc), "TRACE")))
+        assert reports[0] == reports[1] and reports[0][0] == 3, fmt
+
+
+def test_check_rejects_an_underscored_scalar(tmp_path, radio_scenario, capsys):
+    """Fraction reads "1_0" as 10 from Python 3.11 on; the trace reader
+    rejects it on every version, as an input error."""
+    trc = tmp_path / "underscore.trc"
+    trc.write_text("bcast A 1_0 beacon-t:A:0:1/1000000\n")
+    assert run(["check", radio_scenario, trc]) == 1
+    assert "line 1: invalid scalar '1_0': underscores are not accepted" in capsys.readouterr().err
+
+
 def test_approx_mode_scenario_with_irrational_geometry(tmp_path, capsys):
     text = RADIO.replace("x = 100\ny = 0", "x = 70\ny = 70").replace(
         "name = pt", "name = naive"

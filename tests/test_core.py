@@ -974,6 +974,33 @@ def test_trace_canonical_order_and_dedup():
     assert Trace([e2, e1, e1]).events == (e1, e2)
 
 
+def test_trace_build_and_read_hash_no_event(monkeypatch, unit_params):
+    """Trace construction orders and deduplicates by order key, and the
+    trace reader builds its events from memoized fields: neither calls
+    an event's __hash__, however many repeats the input holds."""
+    from ndcheck.scenario import dump_trace, parse_trace
+
+    s = triangle_setting()
+    sends = [
+        Bcast("A", F(0), beacon("A")),
+        Dcast("B", F(1, 3), F(1, 2), F(3, 2), beacon("B", F(1, 3))),
+        Bcast("C", F(2), Opaque("tok", F(1, 2))),
+    ]
+    declared = [Neighbor(n, F(9), "A", F(0)) for n in s.nodes]
+    events = sends + induced_receives(sends, s, unit_params) + declared
+    repeated = events + [dataclasses.replace(e) for e in events] + pickle.loads(pickle.dumps(events))
+    hashed = []
+    for cls in (Bcast, Dcast, Receive, Neighbor):
+        monkeypatch.setattr(cls, "__hash__", lambda e, kept=cls.__hash__: hashed.append(e) or kept(e))
+    trace = Trace(repeated[::-1])
+    text = dump_trace(trace)
+    assert parse_trace(text + text) == trace and len(trace) == len(events)
+    assert hashed == []
+    assert events[0] in trace and hashed == []
+    hash(events[0])  # the counter is live
+    assert hashed == [events[0]]
+
+
 _starts = st.one_of(
     st.integers(min_value=0, max_value=3),
     st.floats(min_value=0, max_value=3, allow_nan=False, allow_infinity=False),

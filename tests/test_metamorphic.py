@@ -7,13 +7,19 @@ correctness) must report the same multiset of rule names:
 - time shift by c >= 0: every start, beacon time, peer time and link
   bound, plus c;
 - translation by a rational vector: every coordinate and every beacon
-  location, plus the vector.
+  location, plus the vector;
+- renaming by a one-to-one map of node ids: every node id in the
+  setting (nodes, locations, types and link ends) and in the trace
+  (actors, senders, peers, beacon creators and the naive protocol's
+  tokens), mapped.  Renaming changes the node order, and with it the
+  canonical order of events that share a start.
 
-Both hold in exact mode and in approximate mode, since every rule
-compares differences of instants and of points.  The inputs are the
-generators' settings and traces for every protocol and adversary model,
-each with a mutant that drops one event and one that moves one event's
-start, so that the relations are also tried on traces with violations.
+All three hold in exact mode and in approximate mode, since every rule
+compares differences of instants and of points, and none reads a node's
+name.  The inputs are the generators' settings and traces for every
+protocol and adversary model, each with a mutant that drops one event
+and one that moves one event's start, so that the relations are also
+tried on traces with violations.
 Some shifts have large prime denominators, so that the shifted trace's
 tick denominator is another than the original's.
 """
@@ -27,9 +33,9 @@ from hypothesis import given, settings, strategies as st
 
 from ndcheck import cli
 from ndcheck.adversary import ADVERSARY_NAMES, AdversaryModel
-from ndcheck.core import BeaconT, BeaconTL, Neighbor, Setting, Trace
+from ndcheck.core import BeaconT, BeaconTL, Neighbor, Opaque, Receive, Setting, Trace
 from ndcheck.generators import random_params, random_setting, random_trace
-from ndcheck.protocols import PGT_APPROX, PROTOCOL_NAMES, InaccuracyParams
+from ndcheck.protocols import NAIVE_TOKEN_PREFIX, PGT_APPROX, PROTOCOL_NAMES, InaccuracyParams
 from ndcheck.rational import EXACT, approx_num
 from ndcheck.scenario import Scenario
 
@@ -73,6 +79,36 @@ def translate(scenario, trace, dx, dy):
     s = scenario.setting
     loc = {node: (x + dx, y + dy) for node, (x, y) in s.loc.items()}
     moved = Setting(s.nodes, loc, s.node_type, s.link_schedule)
+    return replace(scenario, setting=moved), Trace(map(event, trace))
+
+
+def rename(scenario, trace, mapping):
+    """The scenario and trace with every node id n read as mapping[n]."""
+    new = mapping.__getitem__
+
+    def message(m):
+        if isinstance(m, Opaque):
+            creator = m.token[len(NAIVE_TOKEN_PREFIX):]
+            if m.token.startswith(NAIVE_TOKEN_PREFIX) and creator in mapping:
+                return replace(m, token=NAIVE_TOKEN_PREFIX + new(creator))
+            return m
+        return replace(m, creator=new(m.creator))
+
+    def event(e):
+        e = replace(e, actor=new(e.actor))
+        if isinstance(e, Neighbor):
+            return replace(e, peer=new(e.peer))
+        if isinstance(e, Receive):
+            e = replace(e, sender=new(e.sender))
+        return replace(e, msg=message(e.msg))
+
+    s = scenario.setting
+    moved = Setting(
+        map(new, s.nodes),
+        {new(node): p for node, p in s.loc.items()},
+        {new(node): kind for node, kind in s.node_type.items()},
+        {(new(a), new(b)): phases for (a, b), phases in s.link_schedule.items()},
+    )
     return replace(scenario, setting=moved), Trace(map(event, trace))
 
 
@@ -137,3 +173,17 @@ def test_translation_keeps_every_layers_rules(run, dx, dy):
         moved = translate(scenario, trace, dx, dy)
         for num in MODES:
             assert layer_rules(*moved, num) == layer_rules(scenario, trace, num), num
+
+
+@settings(max_examples=200, deadline=None)
+@given(_runs(), st.data())
+def test_renaming_keeps_every_layers_rules(run, data):
+    scenario, traces = run
+    nodes = scenario.setting.nodes
+    prefix = data.draw(st.sampled_from(("", "x.", "Z-", "0_")), "prefix")
+    order = data.draw(st.permutations(nodes), "permutation")
+    mapping = {node: prefix + other for node, other in zip(nodes, order)}
+    for trace in traces:
+        renamed = rename(scenario, trace, mapping)
+        for num in MODES:
+            assert layer_rules(*renamed, num) == layer_rules(scenario, trace, num), num

@@ -322,6 +322,73 @@ def test_indexed_projection_matches_scan(items, other_items, rng):
         check(other, other_query)
 
 
+def _hashed_events(xs):
+    """A trace's events as construction once defined them: a dict keeps
+    each event's first occurrence, and its keys are sorted by order key."""
+    return tuple(sorted(dict.fromkeys(xs), key=core._order_key))
+
+
+def _copies(e, how):
+    """e itself, or an equal event that is another object: a dataclass
+    replace, a pickle round trip, or a replace with a fresh start."""
+    if how == 0:
+        return e
+    if how == 1:
+        return replace(e)
+    if how == 2:
+        return pickle.loads(pickle.dumps(e))
+    return replace(e, start=F(e.start.numerator, e.start.denominator))
+
+
+@settings(max_examples=200)
+@given(st.lists(_events, max_size=12), st.lists(st.integers(0, 3), max_size=24), st.randoms())
+def test_trace_dedup_matches_the_hashed_definition(items, hows, rng):
+    """Sorting by order key and dropping neighboring equal keys keeps the
+    events a dict did, in the same order, and of each set of equal events
+    the object that came first, however the repeats are made and ordered."""
+    xs = list(items)
+    for i, how in enumerate(hows):
+        if items:
+            xs.append(_copies(items[i % len(items)], how))
+    rng.shuffle(xs)
+    events = Trace(xs).events
+    assert events == _hashed_events(xs)
+    for kept in events:
+        assert kept is next(x for x in xs if x == kept)
+
+
+_OTHER_NODE = {"A": "B", "B": "C", "C": "A"}
+
+
+def _near_misses(e):
+    """Events that differ from e in one field: the start moved by 1/7, the
+    sender or peer changed, or the message (or peer time) changed."""
+    misses = [replace(e, start=e.start + F(1, 7))]
+    if isinstance(e, Receive):
+        misses.append(replace(e, sender=_OTHER_NODE[e.sender]))
+    if isinstance(e, Neighbor):
+        misses += [replace(e, peer=_OTHER_NODE[e.peer]), replace(e, peer_time=e.peer_time + 1)]
+    else:
+        misses.append(replace(e, msg=replace(e.msg, duration=e.msg.duration + 1)))
+    return misses
+
+
+@settings(max_examples=200)
+@given(st.lists(_events, max_size=14), st.lists(_events, max_size=8))
+def test_trace_membership_agrees_with_a_set(items, others):
+    """``in`` bisects by order key; it answers as a set of the events does
+    for every event, its equal copies, near misses and other events, and
+    nothing that is not an event is a member."""
+    trace, members = Trace(items), set(items)
+    for e in items + others:
+        for probe in [e, replace(e), *_near_misses(e)]:
+            assert (probe in trace) == (probe in members)
+    msg = BeaconT("A", F(0), F(1))
+    for other in ("x", None, LocalReceive(F(0), msg), (F(0), "A")):
+        assert other not in trace
+    assert LocalReceive(F(0), msg) not in Trace([Receive("A", F(0), "B", msg)])
+
+
 # sparse worlds: few declared links, some of them down part of the time,
 # and directional casts over every kind of sector the coverage rule meets
 _PARAMS = SystemParams(

@@ -30,6 +30,15 @@ def test_parse_rejects(bad):
         parse_scalar(bad)
 
 
+@pytest.mark.parametrize("text", ["1_0", "1/1_0", "1.5_0", "1e1_0", " -1_000 ", "1e1_000_000"])
+def test_parse_rejects_underscores_on_every_python(text):
+    """Fraction reads "1_0" as 10 from Python 3.11 on and rejects it on
+    3.10: the scalar grammar has no digit separators on any version."""
+    with pytest.raises(ValueError) as caught:
+        parse_scalar(text)
+    assert str(caught.value) == f"invalid scalar {text.strip()!r}: underscores are not accepted"
+
+
 def test_parse_bounds_the_exponent():
     # 1e-997 is the smallest power of ten whose canonical p/q fits in 1000 characters
     assert parse_scalar("1e-997") == Fraction(1, 10**997)
@@ -123,12 +132,15 @@ def test_scalars_near_the_bound_round_trip_or_are_rejected(text):
 
 
 def _reference_parse_scalar(text: str) -> Fraction:
-    """parse_scalar as it read every text through Fraction's parser."""
+    """parse_scalar as it read every text without an underscore through
+    Fraction's parser, and rejected every text with one."""
     text = text.strip()
     if not text:
         raise ValueError("empty scalar")
+    if "_" in text:
+        raise ValueError(f"invalid scalar {ndcheck.rational.echo(text)}: underscores are not accepted")
     if "e" in text or "E" in text:
-        digits = text.lower().rpartition("e")[2].lstrip("+-").replace("_", "").lstrip("0")
+        digits = text.lower().rpartition("e")[2].lstrip("+-").lstrip("0")
         if digits.isdecimal() and (
             len(digits) > len(str(MAX_SCALAR_EXPONENT)) or int(digits) > MAX_SCALAR_EXPONENT
         ):
@@ -200,7 +212,7 @@ _near_length = st.builds(
 )
 def test_parse_matches_the_fraction_parser(text):
     """Values, their type and error messages are those of reading every
-    text through Fraction's parser."""
+    text without an underscore through Fraction's parser."""
     assert _outcome(parse_scalar, text) == _outcome(_reference_parse_scalar, text)
 
 

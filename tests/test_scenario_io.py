@@ -314,6 +314,29 @@ _MALFORMED_TRACES = {
         "bcast B nan beacon-t:B:0:1\n",
         "line 1: invalid scalar 'nan': Invalid literal for Fraction: 'nan'",
     ),
+    # the reader splits each line once, at any run of blanks, and quotes
+    # the line without its outer blanks
+    "after-indented-comment": (
+        "  # note\n\tteleport B 0\n",
+        "line 2: unrecognized event 'teleport B 0'",
+    ),
+    "tab-separated-wrong-arity": ("bcast\tB\t0\n", "line 1: unrecognized event 'bcast\\tB\\t0'"),
+    "crlf-lines": (
+        _OK_LINE.replace("\n", "\r\n") + "bcast B 0\r\n",
+        "line 2: unrecognized event 'bcast B 0'",
+    ),
+    "lone-cr-ends-a-line": (
+        "bcast B 3 beacon-t:B:0:1\rteleport B 0\n",
+        "line 2: unrecognized event 'teleport B 0'",
+    ),
+    "trailing-blanks": (
+        "bcast B 0 beacon-t:B:0:1 x  \t \n",
+        "line 1: unrecognized event 'bcast B 0 beacon-t:B:0:1 x'",
+    ),
+    "unknown-kind-with-blanks": (
+        _OK_LINE + "   Bcast   B 0 beacon-t:B:0:1  \n",
+        "line 2: unrecognized event 'Bcast   B 0 beacon-t:B:0:1'",
+    ),
 }
 
 
@@ -328,6 +351,20 @@ def test_trace_reader_skips_blank_comment_and_indented_lines():
     text = "# header\n\n   \n  # indented comment\n\t" + _OK_LINE + "  receive B 3 B beacon-t:B:0:1\n"
     msg = BeaconT("B", F(0), F(1))
     assert parse_trace(text) == Trace([Bcast("B", F(3), msg), Receive("B", F(3), "B", msg)])
+
+
+def test_trace_reader_reads_any_blanks_and_line_ends_alike():
+    """Tabs and runs of blanks between fields, CRLF and CR line ends,
+    trailing blanks and indented comments read as the canonical text."""
+    canonical = "bcast B 3 beacon-t:B:0:1\nreceive A 4 B beacon-t:B:0:1\nneighbor A 5 B 3\n"
+    loose = (
+        "\t# indented comment\r\n"
+        "bcast\tB  3\tbeacon-t:B:0:1 \t\r\n"
+        "  receive A\t4 B beacon-t:B:0:1\r"
+        "neighbor A 5 B 3   "
+    )
+    assert parse_trace(loose) == parse_trace(canonical)
+    assert dump_trace(parse_trace(loose)) == canonical
 
 
 def test_bad_message_echoes_a_bounded_prefix():
