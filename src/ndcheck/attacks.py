@@ -581,7 +581,7 @@ def plan_relay_attack(
         )
     stamped = next(base.of_kind(Bcast))
     for setting in (honest, attack):  # the protocol's own stamp rule, in both runs
-        if beacon_violation(spec, stamped, setting, params, bounds, EXACT) is not None:
+        if beacon_violation(spec, stamped, setting, params, bounds) is not None:
             offset = abs(stamped.msg.beacon_loc[0] - setting.loc[beaconer][0])
             tau_v = (bounds or InaccuracyParams()).tau * params.v
             raise PlacementInfeasible(

@@ -380,7 +380,8 @@ def _add_common_options(parser: argparse.ArgumentParser, suppress: bool) -> None
         "--approx",
         metavar="EPS",
         default=default,
-        help="tolerance for time comparisons (default: exact rational arithmetic)",
+        help="tolerance where an instant meets a flight or a distance estimate; "
+        "a node's own stamps and peer times stay exact (default: exact arithmetic)",
     )
     parser.add_argument(
         "--format",

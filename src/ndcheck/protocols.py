@@ -38,17 +38,20 @@ generic ``bcast-not-permitted`` and ``neighbor-not-permitted``, the
 direct route's field by field ``bcast-not-a-beacon``, ``beacon-*`` and
 ``neighbor-unjustified``) and on pgt-approx (F1): the direct checker
 admits stamps skewed within the error bounds (delta, tau), while the
-decision function offers exact stamps only.
+decision function offers exact stamps only.  In both modes they agree on
+what a correct node copies from its own record, the stamp time of its
+beacon (its transmission start) and a declared peer time (its reception
+start): both are compared exactly.  Approximate mode's epsilon reaches
+the direct route only through pgt's estimate window, where an instant is
+compared with a distance between two places.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections.abc import Set
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
 from typing import AbstractSet, Callable, Optional, Union
 
 from .core import (
@@ -500,16 +503,15 @@ def beacon_violation(
     setting: Setting,
     params: SystemParams,
     inacc: Optional[InaccuracyParams],
-    num: Num,
 ) -> Optional[Violation]:
     """The first field in which a correct node's broadcast differs from the
     beacon it sends, ``spec.beacon`` at the broadcast's start and the
     node's location: kind, creator, duration, then the stamp.
 
     With measurement slack the stamp may be off by up to delta in time
-    and tau·v in location, compared exactly.  Without, there is no slack:
-    the time must be the start, within num.epsilon in approximate mode,
-    and the location must be the node's.
+    and tau·v in location, compared exactly.  Without, there is no slack,
+    in approximate mode too: the stamp copies the node's own start and
+    location, so the time must be the start and the location the node's.
     """
     msg = e.msg
     due = spec.beacon(e.actor, e.start, setting.loc[e.actor], params)
@@ -526,20 +528,16 @@ def beacon_violation(
             "beacon duration differs from the default message duration",
         )
     time_detail, location_detail = _STAMP_DETAILS[inacc is not None]
-    # num.epsilon is 0 in exact mode
-    delta, tau = (num.epsilon, Fraction(0)) if inacc is None else (inacc.delta, inacc.tau)
-    if abs(msg.beacon_time - due.beacon_time) > delta:
+    slack = inacc or InaccuracyParams()
+    if abs(msg.beacon_time - due.beacon_time) > slack.delta:
         return Violation("beacon-time-mismatch", (e,), time_detail)
     if isinstance(due, BeaconTL):
         n, d = _sq_dist_ratio(msg.beacon_loc, due.beacon_loc)
-        a, b = tau.as_integer_ratio()
+        a, b = slack.tau.as_integer_ratio()
         p, q = params.v.as_integer_ratio()
         if n * (b * q) ** 2 > (a * p) ** 2 * d:  # beyond tau·v = (a·p) / (b·q)
             return Violation("beacon-location-mismatch", (e,), location_detail)
     return None
-
-
-_TICK = itemgetter(0)
 
 
 def _check_stamped(
@@ -555,50 +553,42 @@ def _check_stamped(
     A correct node's broadcast is compared with the beacon the protocol
     table has it send (``beacon_violation``).  A declaration is backed
     when ``spec.accepts`` takes one of its owner's completed receptions
-    for the declared peer; only the receptions that start within
-    num.epsilon of the peer time are tried (exactly at it in exact mode),
-    found by bisection.  The index behind it is built in one
-    pass at each call and dropped when it returns: each correct node's
-    receptions with their starts, in canonical order, which sorts them by
-    start.
+    for the declared peer; only the receptions that start exactly at the
+    peer time are tried, in approximate mode too, since the peer time
+    copies the owner's own reception start.  They are found by one
+    lookup in an index built in one pass at each call and dropped when
+    it returns: each correct node's receptions by their start's integer
+    ratio (the key of ``core._ViewIndex.at``), each with its end.
 
     Instants are read by the trace's ticks (``Trace.ticks``, the trace's
-    own D) where they are compared: each correct node's reception starts
-    once, into that index, and each of its declarations' starts; the
-    window's low end is rounded up and its high end down, so the integer
-    tests decide exactly what the rational ones do.  Beacon stamps are
-    compared as integer ratios, not in ticks.
+    own D) where they are compared: each reception's end once, into that
+    index, and each declaration's start.  Beacon stamps are compared as
+    integer ratios, not in ticks.
     """
     violations: list[Violation] = []
     correct = set(setting.correct_nodes)
     ticks = trace.ticks()
-    receives_by_actor: dict[NodeId, list[tuple[int, Receive]]] = {}
+    received: dict[tuple[NodeId, tuple[int, int]], list[tuple[int, Receive]]] = {}
     for r in trace.events:
         if isinstance(r, Receive) and r.actor in correct:
-            receives_by_actor.setdefault(r.actor, []).append((ticks.of(r.start), r))
+            end = ticks.of(r.start) + ticks.of(r.msg.duration)
+            received.setdefault((r.actor, r.start.as_integer_ratio()), []).append((end, r))
 
-    eps = num.epsilon or 0  # an int 0 tests false without a call
     for e in trace.events:
         if e.actor not in correct:
             continue
         if isinstance(e, Bcast):
-            wrong = beacon_violation(spec, e, setting, params, inacc, num)
+            wrong = beacon_violation(spec, e, setting, params, inacc)
             if wrong is not None:
                 violations.append(wrong)
         elif isinstance(e, Neighbor):
             now = ticks.of(e.start)
             owner_loc = setting.loc[e.actor]
-            own = receives_by_actor.get(e.actor, ())
-            low = high = e.peer_time
-            if eps:
-                low, high = low - eps, high + eps
-            first = bisect_left(own, ticks.ceil(low), key=_TICK)
-            last = bisect_right(own, ticks.floor(high), first, key=_TICK)
             if not any(
                 r.sender in setting.loc
-                and now > at + ticks.of(r.msg.duration)
+                and end < now
                 and spec.accepts(params, owner_loc, r, inacc, num) == e.peer
-                for at, r in own[first:last]
+                for end, r in received.get((e.actor, e.peer_time.as_integer_ratio()), ())
             ):
                 violations.append(
                     Violation(

@@ -2,8 +2,11 @@
 
 All quantities in the model (times, coordinates, speeds) are rational
 numbers.  Exact mode compares them with plain equality; approximate mode
-relaxes equality to a caller-supplied epsilon and allows irrational
-distances.  Both modes decide every comparison exactly, in integers: an
+allows irrational distances and relaxes equality to a caller-supplied
+epsilon where an instant is compared with a flight or a location
+estimate between two places.  What a node copies from its own record, a
+beacon's stamp time and a declared peer time, is compared exactly in
+both modes.  Both modes decide every comparison exactly, in integers: an
 irrational flight time is read as the integer ticks just below and just
 above it (see ``core.Ticks``), never as a float.
 """
@@ -147,8 +150,10 @@ class Num:
 
     exact     whether an irrational distance is an error (exact mode) or
               is compared by the ticks around it (approximate mode)
-    epsilon   how far two instants may differ and still count as equal;
-              0 in exact mode
+    epsilon   how far an instant may differ from a flight or a location
+              estimate between two places and still count as equal; 0 in
+              exact mode.  A node's own copies (beacon stamp times,
+              declared peer times) are compared exactly in either mode
     """
 
     exact: bool = True

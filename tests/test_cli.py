@@ -569,12 +569,13 @@ RULE_CASES = sorted(path.stem for path in RULES.glob("*.scn"))
 @pytest.mark.parametrize("case", RULE_CASES)
 def test_direct_route_rules_match_golden_reports(case, approx, capsys, monkeypatch):
     """Each tests/golden/rules pair triggers one protocol rule; its check
-    report, exact and under --approx 1/1000, is the one kept beside it."""
+    report, exact and under --approx 1/1000, is the one kept beside it:
+    a stamp time or a peer time 1/2000 off is a node's own copy, exact in
+    both modes."""
     monkeypatch.chdir(RULES)
     argv = ["check", f"{case}.scn", f"{case}.trc"]
     assert run(argv if approx is None else ["--approx", approx] + argv) == 2
-    golden = f"{case}.out" if approx is None else f"{case}.approx.out"
-    assert capsys.readouterr().out == (RULES / golden).read_text(encoding="utf-8")
+    assert capsys.readouterr().out == (RULES / f"{case}.out").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize(

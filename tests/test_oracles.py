@@ -673,7 +673,9 @@ def _scanned_physics(trace, setting, num, params=_PARAMS):
 
 
 def _scanned_declarations(trace, setting, spec, inacc, num, params=_PARAMS):
-    """Each correct node's declaration that no reception backs, by a scan of every event."""
+    """Each correct node's declaration that no reception backs, by a scan of
+    every event: a reception starting exactly at the peer time, in either
+    mode, whose acceptance test (through num for pgt's window) names the peer."""
     return [
         e
         for e in trace
@@ -683,7 +685,7 @@ def _scanned_declarations(trace, setting, spec, inacc, num, params=_PARAMS):
             isinstance(r, Receive)
             and r.actor == e.actor
             and r.sender in setting.loc
-            and abs(r.start - e.peer_time) <= num.epsilon
+            and r.start == e.peer_time
             and e.start > event_end(r)
             and spec.accepts(params, setting.loc[e.actor], r, inacc, num) == e.peer
             for r in trace
@@ -701,8 +703,8 @@ _SHIFTS = st.sampled_from(
 @settings(max_examples=150)
 @given(st.data())
 def test_message_keyed_matching_matches_full_scan(data):
-    """Matching receptions by message and declarations by a window of starts
-    changes no physics or protocol verdict, exact or approximate; and a
+    """Matching receptions by message and declarations by their exact peer
+    time changes no physics or protocol verdict, exact or approximate; and a
     trace read from text equals, and hashes as, the trace built in code."""
     # every link declared, some down part of the time; every distance rational
     n = data.draw(st.integers(min_value=3, max_value=5))

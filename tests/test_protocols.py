@@ -50,7 +50,7 @@ from ndcheck.core import (
 )
 from ndcheck.generators import random_params, random_setting, random_tl_views, random_trace
 from ndcheck.protocols import PROTOCOLS, pgt_accepts, pgt_approx_accepts
-from ndcheck.rational import EXACT, approx_num
+from ndcheck.rational import approx_num
 
 F = Fraction
 
@@ -316,7 +316,7 @@ def test_integer_stamp_location_bound_matches_fraction_formula(data):
     skew = data.draw(st.sampled_from((F(0), delta, -delta))) + data.draw(st.sampled_from(_TINY))
     beacon = BeaconTL("A", max(F(0), start + skew), (loc[0] + dx, loc[1] + dy), F(1))
     e = Bcast("A", start, beacon)
-    found = protocols.beacon_violation(PROTOCOLS[PGT_APPROX], e, setting, params, inacc, EXACT)
+    found = protocols.beacon_violation(PROTOCOLS[PGT_APPROX], e, setting, params, inacc)
     assert (found and found.rule) == _reference_stamp_rule(e, setting, params, inacc)
 
 
@@ -711,6 +711,56 @@ def test_routes_agree_on_generated_traces_and_mutants(protocol, adversary, seed)
             assert not routes_agree(stretched, setting, protocol, params)
     # the mutants are not vacuous: most are rejected by both routes
     assert verdicts.count(False) > len(verdicts) // 2
+
+
+def moved_own_copies(trace, setting, rng):
+    """(moved event, mutant) for a correct node's declaration with its peer
+    time moved by 1/2000, and for a correct node's broadcast with its beacon
+    stamp moved by 1/2000 (its receptions keep the beacon sent); each way at
+    random, reflected at 0."""
+    correct = set(setting.correct_nodes)
+    shift = rng.choice((F(1, 2000), F(-1, 2000)))
+    moves = {
+        Neighbor: lambda e: replace(e, peer_time=abs(e.peer_time + shift)),
+        Bcast: lambda e: replace(e, msg=replace(e.msg, beacon_time=abs(e.msg.beacon_time + shift))),
+    }
+    for kind, move in moves.items():
+        own = [e for e in trace.of_kind(kind) if e.actor in correct]
+        if own:
+            e = rng.choice(own)
+            moved = move(e)
+            yield moved, Trace([x for x in trace if x != e] + [moved])
+
+
+@pytest.mark.parametrize(
+    "protocol, adversary, seed", [(PT, "dy-t", 31), (PGT, "dy-gt", 32), (PGT_APPROX, "relay", 33)]
+)
+def test_own_copies_are_exact_in_approximate_mode(protocol, adversary, seed):
+    """A declared peer time and a beacon stamp copy the node's own reception
+    and transmission starts, so approximate mode compares them exactly:
+    one moved by 1/2000 gets exact mode's verdict under approx_num(1/1000),
+    and the generic route refuses the same events (zero slack for
+    pgt-approx, whose stamps are then exact too)."""
+    rng = random.Random(seed)
+    horizon = F(40)
+    zero = InaccuracyParams()
+    approx = approx_num(F(1, 1000))
+    refused = []
+    for _ in range(40):
+        params = random_params(rng, protocol == PT, protocol != PT)
+        setting = random_setting(rng, horizon)
+        trace = random_trace(rng, setting, params, protocol, adversary, horizon)
+        model = make_protocol(protocol, params, zero)
+        for moved, mutant in moved_own_copies(trace, setting, rng):
+            exact = protocol_verdict(mutant, setting, protocol, params, zero)
+            assert protocol_verdict(mutant, setting, protocol, params, zero, approx) == exact
+            generic = check_protocol_feasible(mutant, setting, model, params)
+            assert {v.events for v in generic.violations} == {v.events for v in exact.violations}
+            rule = "bcast-not-permitted" if isinstance(moved, Bcast) else "neighbor-not-permitted"
+            assert (rule, (moved,)) in {(v.rule, v.events) for v in generic.violations}
+            refused.append(rule)
+    # both mutants are made often
+    assert min(refused.count("bcast-not-permitted"), refused.count("neighbor-not-permitted")) > 20
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="F1, ROADMAP item 2")
