@@ -40,12 +40,15 @@ from .core import (
     Event,
     FULL_TURN,
     NodeId,
+    Receive,
     Setting,
     SystemParams,
     Ticks,
     Trace,
     Verdict,
     Violation,
+    _lattice,
+    _root,
     _signed,
     flight_ticks,
 )
@@ -115,23 +118,25 @@ def _relay_justified(
     trace: Trace,
     setting: Setting,
     ticks: Ticks,
-    least_gap: Callable[[NodeId, NodeId], int],
+    least_gap: Callable[[NodeId, Receive], int],
     own_only: bool,
 ) -> bool:
     """Some qualifying earlier reception of the same message exists.
 
     A reception r qualifies when it is the casting node's own under
     own_only, any adversarial node's otherwise, and the relay gap
-    e.start - r.start is at least delta_relay plus the adversary-channel
-    flight time between the two nodes (0 for one node), less epsilon.
-    The gap is read by the check's ticks, the cast's start once and each
-    source's start as it is tried, and the bound rounded up, as
-    ``least_gap`` reads it per node pair.
+    e.start - r.start is at least the bound: delta_relay plus the
+    adversary-channel flight time between the two nodes (0 for one
+    node).  In approximate mode the bound is less epsilon when it, or
+    r's own flight, is irrational, and only then: r.start is then a
+    rational record of an irrational instant.  The gap is read by the
+    check's ticks, the cast's start once and each source's start as it
+    is tried, and the bound rounded up, as ``least_gap`` reads it.
     """
     start = ticks.of(e.start)
     for r in trace.receptions_of(e.msg):
         source = r.actor == e.actor if own_only else setting.is_adversarial(r.actor)
-        if source and start - ticks.of(r.start) >= least_gap(e.actor, r.actor):
+        if source and start - ticks.of(r.start) >= least_gap(e.actor, r):
             return True
     return False
 
@@ -162,22 +167,28 @@ def check_adversary_feasible(
     Instants are read by the trace's ticks over the lcm of the trace's D
     and the denominator of num.epsilon (``Trace.ticks``): each
     adversarial cast's start once, and the start of each reception that
-    may justify it as it is tried (``_relay_justified``).  A relay gap
-    qualifies when it is at least the bound less epsilon: in ticks, the
-    ceiling of the bound's ticks less E = epsilon·D, which is exact
-    because E is an int.  The bound holds at most one square root, the
-    adversary-channel distance, read as ``flight_ticks`` reads it, from
-    the setting's root memo.
+    may justify it as it is tried (``_relay_justified``).  The bound
+    holds at most one square root, the adversary-channel distance, and
+    ``flight_ticks`` reads it from the setting's root memo as its least
+    tick: its ceiling, less E = epsilon·D when it is irrational.  A
+    rational bound is less E only where the justifying reception's flight
+    is irrational, since that reception's start is then a rational record
+    of its instant; that root is looked up only at epsilon > 0.  So E is
+    taken at most once, and every gap is exact wherever every distance is
+    rational.
     """
     violations: list[Violation] = []
     spec = ADVERSARIES[model.kind]
     ticks = trace.ticks(num.epsilon.as_integer_ratio()[1])
-    slack = ticks.of(num.epsilon)  # E
-    bound = flight_ticks(setting, params.v_adv, ticks.den, num.exact, model.delta_relay)
+    bound = flight_ticks(setting, params.v_adv, ticks.den, num, model.delta_relay)
+    slack, coords = ticks.of(num.epsilon), _lattice(setting)[1]  # E
 
-    def least_gap(sender: NodeId, receiver: NodeId) -> int:
-        """The least relay gap in ticks: the ceiling of delta_relay + dist / v_adv, less E."""
-        return bound(sender, receiver)[1] - slack
+    def least_gap(sender: NodeId, r: Receive) -> int:
+        """The least gap in ticks from r to a cast by sender (``_relay_justified``)."""
+        low, high = bound(sender, r.actor)  # low < high: an irrational bound, less E
+        if slack and low >= high and r.sender in coords:
+            low -= slack if _root(setting, coords, r.sender, r.actor) is None else 0
+        return low
 
     for e in trace:
         cast = _CASTS.get(type(e))

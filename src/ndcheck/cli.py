@@ -380,8 +380,8 @@ def _add_common_options(parser: argparse.ArgumentParser, suppress: bool) -> None
         "--approx",
         metavar="EPS",
         default=default,
-        help="tolerance where an instant meets a flight or a distance estimate; "
-        "a node's own stamps and peer times stay exact (default: exact arithmetic)",
+        help="tolerance for an instant with no rational value, as at an irrational "
+        "distance; every rational value stays exact (default: exact arithmetic)",
     )
     parser.add_argument(
         "--format",

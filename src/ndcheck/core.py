@@ -28,8 +28,9 @@ Conventions baked in here:
 - the checks compare instants as integers, in both modes: each reads
   every instant t as t·D, over one common denominator D (``Ticks``),
   and every distance as an integer r over the lcm c of the setting's
-  coordinate denominators (``dist_ratio``); approximate mode reads an
-  irrational flight time as the two ticks around it (``flight_ticks``).
+  coordinate denominators (``dist_ratio``); approximate mode widens
+  only an irrational flight time, to the ticks within epsilon of it
+  (``flight_ticks``).
 """
 
 from __future__ import annotations
@@ -829,20 +830,23 @@ def flight_ticks(
     setting: Setting,
     speed: Fraction,
     den: int,
-    exact: bool = True,
+    num: Num = EXACT,
     lead: Fraction = Fraction(0),
 ) -> Callable[[NodeId, NodeId], tuple[int, int]]:
-    """The reader of the instant lead + |ab|/speed, for node pairs (a, b),
-    in ticks of 1/den, as its floor and its ceiling: equal when the
-    instant is on the grid.  The constants are worked out once, here.
+    """The reader of the instant x = lead + |ab|/speed, for node pairs (a,
+    b), in ticks of 1/den, as the least and the greatest tick that count as
+    x: (ceil(x·den), floor(x·den)), one tick when x is on the grid and none
+    otherwise.  The constants are worked out once, here.
 
-    With r = c·|ab| as in ``dist_ratio``, the instant times den is one
-    fraction whose numerator holds r times an int k.  A rational r gives
-    it exactly.  An irrational r raises IrrationalDistance in exact mode;
-    in approximate mode k·r is read as its floor, math.isqrt of (k·r)²,
-    and that plus one, which give the floor and the ceiling of the
-    instant exactly: the instant is irrational, so it lies strictly
-    between two ticks.
+    With r = c·|ab| as in ``dist_ratio``, x·den is one fraction whose
+    numerator holds r times an int k.  A rational r gives it exactly.  An
+    irrational r raises IrrationalDistance in exact mode.  In approximate
+    mode x has no rational value, and every tick within num.epsilon of it
+    counts as x: (ceil(x·den) - E, floor(x·den) + E), for E = epsilon·den,
+    an int, since den is a multiple of epsilon's denominator.  k·r is read
+    as its floor, math.isqrt of (k·r)², which gives floor(x·den) exactly,
+    and the ceiling is one more: x lies strictly between two ticks.  This
+    is the one place where epsilon meets a flight.
     """
     (p, q), (m, n) = lead.as_integer_ratio(), speed.as_integer_ratio()
     c, coords, _ = _lattice(setting)
@@ -852,13 +856,12 @@ def flight_ticks(
     def read(a: NodeId, b: NodeId) -> tuple[int, int]:
         r = _root(setting, coords, a, b)
         if r is not None:
-            low = high = r * k
-        elif exact:
+            return -(-(head + r * k) // under), (head + r * k) // under
+        if num.exact:
             raise _irrational(setting, a, b)
-        else:
-            low = math.isqrt(_squared(coords, a, b) * k * k)
-            high = low + 1
-        return (head + low) // under, -(-(head + high) // under)
+        floor = (head + math.isqrt(_squared(coords, a, b) * k * k)) // under
+        slack = Ticks(den).of(num.epsilon)  # E
+        return floor + 1 - slack, floor + slack
 
     return read
 
@@ -1201,26 +1204,27 @@ class _Physics:
     memo.  A covered receiver's flight is read that way, from the r its
     coverage entry keeps: no pair lookup, no division.
 
-    ``flight[a, b]`` is the flight time from a to b in ticks, as (floor,
-    ceiling) (``flight_ticks``), in the pass's flight memo
-    (``_PairMemo``): each ordered pair it is asked about is read once and
-    kept for the pass.  It serves what a kept root cannot: an irrational
-    pair, which raises IrrationalDistance in exact mode and reads as the
-    two ticks around it in approximate mode, and the receptions that
-    ``check_setting_feasible`` matches by a scan.  A directional cast's
-    sector is decided (``inrange``, which keeps nothing) once per
-    reachable receiver, when ``coverage`` first covers the cast.
+    ``flight[a, b]`` is the flight time from a to b in ticks, as the least
+    and the greatest tick that count as it (``flight_ticks``), in the
+    pass's flight memo (``_PairMemo``): each ordered pair it is asked
+    about is read once and kept for the pass.  It serves what a kept root
+    cannot: an irrational pair, which raises IrrationalDistance in exact
+    mode and reads as the ticks within epsilon of it in approximate mode,
+    and the receptions that ``check_setting_feasible`` matches by a scan.
+    A directional cast's sector is decided (``inrange``, which keeps
+    nothing) once per reachable receiver, when ``coverage`` first covers
+    the cast.
     """
 
     __slots__ = ("setting", "params", "ticks", "scale", "memo", "links", "flight")
 
-    def __init__(self, setting: Setting, params: SystemParams, exact: bool, ticks: Ticks):
+    def __init__(self, setting: Setting, params: SystemParams, num: Num, ticks: Ticks):
         self.setting, self.params, self.ticks = setting, params, ticks
         (m, n), c = params.v.as_integer_ratio(), _lattice(setting)[0]
         self.scale = n * (ticks.den // (c * m))  # D is a multiple of c·m (_grid)
         self.memo: Optional[dict[Event, Coverage]] = None  # the setting's, for this speed
         self.links: dict[tuple[NodeId, NodeId], tuple[tuple[int, Optional[int]], ...]] = {}
-        self.flight = _PairMemo(flight_ticks(setting, params.v, ticks.den, exact))
+        self.flight = _PairMemo(flight_ticks(setting, params.v, ticks.den, num))
 
     def up(self, a: NodeId, b: NodeId, t0: int, t1: int) -> bool:
         """link_up_over, on ticks."""
@@ -1254,6 +1258,8 @@ class _Physics:
         The window of an irrational arrival is scanned from the arrival's
         floor tick.  That is exact: phase bounds are ticks, and a tick is
         at most an irrational instant exactly when it is at most its floor.
+        The flight memo's reading is symmetric about the instant, so the
+        floor of its midpoint is that floor tick, whatever epsilon.
         """
         setting, memo = self.setting, self.memo
         if memo is None:
@@ -1269,7 +1275,7 @@ class _Physics:
                 if isinstance(e, Dcast) and not inrange(setting, actor, e.direction, e.angle, dest):
                     continue
                 r = _root(setting, coords, actor, dest)
-                at = start + (self.flight[actor, dest][0] if r is None else r * self.scale)
+                at = start + (sum(self.flight[actor, dest]) // 2 if r is None else r * self.scale)
                 entries.append((dest, self.up(actor, dest, at, at + span), r))
             cover = memo[e] = tuple(entries)
         return cover
@@ -1295,24 +1301,26 @@ def check_setting_feasible(
     the lcm of the trace's D (see ``Trace``), of every link bound's
     denominator, of a multiple of every rational flight time's
     (``_grid``, from the coordinates, asking for no flight time) and of
-    the denominator of num.epsilon, which reads as E = epsilon·D ticks
-    (0 in exact mode).  It is put together at each call from the D the
-    trace keeps and the lcms the setting keeps.  Each event's start is
-    read by it once, into a list in canonical order, and the link phases
-    the call asks for are taken to ticks once each; all are dropped when
-    it returns.  A flight time reads as its floor F and ceiling C, and a
-    reception at A is one flight time after a send at S, within epsilon,
-    exactly when S + C - E <= A <= S + F + E.  A covered receiver's
-    flight is F = C = r·scale, from the root its coverage entry keeps
-    (see ``_Physics``); the pass's flight memo (``flight_ticks``, one
-    read per pair) serves an irrational covered pair and the receptions
-    matched by a scan.
+    the denominator of num.epsilon, so that epsilon is a whole number of
+    ticks.  It is put together at each call from the D the trace keeps
+    and the lcms the setting keeps.  Each event's start is read by it
+    once, into a list in canonical order, and the link phases the call
+    asks for are taken to ticks once each; all are dropped when it
+    returns.  A flight time reads as the least and the greatest tick that
+    count as it, early and late, and a reception at A is one flight time
+    after a send at S exactly when S + early <= A <= S + late.  A rational
+    flight is one tick, early = late, in either mode; only an irrational
+    flight, in approximate mode, spans the ticks within epsilon of it
+    (``flight_ticks``).  A covered receiver's rational flight is r·scale,
+    from the root its coverage entry keeps (see ``_Physics``); the pass's
+    flight memo (one read per pair) serves an irrational covered pair and
+    the receptions matched by a scan.
 
     Matching goes through indexes built at each call and dropped when it
     returns: the broadcast starts and directional casts keyed by
     ``(sender, msg)`` and the reception starts keyed by ``(receiver,
-    sender, msg)``, built in one pass; and, when E = 0, the arrivals on
-    the grid of the transmissions met so far, keyed by ``(receiver,
+    sender, msg)``, built in one pass; and the arrivals over rational
+    flights of the transmissions met so far, keyed by ``(receiver,
     sender, msg, arrival)``, each with its link fact from the setting's
     coverage memo (see ``Setting``) and the kinds of transmission that
     arrive there.  A covered node is compared with the receptions
@@ -1328,13 +1336,12 @@ def check_setting_feasible(
     other receptions are matched by a scan of their sender's
     transmissions of the message, one flight time earlier, and their
     link is scanned afresh: those over an undeclared link, those at an
-    instant no transmission explains, and every reception when E > 0.
+    instant no transmission explains, and those over an irrational flight.
     """
     violations: list[Violation] = []
     known = set(setting.nodes)
     ticks = trace.ticks(math.lcm(_grid(setting, params), num.epsilon.as_integer_ratio()[1]))
-    slack = ticks.of(num.epsilon)  # E
-    phys = _Physics(setting, params, num.exact, ticks)
+    phys = _Physics(setting, params, num, ticks)
     scale, events = phys.scale, trace.events
     starts = [ticks.of(e.start) for e in events]
 
@@ -1352,7 +1359,7 @@ def check_setting_feasible(
             dcasts.setdefault((e.actor, e.msg), []).append((at, e))
 
     # (link up, by a broadcast, by a directional cast) per (receiver, sender,
-    # message, arrival) of the transmissions met so far; E = 0 only
+    # message, arrival) of the transmissions met so far, over rational flights
     arrivals: dict[tuple[NodeId, NodeId, Message, int], tuple[bool, bool, bool]] = {}
 
     for e, at in zip(events, starts):
@@ -1371,9 +1378,9 @@ def check_setting_feasible(
                 link_up, bcast_match, dcast_match = met
             else:
                 link_up = phys.up(e.sender, e.actor, at, at + ticks.of(e.msg.duration))
-                floor, ceil = phys.flight[e.sender, e.actor]
-                # the sends S with S + C - E <= at <= S + F + E
-                low, high = at - floor - slack, at - ceil + slack
+                early, late = phys.flight[e.sender, e.actor]
+                # the sends S with S + early <= at <= S + late
+                low, high = at - late, at - early
                 source = (e.sender, e.msg)
                 sent = bcast_starts.get(source, ())
                 bcast_match = bisect_left(sent, low) < bisect_right(sent, high)
@@ -1422,13 +1429,11 @@ def check_setting_feasible(
                         )
                     )
             for dest, up, r in phys.coverage(e):
+                # the receptions A with S + early <= A <= S + late
                 if r is None:  # irrational: exact mode raises here
-                    floor, ceil = phys.flight[e.actor, dest]
-                else:
-                    floor = ceil = r * scale
-                # the receptions A with S + C - E <= A <= S + F + E
-                low, high = at + ceil - slack, at + floor + slack
-                if not slack and floor == ceil:
+                    low, high = (at + tick for tick in phys.flight[e.actor, dest])
+                else:  # one tick, indexed for the receptions met later
+                    low = high = at + r * scale
                     key = (dest, e.actor, e.msg, low)
                     _, bcast_met, dcast_met = arrivals.get(key, (up, False, False))
                     arrivals[key] = (up, bcast_met or by_bcast, dcast_met or not by_bcast)
@@ -1462,7 +1467,7 @@ def induced_receives(sends: Iterable[Event], setting: Setting, params: SystemPar
     """
     sends = [e for e in sends if isinstance(e, (Bcast, Dcast))]
     ticks = Ticks(math.lcm(_grid(setting, params), _denominator(sends)))
-    phys = _Physics(setting, params, True, ticks)
+    phys = _Physics(setting, params, EXACT, ticks)
     scale, induced = phys.scale, []
     for e in sends:
         start = ticks.of(e.start)

@@ -42,8 +42,8 @@ decision function offers exact stamps only.  In both modes they agree on
 what a correct node copies from its own record, the stamp time of its
 beacon (its transmission start) and a declared peer time (its reception
 start): both are compared exactly.  Approximate mode's epsilon reaches
-the direct route only through pgt's estimate window, where an instant is
-compared with a distance between two places.
+the direct route only through pgt's estimate window, and only where the
+location estimate, a distance between two places, is irrational.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ from .core import (
     _signed,
     project_local,
 )
-from .rational import EXACT, Num
+from .rational import EXACT, Num, _isqrt_exact
 
 NAIVE = "naive"
 PT = "pt"
@@ -166,9 +166,16 @@ def pgt_accepts(
     beacon: BeaconTL,
     num: Num = EXACT,
 ) -> bool:
-    """Agreement of the time- and location-derived distance estimates,
-    exact, or within num.epsilon in approximate mode (``_estimates_agree``)."""
-    return _estimates_agree(params, owner_loc, receive_start, beacon, num.epsilon)
+    """Agreement of the time- and location-derived distance estimates
+    (``_estimates_agree``): exact, or, in approximate mode, within
+    num.epsilon where the location estimate has no rational value.  That
+    is tested only at epsilon > 0, so exact mode does no more work: the
+    squared estimate n/d has a square d, so it is a rational square
+    exactly when n is."""
+    window = num.epsilon
+    if window and _isqrt_exact(_sq_dist_ratio(owner_loc, beacon.beacon_loc)[0]) is not None:
+        window = Fraction(0)  # a rational estimate is compared exactly
+    return _estimates_agree(params, owner_loc, receive_start, beacon, window)
 
 
 def pgt_approx_accepts(

@@ -1,14 +1,18 @@
 """Exact rational scalars and the numeric comparison context.
 
 All quantities in the model (times, coordinates, speeds) are rational
-numbers.  Exact mode compares them with plain equality; approximate mode
-allows irrational distances and relaxes equality to a caller-supplied
-epsilon where an instant is compared with a flight or a location
-estimate between two places.  What a node copies from its own record, a
-beacon's stamp time and a declared peer time, is compared exactly in
-both modes.  Both modes decide every comparison exactly, in integers: an
-irrational flight time is read as the integer ticks just below and just
-above it (see ``core.Ticks``), never as a float.
+numbers.  Exact mode compares them with plain equality and refuses an
+irrational distance.  Approximate mode is exact mode plus one thing: an
+instant whose true value is irrational, a flight time or a relay bound
+over an irrational distance, or pgt's location estimate at one, is met
+by a rational record within a caller-supplied epsilon of it.  Every
+quantity that has a rational value, a node's own stamp and peer times
+included, is compared exactly in both modes, so approximate mode gives
+exact mode's verdicts wherever every distance is rational, whatever
+epsilon.
+Both modes decide every comparison exactly, in integers: an irrational
+flight time is read as the integer ticks just below and just above it
+(see ``core.Ticks``), never as a float.
 """
 
 from __future__ import annotations
@@ -150,10 +154,10 @@ class Num:
 
     exact     whether an irrational distance is an error (exact mode) or
               is compared by the ticks around it (approximate mode)
-    epsilon   how far an instant may differ from a flight or a location
-              estimate between two places and still count as equal; 0 in
-              exact mode.  A node's own copies (beacon stamp times,
-              declared peer times) are compared exactly in either mode
+    epsilon   how far a rational record may lie from an instant that has
+              no rational value and still count as equal to it; 0 in
+              exact mode.  Every rational value is compared exactly in
+              either mode
     """
 
     exact: bool = True

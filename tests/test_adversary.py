@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from ndcheck import (
     RELAY,
     RELAY_BCAST,
     RELAY_LOCAL,
+    Receive,
     Setting,
     Trace,
     availability_witness,
@@ -86,6 +88,59 @@ def test_too_fast_relay_rejected(unit_params):
         model = AdversaryModel(kind, unit_params.delta_relay)
         verdict = check_adversary_feasible(trace, setting, unit_params, model)
         assert "relay-unjustified" in verdict.rules()
+
+
+def test_epsilon_never_shortens_a_rational_relay_gap(unit_params):
+    """Every distance of the chain is rational, so approximate mode decides
+    the relay rule exactly: a relay 1/2000 short of delta_relay is refused
+    under epsilon 1/1000, as in exact mode, and one at delta_relay passes."""
+    num = approx_num(F(1, 1000))
+    for gap, ok in ((unit_params.delta_relay, True), (unit_params.delta_relay - F(1, 2000), False)):
+        trace, setting = relayed_trace(unit_params, gap=gap)
+        for kind in (RELAY, RELAY_LOCAL, DY_T):
+            model = AdversaryModel(kind, unit_params.delta_relay)
+            verdict = check_adversary_feasible(trace, setting, unit_params, model, num)
+            assert verdict == check_adversary_feasible(trace, setting, unit_params, model)
+            assert verdict.ok == ok
+
+
+def _below_root(q):
+    """A rational within 10**-12 below sqrt(q), for an integer q that is no square."""
+    return F(math.isqrt(q * 10**24), 10**12)
+
+
+def test_epsilon_widens_a_relay_gap_once_where_a_root_is_read(unit_params):
+    """Under epsilon 1/1000, C relays what X received from B, with a gap
+    short of the bound delta_relay + |CX|/v_adv by 1/2000 (passes) or by
+    2/1000 (refused), where the bound holds a root (X = D), where X's
+    reception is the record of a flight with one (X = E), and where both
+    do (X = G).  A gap short by 3/2000 is refused in each: epsilon is taken
+    once, even where two roots are read."""
+    setting = Setting(
+        nodes=("B", "C", "D", "E", "G"),
+        loc={
+            "B": (F(0), F(0)),
+            "C": (F(4), F(5)),
+            "D": (F(3), F(4)),  # |BD| = 5, |CD| = sqrt(2)
+            "E": (F(1), F(1)),  # |BE| = sqrt(2), |CE| = 5
+            "G": (F(1), F(2)),  # |BG| = sqrt(5), |CG| = sqrt(18)
+        },
+        node_type={"B": CORRECT, "C": ADVERSARIAL, "D": ADVERSARIAL, "E": ADVERSARIAL, "G": ADVERSARIAL},
+    )
+    msg = Opaque("m", F(1))
+    model = AdversaryModel(RELAY, unit_params.delta_relay)
+    num = approx_num(F(1, 1000))
+    # the receiver, its reception start and the bound, each a root read from below
+    cases = (
+        ("D", F(5), unit_params.delta_relay + _below_root(2)),
+        ("E", _below_root(2), unit_params.delta_relay + 5),
+        ("G", _below_root(5), unit_params.delta_relay + _below_root(18)),
+    )
+    for x, heard, bound in cases:
+        for by, ok in ((F(1, 2000), True), (F(2, 1000), False), (F(3, 2000), False)):
+            cast = Dcast("C", heard + bound - by, F(0), F(2), msg)
+            trace = Trace([Bcast("B", F(0), msg), Receive(x, heard, "B", msg), cast])
+            assert check_adversary_feasible(trace, setting, unit_params, model, num).ok == ok
 
 
 def test_delta_relay_monotonicity(unit_params):

@@ -12,14 +12,23 @@ correctness) must report the same multiset of rule names:
   setting (nodes, locations, types and link ends) and in the trace
   (actors, senders, peers, beacon creators and the naive protocol's
   tokens), mapped.  Renaming changes the node order, and with it the
-  canonical order of events that share a start.
+  canonical order of events that share a start;
+- scaling by k > 0, with the speeds fixed: every start, duration, beacon
+  time, peer time, link bound, coordinate and beacon location, the
+  parameters nd_range, delta_relay and the default message duration,
+  the error bounds delta and tau, and approximate mode's epsilon, times k.
+  A sector is scaled about its apex, so its rays keep their directions.
 
-All three hold in exact mode and in approximate mode, since every rule
+All four hold in exact mode and in approximate mode, since every rule
 compares differences of instants and of points, and none reads a node's
-name.  The inputs are the generators' settings and traces for every
-protocol and adversary model, each with a mutant that drops one event
-and one that moves one event's start, so that the relations are also
-tried on traces with violations.
+name; each comparison of a time with a distance divides it by a speed,
+and each tolerance is scaled with what it bounds.  The generated casts
+have quarter-turn sectors only, so no scaled case meets an eighth-turn
+ray, whose float decision (F2, ROADMAP item 4) is not scale-free.  The
+inputs are the generators' settings and traces for every protocol and
+adversary model, each with a mutant that drops one event and one that
+moves one event's start, so that the relations are also tried on traces
+with violations.
 Some shifts have large prime denominators, so that the shifted trace's
 tick denominator is another than the original's.
 """
@@ -112,6 +121,48 @@ def rename(scenario, trace, mapping):
     return replace(scenario, setting=moved), Trace(map(event, trace))
 
 
+def scale(scenario, trace, k):
+    """The scenario and trace with every time, duration and length k times
+    as large, and the speeds as they are."""
+
+    def point(p):
+        return (p[0] * k, p[1] * k)
+
+    def message(m):
+        m = replace(m, duration=m.duration * k)
+        if isinstance(m, (BeaconT, BeaconTL)):
+            m = replace(m, beacon_time=m.beacon_time * k)
+        if isinstance(m, BeaconTL):
+            m = replace(m, beacon_loc=point(m.beacon_loc))
+        return m
+
+    def event(e):
+        if isinstance(e, Neighbor):
+            return replace(e, start=e.start * k, peer_time=e.peer_time * k)
+        return replace(e, start=e.start * k, msg=message(e.msg))
+
+    s, p, inacc = scenario.setting, scenario.params, scenario.inaccuracy
+    links = {
+        pair: tuple((start * k, None if end is None else end * k) for start, end in phases)
+        for pair, phases in s.link_schedule.items()
+    }
+    moved = Setting(s.nodes, {node: point(q) for node, q in s.loc.items()}, s.node_type, links)
+    scaled = replace(
+        scenario,
+        params=replace(
+            p,
+            nd_range=p.nd_range * k,
+            delta_relay=p.delta_relay * k,
+            msg_duration_default=p.msg_duration_default * k,
+        ),
+        setting=moved,
+        adversary=replace(scenario.adversary, delta_relay=scenario.adversary.delta_relay * k),
+        inaccuracy=inacc and InaccuracyParams(inacc.delta * k, inacc.tau * k),
+        horizon=scenario.horizon * k,
+    )
+    return scaled, Trace(map(event, trace))
+
+
 def layer_rules(scenario, trace, num):
     """Each layer's multiset of rule names, in the order ``check`` reports them."""
     verdicts = cli._verdicts(trace, scenario, num)
@@ -187,3 +238,14 @@ def test_renaming_keeps_every_layers_rules(run, data):
         renamed = rename(scenario, trace, mapping)
         for num in MODES:
             assert layer_rules(*renamed, num) == layer_rules(scenario, trace, num), num
+
+
+@settings(max_examples=200, deadline=None)
+@given(_runs(), st.sampled_from((F(2), F(1, 3))))
+def test_scaling_keeps_every_layers_rules(run, k):
+    scenario, traces = run
+    for trace in traces:
+        scaled = scale(scenario, trace, k)
+        for num in MODES:
+            wider = num if num.exact else approx_num(num.epsilon * k)
+            assert layer_rules(*scaled, wider) == layer_rules(scenario, trace, num), num

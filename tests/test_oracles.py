@@ -486,6 +486,12 @@ def _root_within(x, q, eps):
     return _root_at_most(x + eps, q) and not _root_below(x - eps, q)
 
 
+def _tolerance(num, *squares):
+    """Approximate mode's epsilon where some flight f = sqrt(q) is irrational,
+    and 0 where every one is rational: a rational value is compared exactly."""
+    return 0 if all(is_rational_square(q) for q in squares) else num.epsilon
+
+
 def _rational_near_root(q):
     """sqrt(q) when it is rational, else the multiple of 1/10**6 just below it."""
     if is_rational_square(q):
@@ -553,7 +559,7 @@ def test_linked_coverage_matches_scan_of_every_node(data):
             if not any(
                 isinstance(r, Receive)
                 and (r.actor, r.sender, r.msg) == (dest, e.actor, e.msg)
-                and _root_within(r.start - e.start, q, num.epsilon)
+                and _root_within(r.start - e.start, q, _tolerance(num, q))
                 for r in trace
             ):
                 detail = f"{dest} {reach} but no matching reception"
@@ -591,13 +597,17 @@ def _scanned_adversary(trace, setting, model, num, params=_PARAMS):
         for r in trace:
             if not isinstance(r, Receive) or r.msg != e.msg:
                 continue
-            # the gap must be at least the bound less epsilon
-            slack = e.start - r.start - model.delta_relay + num.epsilon
+            # the gap must be at least the bound, less epsilon where the
+            # bound or the reception's own flight is irrational
+            squares = [_squared_flight(setting, e.actor, r.actor, params.v_adv)]
+            if r.sender in setting.loc:
+                squares.append(_squared_flight(setting, r.sender, r.actor, params.v))
+            slack = e.start - r.start - model.delta_relay + _tolerance(num, *squares)
             if local:
                 if r.actor == e.actor and slack >= 0:
                     justified = True
             elif setting.is_adversarial(r.actor):
-                if _root_at_most(slack, _squared_flight(setting, e.actor, r.actor, params.v_adv)):
+                if _root_at_most(slack, squares[0]):
                     justified = True
         if not justified:
             found.append(("relay-unjustified", detail, e))
@@ -650,7 +660,7 @@ def _scanned_physics(trace, setting, num, params=_PARAMS):
                 for s in trace
                 if isinstance(s, (Bcast, Dcast))
                 and (s.actor, s.msg) == (e.sender, e.msg)
-                and _root_within(e.start - s.start, q, num.epsilon)
+                and _root_within(e.start - s.start, q, _tolerance(num, q))
                 and (isinstance(s, Bcast) or inrange(setting, s.actor, s.direction, s.angle, e.actor))
             }
             if len(kinds) == 2:
@@ -665,7 +675,7 @@ def _scanned_physics(trace, setting, num, params=_PARAMS):
                 if not any(
                     isinstance(r, Receive)
                     and (r.actor, r.sender, r.msg) == (dest, e.actor, e.msg)
-                    and _root_within(r.start - e.start, q, num.epsilon)
+                    and _root_within(r.start - e.start, q, _tolerance(num, q))
                     for r in trace
                 ):
                     found.append((rule, e))
@@ -830,13 +840,15 @@ def test_warm_coverage_memo_matches_full_scan(data):
             assert found == _scanned_physics(trace, fresh(), mode)
 
 
-def test_approximate_mode_at_zero_epsilon_gives_exact_verdicts():
+def test_approximate_mode_gives_exact_verdicts_where_every_distance_is_rational():
     """On the soundness corpora of acceptance criteria 3 and 4, and on each
-    of their traces with one reception moved by 1/7 and with one event
-    dropped, approx_num(0) gives exact mode's physics, direct protocol and
-    adversary verdicts: every distance is rational and nothing is
-    tolerated, so the two modes decide alike."""
-    zero = approx_num(F(0))
+    of their traces with one reception moved by 1/7, with one reception
+    moved by 1/2000, within epsilon, and with one event dropped,
+    approx_num(0) and approx_num(1/1000) give exact mode's physics, direct
+    protocol and adversary verdicts: every distance is rational, and
+    epsilon meets only an instant with no rational value, so the modes
+    decide alike."""
+    modes = (approx_num(F(0)), approx_num(F(1, 1000)))
     violated = 0
     for seed, protocol, adversary_kind, above in (
         (20080318, PT, DY_T, True),
@@ -854,21 +866,24 @@ def test_approximate_mode_at_zero_epsilon_gives_exact_verdicts():
                 traces.append(Trace([e for e in trace if e != gone]))
             receptions = list(trace.of_kind(Receive))
             if receptions:
-                r = pick.choice(receptions)
-                moved = Receive(r.actor, r.start + F(1, 7), r.sender, r.msg)
-                traces.append(Trace([e for e in trace if e != r] + [moved]))
+                for shift in (F(1, 7), F(1, 2000)):
+                    r = pick.choice(receptions)
+                    moved = Receive(r.actor, r.start + shift, r.sender, r.msg)
+                    traces.append(Trace([e for e in trace if e != r] + [moved]))
             for t in traces:
-                verdicts = [
-                    (
+                exact = (
+                    check_setting_feasible(t, setting, params),
+                    protocol_verdict(t, setting, protocol, params, None),
+                    check_adversary_feasible(t, setting, params, model),
+                )
+                for num in modes:
+                    assert exact == (
                         check_setting_feasible(t, setting, params, num),
                         protocol_verdict(t, setting, protocol, params, None, num),
                         check_adversary_feasible(t, setting, params, model, num),
                     )
-                    for num in (EXACT, zero)
-                ]
-                assert verdicts[0] == verdicts[1]
-                violated += not all(v.ok for v in verdicts[0])
-    assert violated > 2000  # the mutants are not vacuous
+                violated += not all(v.ok for v in exact)
+    assert violated > 5000  # the mutants are not vacuous
 
 
 def _outcome(check):
@@ -1232,8 +1247,8 @@ def test_memoized_geometry_matches_fresh_decisions(data):
         if mode.exact:
             assert time_of_flight(setting, params, a, b) == time_of_flight(fresh(), params, a, b)
         den = data.draw(st.sampled_from((1, 7, 1000)))
-        memoized = core.flight_ticks(setting, params.v, den, mode.exact)(a, b)
-        assert memoized == core.flight_ticks(fresh(), params.v, den, mode.exact)(a, b)
+        memoized = core.flight_ticks(setting, params.v, den, mode)(a, b)
+        assert memoized == core.flight_ticks(fresh(), params.v, den, mode)(a, b)
 
 
 @settings(max_examples=150)
@@ -1251,12 +1266,12 @@ def test_covered_root_times_scale_is_the_flight(data):
     base = math.lcm(core._grid(setting, params), core._denominator(sends))
     filled = base * data.draw(st.integers(1, 6), "D / base")
     other = filled * data.draw(st.integers(2, 5), "other D / filling D")
-    filler = core._Physics(setting, params, num.exact, Ticks(filled))
+    filler = core._Physics(setting, params, num, Ticks(filled))
     covered = [(e, filler.coverage(e)) for e in sends]
     unsafe = None
     for den in (filled, other, base):
-        phys = core._Physics(setting, params, num.exact, Ticks(den))
-        read = core.flight_ticks(setting, params.v, den, num.exact)
+        phys = core._Physics(setting, params, num, Ticks(den))
+        read = core.flight_ticks(setting, params.v, den, num)
         for e, cover in covered:
             assert phys.coverage(e) is cover
             for dest, _, r in cover:
@@ -1308,7 +1323,8 @@ def test_integer_geometry_matches_fraction_formulas(data):
     relay gap, read in integers from the setting's root memo, equal the
     Fraction formulas, over coordinates of mixed denominators; an irrational
     pair raises the IrrationalDistance that exact_sqrt gives for it in exact
-    mode, and in approximate mode reads as the ticks just below and above."""
+    mode, and at epsilon 0 in approximate mode reads as the ticks just above
+    and just below, so that no tick counts as it."""
     points = data.draw(_point_sets())
     names = "ABCDEF"[: len(points)]
     loc = dict(zip(names, points))
@@ -1318,8 +1334,8 @@ def test_integer_geometry_matches_fraction_formulas(data):
     delta_relay = data.draw(st.fractions(0, 3, max_denominator=11), "delta_relay")
     params = SystemParams(v, v_adv, F(10), delta_relay, F(1))
     ticks = Ticks(core._grid(setting, params) * data.draw(st.integers(1, 12), "D / grid"))
-    phys = core._Physics(setting, params, True, ticks)
-    approx = core._Physics(setting, params, False, ticks)
+    phys = core._Physics(setting, params, EXACT, ticks)
+    approx = core._Physics(setting, params, approx_num(F(0)), ticks)
     # the adversary's least-gap function, over the ticks of a one-cast trace
     start = data.draw(st.fractions(0, 5, max_denominator=17), "cast start")
     trace = Trace([Dcast(names[0], start, F(0), F(2), Opaque("m", F(1)))])
@@ -1338,6 +1354,7 @@ def test_integer_geometry_matches_fraction_formulas(data):
     for a in names:
         for b in names:
             squared = sq_dist(loc[a], loc[b])
+            own = Receive(b, F(0), b, Opaque("m", F(1)))  # a flight of 0: the bound alone
             try:
                 d = exact_sqrt(squared)
             except IrrationalDistance as exc:
@@ -1345,26 +1362,26 @@ def test_integer_geometry_matches_fraction_formulas(data):
                     lambda: dist(setting, a, b),
                     lambda: time_of_flight(setting, params, a, b),
                     lambda: phys.flight[a, b],
-                    lambda: least_gap(a, b),
+                    lambda: least_gap(a, own),
                 ):
                     with pytest.raises(IrrationalDistance) as raised:
                         read()
                     assert str(raised.value) == str(exc)
                 # the flight's ticks lie strictly between floor and floor + 1
                 low = math.isqrt(math.floor(squared * ticks.den**2 / v**2))
-                assert approx.flight[a, b] == (low, low + 1)
+                assert approx.flight[a, b] == (low + 1, low)
                 # the least gap g: the least int with g >= D·(delta_relay + |ab|/v_adv)
                 den = trace_ticks.den
                 q, lead = squared * den**2 / v_adv**2, delta_relay * den
                 gap = math.ceil(lead + math.isqrt(math.floor(q)))
                 while not _root_at_most(gap - lead, q):
                     gap += 1
-                assert approx_gap(a, b) == gap
+                assert approx_gap(a, own) == gap
                 continue
             assert (type(dist(setting, a, b)), dist(setting, a, b)) == (Fraction, d)
             assert time_of_flight(setting, params, a, b) == d / v
             assert phys.flight[a, b] == approx.flight[a, b] == (ticks.of(d / v),) * 2
-            assert least_gap(a, b) == approx_gap(a, b) == trace_ticks.ceil(delta_relay + d / v_adv)
+            assert least_gap(a, own) == approx_gap(a, own) == trace_ticks.ceil(delta_relay + d / v_adv)
 
 
 @settings(max_examples=200)

@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -321,15 +322,28 @@ def test_integer_stamp_location_bound_matches_fraction_formula(data):
 
 
 def test_pgt_approx_mode_decides_a_speed_that_rounds_to_zero():
-    """A speed that rounds to 0.0 as a float is decided exactly: the
-    location estimate 5/v is 5·10**997, and the window is epsilon about it."""
+    """A speed that rounds to 0.0 as a float is decided exactly.  The
+    rational location estimate 5/v = 5·10**997 is compared exactly in
+    approximate mode too; the irrational one, sqrt(2)/v at a claimed
+    location (1, 1), has the window epsilon about it."""
     v = F(1, 10**997)
     params = SystemParams(v, v, F(1), F(0), F(1))
     beacon = BeaconTL("B", F(0), (F(3), F(4)), F(1))
     num = approx_num(F(1, 1000))
     assert not pgt_accepts(params, (F(0), F(0)), F(5), beacon, num)
-    for shift, accepted in ((F(0), True), (F(1, 1000), True), (-F(1, 1000), True), (F(1, 999), False)):
+    for shift, accepted in ((F(0), True), (F(1, 2000), False), (-F(1, 1000), False)):
         assert pgt_accepts(params, (F(0), F(0)), 5 / v + shift, beacon, num) == accepted
+    beacon = BeaconTL("B", F(0), (F(1), F(1)), F(1))
+    estimate = F(math.isqrt(2 * 10 ** (2 * 1007)), 10**10)  # within 10**-10 below sqrt(2)/v
+    for shift, accepted in (
+        (F(0), True),
+        (F(1, 1000), True),
+        (-F(999, 1000000), True),
+        (F(1, 999), False),
+        (-F(1, 999), False),
+    ):
+        assert pgt_accepts(params, (F(0), F(0)), estimate + shift, beacon, num) == accepted
+        assert not pgt_accepts(params, (F(0), F(0)), estimate + shift, beacon, approx_num(F(0)))
 
 
 # ---------------------------------------------------------------------------
